@@ -1,0 +1,89 @@
+"""Golden outputs: the sha256 of every file the CLI pipeline writes.
+
+A tiny reference CSV (``data/golden_reference.csv``, 60 episodes of 8 raw
+samples) and a fixed plan run through estimate -> tune -> simulate ->
+monitor. The hashes pin the outputs across changes to the engine, not only
+across reruns of one version. numpy does not promise stable ``Generator``
+streams across releases (NEP 19); the constants were captured under numpy
+2.4.6. A change that moves any of them must say why.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+
+from epimon.cli import main
+
+DATA = Path(__file__).parent / "data"
+
+PLAN = {
+    "statistics": ["udt", "mixed:mean+pdt:0.5"],
+    "horizons": [1, 3],
+    "h_tilde": 2,
+    "alpha0": 0.2,
+    "B_inner": 200,
+    "B_outer": 50,
+    "seed": 5,
+    "test_every": 2,
+}
+
+GOLDEN = {
+    "params.json": (
+        "b205624550704bc0248ca2faa857a585bfdc1b6e0786bad988c4dca2a7a53860"
+    ),
+    "bundle.json": (
+        "681afc80b83d2591f6a433af83f47d31e411ffb4b71050d68e91dd6bd1151ccb"
+    ),
+    "bundle.json.store.json": (
+        "5012a284937c24f5d4f6971777c9053e0ace8b488fab4d0c9bce9b946f7d0e71"
+    ),
+    "report.json": (
+        "3fd650a01472ac44bb0ca5e5838e1389187550ade777986dbe5ed9830ae8091c"
+    ),
+    "monitor.ndjson": (
+        "a4081efd087cf9d16c6cff00ff72ab51cb4f41728d2b6b1830f01bed54899409"
+    ),
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _stream_text() -> str:
+    """Six reference episodes, then two dropped by 4 so the monitor fires."""
+    rows = np.loadtxt(DATA / "golden_reference.csv", delimiter=",")
+    samples = np.concatenate([rows[:6].ravel(), rows[6:8].ravel() - 4.0])
+    return "\n".join(repr(float(x)) for x in samples) + "\n"
+
+
+def test_pipeline_outputs_match_golden_hashes(tmp_path, capsys):
+    csv = DATA / "golden_reference.csv"
+    (tmp_path / "plan.json").write_text(json.dumps(PLAN))
+    (tmp_path / "scenario.json").write_text(
+        json.dumps({"kind": "uniform", "epsilon_sigma": 1.0})
+    )
+    (tmp_path / "stream.txt").write_text(_stream_text())
+
+    def run(*argv):
+        return main([str(a) for a in argv])
+
+    assert run("estimate", csv, "--episode-length", 8, "--downsample", 2,
+               "--out", tmp_path / "params.json") == 0
+    assert run("tune", csv, "--params", tmp_path / "params.json",
+               "--plan", tmp_path / "plan.json",
+               "--out", tmp_path / "bundle.json") == 0
+    assert run("simulate", "--bundle", tmp_path / "bundle.json",
+               "--scenario", tmp_path / "scenario.json", "--blocks", 4,
+               "--seed", 9, "--out", tmp_path / "report.json") == 0
+    capsys.readouterr()
+    assert run("monitor", tmp_path / "stream.txt",
+               "--bundle", tmp_path / "bundle.json") == 3
+    (tmp_path / "monitor.ndjson").write_text(capsys.readouterr().out)
+
+    digests = {
+        name: _sha256((tmp_path / name).read_bytes()) for name in GOLDEN
+    }
+    assert digests == GOLDEN
