@@ -11,12 +11,17 @@ of those minima is the threshold.
 
 Cost is O(B_outer * F * h_tilde * T_stat): the inner bootstrap distributions
 are shared across outer repetitions through one :class:`BootstrapStore`, so
-they are built once per (statistic, window length).
+they are built once per (statistic, window length). Their random indices cost
+even less: the store draws one (B_inner, h_max+1) episode-index table, one
+generator per inner repetition, and slices it for every statistic and window
+length, which is exact because a shorter window's draw is a prefix of a
+longer one's. Each outer repetition likewise draws its whole stream once.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -266,15 +271,29 @@ def bundle_to_dict(tuned: TunedMonitor, store_file: str) -> dict:
 
 
 def load_bundle(path) -> TunedMonitor:
-    """Load a tuned monitor; the store file is resolved relative to the bundle."""
-    import os
+    """Load a tuned monitor; the store file is resolved relative to the bundle.
 
+    Everything the monitor will read is checked here, so a bad bundle fails
+    at load with :class:`ValueError` rather than at the first test-point
+    that needs it: ``store_file`` must be a bare file name, and the store
+    must have the plan's B_inner and seed and an entry for every statistic
+    of the plan (and every component of a mixed one) at every window length
+    the plan tests.
+    """
     with open(path) as fh:
         data = json.load(fh)
     params = params_from_dict(data["params"])
     plan = MonitorPlan.from_dict(data["plan"])
-    store_path = os.path.join(os.path.dirname(os.fspath(path)), data["store_file"])
+    store_file = data["store_file"]
+    if (
+        not isinstance(store_file, str)
+        or store_file in ("", ".", "..")
+        or os.path.basename(store_file) != store_file
+    ):
+        raise ValueError(f"store_file {store_file!r} is not a bare file name")
+    store_path = os.path.join(os.path.dirname(os.fspath(path)), store_file)
     store = BootstrapStore.load(store_path, params)
+    _check_store_matches_plan(store, plan, params.T)
     distribution = np.asarray(data["min_p_distribution"], dtype=float)
     distribution.setflags(write=False)
     return TunedMonitor(
@@ -283,3 +302,20 @@ def load_bundle(path) -> TunedMonitor:
         store=store,
         min_p_distribution=distribution,
     )
+
+
+def _check_store_matches_plan(
+    store: BootstrapStore, plan: MonitorPlan, T: int
+) -> None:
+    if store.B != plan.B_inner:
+        raise ValueError(f"store has B={store.B}, plan has B_inner={plan.B_inner}")
+    if store.seed != plan.seed:
+        raise ValueError(f"store has seed={store.seed}, plan has seed={plan.seed}")
+    lengths = plan.window_lengths(T)
+    for kind in plan.statistics:
+        for spec in [c.spec for c in kind.components] + [kind.spec]:
+            for n in lengths:
+                if (spec, n) not in store.entries:
+                    raise ValueError(
+                        f"store has no distribution for {spec!r} at length {n}"
+                    )

@@ -266,8 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--header", action="store_true", help="skip one header line")
     p.add_argument("--out", required=True, help="output monitor bundle JSON")
     p.add_argument("--store-out", help="output store JSON (default <out>.store.json)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="reserved; must not affect outputs")
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("monitor", help="run the online monitor over a stream")
@@ -285,8 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scenario episodes per block (default: plan h_tilde)")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="output report JSON")
-    p.add_argument("--threads", type=int, default=1,
-                   help="reserved; must not affect outputs")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("power", help="closed-form power gain and test powers")
@@ -302,9 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
-        print("error: --threads must be positive", file=sys.stderr)
-        return EXIT_ERROR
     if getattr(args, "blocks", 1) < 1:
         print("error: --blocks must be positive", file=sys.stderr)
         return EXIT_ERROR

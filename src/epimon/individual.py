@@ -15,13 +15,20 @@ max(1, ceil(alpha*B)), which keeps the realized false-alarm rate conservative.
 The quantile rule is authoritative for `reject`; on ties it can disagree with
 "p < alpha" by one rank (ties never reject).
 
-Resample indices for repetition b derive from the (seed, b) substream --
-independent of the statistic kind and window length -- so every statistic
-sees the same synthetic windows and windows of different lengths are nested
-within a repetition. This makes the whole decision invariant to monotone
-reparameterizations of a statistic, makes statistics that differ by a
-constant produce identical decisions, and couples the stored distributions
+Resample indices for repetition b derive from the (seed, "boot", b)
+substream -- independent of the statistic kind and window length -- so every
+statistic sees the same synthetic windows and windows of different lengths
+are nested within a repetition. This makes the whole decision invariant to
+monotone reparameterizations of a statistic, makes statistics that differ by
+a constant produce identical decisions, and couples the stored distributions
 across lengths the same way a live monitor's growing windows are coupled.
+
+A :class:`BootstrapStore` therefore draws one (B, K_max+1) index table, at
+the longest window length it needs, and slices its leading K+1 columns for
+every (statistic, length) entry. Slicing is exact, not an approximation:
+``Generator.integers`` produces its output values in order from the stream,
+so the first K+1 values of a longer draw are the values a draw of length
+K+1 returns.
 """
 
 from __future__ import annotations
@@ -81,6 +88,12 @@ def resample_indices(
     keeps the family-wise probability of hitting the 1/(B+1) p-value floor
     governed by the number of horizons rather than the number of distinct
     lengths.
+
+    Because the draw at length n is a prefix of the draw at any longer
+    length, the columns ``[:, :k+1]`` of one table drawn at the longest
+    length equal this function's result at every shorter length with K = k;
+    :class:`BootstrapStore` relies on that to build each of its B generators
+    once rather than once per entry.
     """
     dec = decompose_index(n, T)
     idx = np.empty((B, dec.k + 1), dtype=np.intp)
@@ -109,8 +122,12 @@ def bootstrap_distribution(
         raise ValueError("B and n must be positive")
     if evaluator is None:
         evaluator = BatchEvaluator(ref.episodes, params)
-    dec = decompose_index(n, params.T)
     idx = resample_indices(ref.num_episodes, n, params.T, B, seed)
+    return _sorted_values(evaluator, kind, idx, decompose_index(n, params.T), store)
+
+
+def _sorted_values(evaluator, kind, idx, dec, store) -> np.ndarray:
+    """Read-only sorted values of ``kind`` over the windows ``idx[:, :dec.k+1]``."""
     values = evaluator.values(kind, idx[:, : dec.k], idx[:, dec.k], dec.tau, store)
     values = np.sort(values)
     values.setflags(write=False)
@@ -125,6 +142,11 @@ class BootstrapStore:
     B, seed). A store built from a reference dataset fills entries lazily on
     demand (offline mode); :meth:`freeze` forbids further fills, which is the
     contract during live monitoring where every length must be precomputed.
+
+    Every entry slices one shared (B, K_max+1) episode-index table (see
+    :func:`resample_indices`). The table is drawn at the longest length
+    needed so far and redrawn wider if a later entry needs a longer window;
+    :meth:`freeze` drops it.
     """
 
     def __init__(
@@ -145,9 +167,20 @@ class BootstrapStore:
         self.entries: dict[tuple[str, int], np.ndarray] = dict(entries or {})
         self.frozen = bool(frozen)
         self._evaluator: BatchEvaluator | None = None
+        self._indices: np.ndarray | None = None
 
     def freeze(self) -> None:
         self.frozen = True
+        self._indices = None
+
+    def _index_table(self, n: int) -> np.ndarray:
+        """The shared index table, at least as wide as length ``n`` needs."""
+        k = decompose_index(n, self.params.T).k
+        if self._indices is None or self._indices.shape[1] <= k:
+            self._indices = resample_indices(
+                self.reference.num_episodes, n, self.params.T, self.B, self.seed
+            )
+        return self._indices
 
     def _get_evaluator(self) -> BatchEvaluator:
         if self._evaluator is None:
@@ -166,21 +199,24 @@ class BootstrapStore:
             )
         for comp in kind.components:
             self.values_for(comp, n)
-        entry = bootstrap_distribution(
-            self.reference,
-            self.params,
+        entry = _sorted_values(
+            self._get_evaluator(),
             kind,
-            int(n),
-            self.B,
-            self.seed,
-            evaluator=self._get_evaluator(),
-            store=self,
+            self._index_table(n),
+            decompose_index(n, self.params.T),
+            self,
         )
         self.entries[key] = entry
         return entry
 
     def ensure(self, kinds, lengths) -> None:
-        """Precompute all (kind, length) entries (tuning phase 1)."""
+        """Precompute all (kind, length) entries (tuning phase 1).
+
+        The index table is drawn once, at the longest length, before any
+        entry is built.
+        """
+        if lengths and self.reference is not None and not self.frozen:
+            self._index_table(max(lengths))
         for kind in kinds:
             for comp in kind.components:
                 for n in lengths:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import epimon as em
+from epimon.cli import main
 
 from conftest import make_params
 
@@ -262,3 +263,80 @@ def test_missing_file_exits_two(tmp_path):
     res = run_cli("power", "--params", tmp_path / "absent.json",
                   "--epsilon-sigma", 0.1, "--out", tmp_path / "x.json")
     assert res.returncode == 2
+
+
+def _monitor_with_tampered_bundle(workspace, tmp_path, edit):
+    """Copy the tuned bundle and store, apply ``edit(bundle, store)`` to the
+    parsed JSON, and run ``monitor`` in-process on the copy. The stream ends
+    before the first test-point, so only a check at load can reject it."""
+    bundle = json.loads((workspace / "bundle.json").read_text())
+    store = json.loads((workspace / "bundle.json.store.json").read_text())
+    edit(bundle, store)
+    (tmp_path / "bundle.json").write_text(json.dumps(bundle))
+    (tmp_path / "bundle.json.store.json").write_text(json.dumps(store))
+    stream = tmp_path / "stream.txt"
+    stream.write_text("1.0\n" * 4)
+    return main(
+        ["monitor", str(stream), "--bundle", str(tmp_path / "bundle.json")]
+    )
+
+
+def test_load_bundle_rejects_store_with_other_b(workspace, tmp_path, capsys):
+    def edit(bundle, store):
+        bundle["plan"]["B_inner"] = store["B"] + 1
+
+    assert _monitor_with_tampered_bundle(workspace, tmp_path, edit) == 2
+    assert "B_inner" in capsys.readouterr().err
+
+
+def test_load_bundle_rejects_store_with_other_seed(workspace, tmp_path, capsys):
+    def edit(bundle, store):
+        store["seed"] = bundle["plan"]["seed"] + 1
+
+    assert _monitor_with_tampered_bundle(workspace, tmp_path, edit) == 2
+    assert "seed" in capsys.readouterr().err
+
+
+def test_load_bundle_rejects_store_missing_a_length(workspace, tmp_path, capsys):
+    def edit(bundle, store):
+        store["entries"] = [
+            e for e in store["entries"] if (e["kind"], e["n"]) != ("mean", 18)
+        ]
+
+    assert _monitor_with_tampered_bundle(workspace, tmp_path, edit) == 2
+    assert "'mean' at length 18" in capsys.readouterr().err
+
+
+def test_load_bundle_rejects_store_missing_a_mixed_component(
+    workspace, tmp_path, capsys
+):
+    # The plan tests mixed:mean+udt; the store has the mixed entries and the
+    # udt ones but lacks one mean entry that only the mixed statistic reads.
+    def edit(bundle, store):
+        bundle["plan"]["statistics"] = ["udt", "mixed:mean+udt"]
+        mixed = [
+            {**e, "kind": "mixed:mean+udt"}
+            for e in store["entries"]
+            if e["kind"] == "mean"
+        ]
+        store["entries"] = [
+            e for e in store["entries"] if (e["kind"], e["n"]) != ("mean", 13)
+        ] + mixed
+
+    assert _monitor_with_tampered_bundle(workspace, tmp_path, edit) == 2
+    assert "'mean' at length 13" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "store_file",
+    ["../bundle.json.store.json", "sub/bundle.json.store.json",
+     "/bundle.json.store.json", "..", ""],
+)
+def test_load_bundle_rejects_store_file_with_a_path(
+    workspace, tmp_path, capsys, store_file
+):
+    def edit(bundle, store):
+        bundle["store_file"] = store_file
+
+    assert _monitor_with_tampered_bundle(workspace, tmp_path, edit) == 2
+    assert "bare file name" in capsys.readouterr().err

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import epimon as em
+from epimon import individual
 from epimon.errors import NotTunedError
 
 from conftest import make_params, make_reference
@@ -186,3 +187,113 @@ def test_mixed_store_builds_components_first():
     assert ("pdt:0.9", 5) in store.entries
     mixed = store.entries[(em.MIXED_MEAN_PDT_PRESET.spec, 5)]
     assert np.all((mixed >= 1 / 61) & (mixed <= 1.0))
+
+
+STORE_KINDS = (
+    UDT,
+    em.parse_statistic("hotelling"),
+    em.parse_statistic("cusum:0.5"),
+    em.MIXED_MEAN_PDT_PRESET,
+)
+STORE_LENGTHS = [3, 4, 6, 8, 9, 12]  # T = 4: K = 0, 0, 1, 1, 2, 2
+
+
+def _oracle_entries(ref, params, keys, B, seed):
+    """Each distribution drawn on its own; mixed ones read a frozen store of
+    component distributions that never touches a shared index table."""
+    plain = {
+        (spec, n): em.bootstrap_distribution(
+            ref, params, em.parse_statistic(spec), n, B, seed
+        )
+        for spec, n in keys
+        if not spec.startswith("mixed")
+    }
+    components = em.BootstrapStore(params, B, seed, entries=plain, frozen=True)
+    mixed = {
+        (spec, n): em.bootstrap_distribution(
+            ref, params, em.parse_statistic(spec), n, B, seed, store=components
+        )
+        for spec, n in keys
+        if spec.startswith("mixed")
+    }
+    return {**plain, **mixed}
+
+
+def _fill_ensure_ascending(store):
+    store.ensure(STORE_KINDS, STORE_LENGTHS)
+
+
+def _fill_ensure_descending(store):
+    store.ensure(STORE_KINDS, STORE_LENGTHS[::-1])
+
+
+def _fill_lazy_ascending(store):
+    # Every new K widens the table, so this redraws it at each step.
+    for n in STORE_LENGTHS:
+        for kind in STORE_KINDS:
+            store.values_for(kind, n)
+
+
+def _fill_lazy_beyond_plan(store):
+    store.ensure(STORE_KINDS, STORE_LENGTHS)
+    for kind in STORE_KINDS:
+        store.values_for(kind, 23)  # K = 5, wider than the ensured table
+    store.values_for(MEAN, 5)
+
+
+@pytest.mark.parametrize(
+    "fill",
+    [
+        _fill_ensure_ascending,
+        _fill_ensure_descending,
+        _fill_lazy_ascending,
+        _fill_lazy_beyond_plan,
+    ],
+)
+def test_store_entries_equal_standalone_bootstrap(fill):
+    params = make_params(T=4, seed=14)
+    ref = make_reference(params, 30, seed=15)
+    B, seed = 64, 21
+    store = em.BootstrapStore(params, B=B, seed=seed, reference=ref)
+    fill(store)
+    oracle = _oracle_entries(ref, params, store.entries, B, seed)
+    assert store.entries.keys() == oracle.keys()
+    for key, entry in store.entries.items():
+        assert np.array_equal(entry, oracle[key]), key
+
+
+@pytest.mark.parametrize("num_episodes", [1, 7, 1000, 2**33])
+def test_resample_indices_are_prefixes_of_longer_draws(num_episodes):
+    T, B, seed = 5, 40, 3
+    longest = individual.resample_indices(num_episodes, 9 * T, T, B, seed)
+    assert longest.shape == (B, 9)
+    for n in range(1, 9 * T):
+        short = individual.resample_indices(num_episodes, n, T, B, seed)
+        assert np.array_equal(short, longest[:, : short.shape[1]]), n
+
+
+def test_store_builds_each_generator_once_per_plan(monkeypatch):
+    params = make_params(T=4, seed=16)
+    ref = make_reference(params, 25, seed=17)
+    plan = em.MonitorPlan(
+        statistics=(UDT, em.parse_statistic("mdt")),
+        horizons=(1, 3, 5),
+        h_tilde=2,
+        alpha0=0.1,
+        B_inner=48,
+        B_outer=10,
+        seed=4,
+        test_every=2,
+    )
+    calls = []
+    real_substream = individual.substream
+
+    def counting_substream(*args):
+        calls.append(args)
+        return real_substream(*args)
+
+    monkeypatch.setattr(individual, "substream", counting_substream)
+    store = em.BootstrapStore(params, plan.B_inner, plan.seed, reference=ref)
+    store.ensure(plan.statistics, plan.window_lengths(params.T))
+    assert len(calls) == plan.B_inner
+    assert len(store.entries) == 5 * len(plan.window_lengths(params.T))
