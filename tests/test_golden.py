@@ -2,8 +2,11 @@
 
 A tiny reference CSV (``data/golden_reference.csv``, 60 episodes of 8 raw
 samples) and a fixed plan run through estimate -> tune -> simulate ->
-monitor. The hashes pin the outputs across changes to the engine, not only
-across reruns of one version. numpy does not promise stable ``Generator``
+monitor. The first plan covers ``udt`` and a mixed ``mean+pdt:0.5``; the
+second covers ``mdt`` (``mean``, ``hotelling``, ``pdt:0.9``) and
+``cusum:0.5``, both with two horizons and test-points every second step.
+The hashes pin the outputs across changes to the engine, not only across
+reruns of one version. numpy does not promise stable ``Generator``
 streams across releases (NEP 19); the constants were captured under numpy
 2.4.6. A change that moves any of them must say why.
 """
@@ -29,6 +32,11 @@ PLAN = {
     "test_every": 2,
 }
 
+PLAN_MDT_CUSUM = {
+    **PLAN,
+    "statistics": ["mdt", "cusum:0.5"],
+}
+
 GOLDEN = {
     "params.json": (
         "b205624550704bc0248ca2faa857a585bfdc1b6e0786bad988c4dca2a7a53860"
@@ -47,6 +55,22 @@ GOLDEN = {
     ),
 }
 
+GOLDEN_MDT_CUSUM = {
+    "params.json": GOLDEN["params.json"],
+    "bundle.json": (
+        "bd2300fce674e1561c6cfc727524cea5b1bbff80fd15615c2bd1b64616ea5fee"
+    ),
+    "bundle.json.store.json": (
+        "3d1a4fa38166be9a3811e4ae63ce7e9f63f0daa7d68ca6a7a53777f3cd915dd4"
+    ),
+    "report.json": (
+        "af60888e72334037f91cfefe320de5af1015c38005fb4b946bf056f247f75a8c"
+    ),
+    "monitor.ndjson": (
+        "4761a2d7f36c4d970b4b6fe77d30b66669f3efa01a7294d5b0de1d21fbeab32f"
+    ),
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -59,9 +83,11 @@ def _stream_text() -> str:
     return "\n".join(repr(float(x)) for x in samples) + "\n"
 
 
-def test_pipeline_outputs_match_golden_hashes(tmp_path, capsys):
+def _pipeline_digests(tmp_path, capsys, plan):
+    """Run the pipeline under ``plan``; return the monitor's exit code and
+    the sha256 of every output file."""
     csv = DATA / "golden_reference.csv"
-    (tmp_path / "plan.json").write_text(json.dumps(PLAN))
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
     (tmp_path / "scenario.json").write_text(
         json.dumps({"kind": "uniform", "epsilon_sigma": 1.0})
     )
@@ -79,11 +105,19 @@ def test_pipeline_outputs_match_golden_hashes(tmp_path, capsys):
                "--scenario", tmp_path / "scenario.json", "--blocks", 4,
                "--seed", 9, "--out", tmp_path / "report.json") == 0
     capsys.readouterr()
-    assert run("monitor", tmp_path / "stream.txt",
-               "--bundle", tmp_path / "bundle.json") == 3
+    code = run("monitor", tmp_path / "stream.txt",
+               "--bundle", tmp_path / "bundle.json")
     (tmp_path / "monitor.ndjson").write_text(capsys.readouterr().out)
-
-    digests = {
+    return code, {
         name: _sha256((tmp_path / name).read_bytes()) for name in GOLDEN
     }
-    assert digests == GOLDEN
+
+
+def test_pipeline_outputs_match_golden_hashes(tmp_path, capsys):
+    assert _pipeline_digests(tmp_path, capsys, PLAN) == (3, GOLDEN)
+
+
+def test_mdt_cusum_pipeline_outputs_match_golden_hashes(tmp_path, capsys):
+    assert _pipeline_digests(tmp_path, capsys, PLAN_MDT_CUSUM) == (
+        3, GOLDEN_MDT_CUSUM
+    )
