@@ -9,10 +9,19 @@ reference data, replays every test-point of the h_tilde-episode stretch after
 the warm-up prefix, and records the minimal p-value seen. The alpha0-quantile
 of those minima is the threshold.
 
-Cost is O(B_outer * F * h_tilde * T_stat): the inner bootstrap distributions
-are shared across outer repetitions through one :class:`BootstrapStore`, so
-they are built once per (statistic, window length). Their random indices cost
-even less: the store draws one (B_inner, h_max+1) episode-index table, one
+A horizon-h window at offset tau is always the same h whole episodes plus a
+tau-step tail, so the replay evaluates each (horizon, statistic) pair with
+one :meth:`BatchEvaluator.offset_values` call over all F test offsets. The
+whole-episode part of the statistic (row sums, weights, solved rows or
+episode sums) is built once per horizon, at O(B_outer * h_tilde * h * T);
+each offset then adds only its tail and the per-window finish of the
+statistic, O(B_outer * h_tilde * F * T_stat) over all offsets.
+
+The inner bootstrap distributions are shared across outer repetitions
+through one :class:`BootstrapStore`, so they are built once per (statistic,
+window length), and the store builds each whole-episode part once per
+(statistic, K) rather than once per length. Their random indices cost even
+less: the store draws one (B_inner, h_max+1) episode-index table, one
 generator per inner repetition, and slices it for every statistic and window
 length, which is exact because a shorter window's draw is a prefix of a
 longer one's. Each outer repetition likewise draws its whole stream once.
@@ -35,7 +44,12 @@ from .episodic import (
 from .errors import ResolutionError
 from .individual import BootstrapStore, empirical_quantile_index
 from .rng import substream
-from .stats import BatchEvaluator, StatisticKind, parse_statistic
+from .stats import (
+    BatchEvaluator,
+    StatisticKind,
+    bootstrap_pvalues,
+    parse_statistic,
+)
 
 BUNDLE_FORMAT_VERSION = 1
 
@@ -161,7 +175,8 @@ def bfar_min_p(
 
     Repetition b resamples h_max + h_tilde whole episodes, then replays every
     (test-point, horizon, statistic) combination over the h_tilde episodes
-    after the warm-up prefix. Early test-points of long horizons look back
+    after the warm-up prefix; all test offsets of one (horizon, statistic)
+    share one evaluation of its whole episodes. Early test-points of long horizons look back
     into the warm-up region, which is exactly what it exists for.
     """
     T = params.T
@@ -176,18 +191,16 @@ def bfar_min_p(
     windows = np.lib.stride_tricks.sliding_window_view(
         streams, plan.h_max + 1, axis=1
     )
+    taus = plan.test_offsets(T)
+    tail_idx = streams[:, plan.h_max :].reshape(-1)
     min_p = np.ones(B_out)
     for h in plan.horizons:
         whole = windows[:, : plan.h_tilde, plan.h_max - h : plan.h_max]
         whole_idx = whole.reshape(-1, h)
-        tail_idx = streams[:, plan.h_max :].reshape(-1)
-        for tau in plan.test_offsets(T):
-            n = h * T + tau
-            for kind in plan.statistics:
-                dist = store.values_for(kind, n)
-                vals = evaluator.values(kind, whole_idx, tail_idx, tau, store)
-                counts = np.searchsorted(dist, vals, side="right")
-                p = (1.0 + counts) / (1.0 + dist.size)
+        for kind in plan.statistics:
+            values = evaluator.offset_values(kind, whole_idx, tail_idx, taus, store)
+            for tau, vals in zip(taus, values):
+                p = bootstrap_pvalues(store.values_for(kind, h * T + tau), vals)
                 np.minimum(min_p, p.reshape(B_out, plan.h_tilde).min(axis=1), out=min_p)
     return min_p
 

@@ -303,7 +303,9 @@ def main(argv=None) -> int:
         return EXIT_ERROR
     try:
         return args.func(args)
-    except (EpimonError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (
+        EpimonError, ValueError, OSError, json.JSONDecodeError, KeyError, TypeError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -123,12 +123,12 @@ def bootstrap_distribution(
     if evaluator is None:
         evaluator = BatchEvaluator(ref.episodes, params)
     idx = resample_indices(ref.num_episodes, n, params.T, B, seed)
-    return _sorted_values(evaluator, kind, idx, decompose_index(n, params.T), store)
+    dec = decompose_index(n, params.T)
+    return _sorted(evaluator.values(kind, idx[:, : dec.k], idx[:, dec.k], dec.tau, store))
 
 
-def _sorted_values(evaluator, kind, idx, dec, store) -> np.ndarray:
-    """Read-only sorted values of ``kind`` over the windows ``idx[:, :dec.k+1]``."""
-    values = evaluator.values(kind, idx[:, : dec.k], idx[:, dec.k], dec.tau, store)
+def _sorted(values: np.ndarray) -> np.ndarray:
+    """Read-only sorted copy of ``values``: one store entry."""
     values = np.sort(values)
     values.setflags(write=False)
     return values
@@ -191,38 +191,73 @@ class BootstrapStore:
         """Sorted distribution for (kind, n), building it if allowed."""
         key = (kind.spec, int(n))
         entry = self.entries.get(key)
-        if entry is not None:
-            return entry
-        if self.frozen or self.reference is None:
-            raise NotTunedError(
-                f"no bootstrap distribution for {key[0]!r} at length {n}"
-            )
-        for comp in kind.components:
-            self.values_for(comp, n)
-        entry = _sorted_values(
-            self._get_evaluator(),
-            kind,
-            self._index_table(n),
-            decompose_index(n, self.params.T),
-            self,
-        )
-        self.entries[key] = entry
+        if entry is None:
+            dec = decompose_index(int(n), self.params.T)
+            self._build(kind, dec.k, [dec.tau])
+            entry = self.entries[key]
         return entry
 
     def ensure(self, kinds, lengths) -> None:
         """Precompute all (kind, length) entries (tuning phase 1).
 
         The index table is drawn once, at the longest length, before any
-        entry is built.
+        entry is built. Lengths with the same number K of whole episodes
+        are built together, so each statistic's whole-episode part is
+        computed once per K rather than once per length.
         """
         if lengths and self.reference is not None and not self.frozen:
             self._index_table(max(lengths))
+        offsets: dict[int, list[int]] = {}
+        for n in sorted(set(int(n) for n in lengths)):
+            dec = decompose_index(n, self.params.T)
+            offsets.setdefault(dec.k, []).append(dec.tau)
         for kind in kinds:
-            for comp in kind.components:
-                for n in lengths:
-                    self.values_for(comp, n)
-            for n in lengths:
-                self.values_for(kind, n)
+            for K, taus in offsets.items():
+                self._build(kind, K, taus)
+
+    def _build(self, kind: StatisticKind, K: int, taus) -> None:
+        """Fill the missing entries of ``kind``, and of a mixed kind's
+        components, at the lengths K*T + tau.
+
+        A mixed kind's component values are computed once and serve both
+        the component's own entry and the mixed p-values.
+        """
+        T = self.params.T
+        specs = [comp.spec for comp in kind.components] + [kind.spec]
+        missing = [
+            (spec, K * T + tau)
+            for tau in taus
+            for spec in specs
+            if (spec, K * T + tau) not in self.entries
+        ]
+        if not missing:
+            return
+        if self.frozen or self.reference is None:
+            spec, n = missing[0]
+            raise NotTunedError(
+                f"no bootstrap distribution for {spec!r} at length {n}"
+            )
+        taus = sorted({n - K * T for _, n in missing})
+        lengths = [K * T + tau for tau in taus]
+        idx = self._index_table(lengths[-1])
+        whole_idx, tail_idx = idx[:, :K], idx[:, K]
+        evaluator = self._get_evaluator()
+
+        def put(stat, values):
+            for n, vals in zip(lengths, values):
+                if (stat.spec, n) not in self.entries:
+                    self.entries[(stat.spec, n)] = _sorted(vals)
+
+        if kind.components:
+            component_values = [
+                evaluator.offset_values(comp, whole_idx, tail_idx, taus)
+                for comp in kind.components
+            ]
+            for comp, values in zip(kind.components, component_values):
+                put(comp, values)
+            put(kind, evaluator.mixed_values(kind, lengths, component_values, self))
+        else:
+            put(kind, evaluator.offset_values(kind, whole_idx, tail_idx, taus))
 
     def to_dict(self) -> dict:
         entries = [

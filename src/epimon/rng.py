@@ -2,10 +2,11 @@
 
 Every randomized routine in the package draws from a generator derived from
 (seed, *scope) where scope is a tuple of strings/ints naming the consumer
-(e.g. ("boot", n, b) for bootstrap repetition b at window length n). Streams
-are independent for distinct scopes, bit-reproducible across runs and
-platforms, and order-independent, so repetitions may be evaluated in any
-order or in parallel without changing results.
+(e.g. ("boot", b) for bootstrap repetition b, whose draws serve every window
+length, or ("bfar", b) for BFAR outer repetition b). Streams are independent
+for distinct scopes, bit-reproducible across runs and platforms, and
+order-independent, so repetitions may be evaluated in any order or in
+parallel without changing results.
 """
 
 from __future__ import annotations

@@ -327,6 +327,16 @@ class BatchEvaluator:
     (row sums, weighted sums, solved deviations) are precomputed once per
     (episodes, params) pair, so evaluating B windows costs O(B*K) gathers
     instead of O(B*n) arithmetic for the linear statistics.
+
+    :meth:`offset_values` evaluates one set of windows at several offsets
+    tau at once. The K whole episodes are the same at every offset, so the
+    whole-episode part of the statistic -- the summed row sums (``mean``),
+    ``udt`` weights or ``Sigma^-1 (x - mu)`` rows (``pdt``), the summed
+    episodes (``hotelling``), or the concatenated episodes (``cusum``) -- is
+    built once per chunk of ``_BATCH_CHUNK`` windows. Each offset then adds
+    its tau-step tail to a copy of that part and finishes with the same
+    per-row operations a single offset uses, so every row of the result is
+    bitwise the one-offset :meth:`values` call at that offset.
     """
 
     def __init__(self, episodes: np.ndarray, params: EpisodeParams):
@@ -335,11 +345,17 @@ class BatchEvaluator:
             raise ValueError("episodes must be an N x T matrix matching params")
         self.episodes = episodes
         self.params = params
-        self._row_sums = episodes.sum(axis=1)
         self._row_csums = np.cumsum(episodes, axis=1)
-        self._udt_full = episodes @ params.full_weights
+        # Per-episode rows each statistic gathers for its whole episodes:
+        # summed over them, except cusum, which concatenates them.
+        self._pieces = {
+            "mean": episodes.sum(axis=1),
+            "udt": episodes @ params.full_weights,
+            "pdt": (episodes - params.mu0) @ params.sigma0_inv,
+            "hotelling": episodes,
+            "cusum": episodes,
+        }
         self._udt_tail: dict[int, np.ndarray] = {}
-        self._pdt_full = (episodes - params.mu0) @ params.sigma0_inv
         self._pdt_tail: dict[int, np.ndarray] = {}
 
     def _udt_tail_for(self, tau: int) -> np.ndarray:
@@ -365,121 +381,115 @@ class BatchEvaluator:
         tau: int,
         store=None,
     ) -> np.ndarray:
-        """Statistic values for R windows of length K*T + tau.
+        """Statistic values for R windows of length K*T + tau: the
+        one-offset case of :meth:`offset_values`."""
+        return self.offset_values(kind, whole_idx, tail_idx, (tau,), store)[0]
+
+    def offset_values(
+        self,
+        kind: StatisticKind,
+        whole_idx: np.ndarray,
+        tail_idx: np.ndarray,
+        taus,
+        store=None,
+    ) -> np.ndarray:
+        """Statistic values of R windows at each offset: a (len(taus), R)
+        array whose row i holds the windows of length K*T + taus[i].
 
         ``whole_idx`` is (R, K) row indices of the whole episodes (K may be
         0); ``tail_idx`` is (R,) row indices of the episode cropped to its
-        first ``tau`` samples.
+        first tau samples. ``store`` is only read by mixed statistics.
         """
         whole_idx = np.asarray(whole_idx)
         tail_idx = np.asarray(tail_idx)
         if whole_idx.ndim != 2 or whole_idx.shape[0] != tail_idx.shape[0]:
             raise ValueError("whole_idx must be (R, K) and tail_idx (R,)")
-        tau = int(tau)
-        if not 1 <= tau <= self.params.T:
-            raise ValueError(f"tau must be in [1, {self.params.T}]")
+        taus = [int(tau) for tau in taus]
+        T = self.params.T
+        if not taus or not all(1 <= tau <= T for tau in taus):
+            raise ValueError(f"tau must be in [1, {T}]")
+        R, K = whole_idx.shape
+        if kind.name == "mixed":
+            component_values = [
+                self.offset_values(comp, whole_idx, tail_idx, taus, store)
+                for comp in kind.components
+            ]
+            lengths = [K * T + tau for tau in taus]
+            return self.mixed_values(kind, lengths, component_values, store)
+        piece = self._pieces[kind.name]
+        out = np.empty((len(taus), R))
+        for lo in range(0, R, _BATCH_CHUNK):
+            rows = slice(lo, min(lo + _BATCH_CHUNK, R))
+            whole = None
+            if K:
+                whole = piece[whole_idx[rows]]
+                if kind.name == "cusum":
+                    whole = whole.reshape(whole.shape[0], K * T)
+                else:
+                    whole = whole.sum(axis=1)
+            for i, tau in enumerate(taus):
+                out[i, rows] = self._finish(kind, whole, tail_idx[rows], K, tau)
+        return out
+
+    def _finish(self, kind, whole, tail_rows, K, tau):
+        """One offset's values for a chunk of windows, given the chunk's
+        whole-episode part (None when K == 0), which is left unchanged."""
+        params = self.params
+        T = params.T
         name = kind.name
         if name == "mean":
-            return self._mean_values(whole_idx, tail_idx, tau)
+            out = self._row_csums[tail_rows, tau - 1]
+            return (out + whole if K else out) / (K * T + tau)
         if name == "udt":
-            return self._udt_values(whole_idx, tail_idx, tau)
+            out = self._udt_tail_for(tau)[tail_rows]
+            return out + whole if K else out
         if name == "pdt":
-            return self._pdt_values(kind, whole_idx, tail_idx, tau)
-        if name == "hotelling":
-            return self._hotelling_values(whole_idx, tail_idx, tau)
-        if name == "cusum":
-            return self._cusum_values(kind, whole_idx, tail_idx, tau)
-        if name == "mixed":
-            return self._mixed_values(kind, whole_idx, tail_idx, tau, store)
-        raise ValueError(f"unknown statistic {name!r}")
-
-    def _mean_values(self, whole_idx, tail_idx, tau):
-        n = whole_idx.shape[1] * self.params.T + tau
-        out = self._row_csums[tail_idx, tau - 1].copy()
-        if whole_idx.shape[1]:
-            out += self._row_sums[whole_idx].sum(axis=1)
-        return out / n
-
-    def _udt_values(self, whole_idx, tail_idx, tau):
-        out = self._udt_tail_for(tau)[tail_idx].copy()
-        if whole_idx.shape[1]:
-            out += self._udt_full[whole_idx].sum(axis=1)
-        return out
-
-    def _pdt_values(self, kind, whole_idx, tail_idx, tau):
-        T = self.params.T
-        K = whole_idx.shape[1]
-        R = tail_idx.shape[0]
-        present = T if K else tau
-        m = _pdt_m(kind.p, T, present)
-        out = np.empty(R)
-        tail_tab = self._pdt_tail_for(tau)
-        for lo in range(0, R, _BATCH_CHUNK):
-            hi = min(lo + _BATCH_CHUNK, R)
+            present = T if K else tau
+            m = _pdt_m(kind.p, T, present)
+            tail = self._pdt_tail_for(tau)[tail_rows]
             if K:
-                sums = self._pdt_full[whole_idx[lo:hi]].sum(axis=1)
-                sums[:, :tau] += tail_tab[tail_idx[lo:hi]]
+                sums = whole.copy()
+                sums[:, :tau] += tail
             else:
-                sums = tail_tab[tail_idx[lo:hi]]
+                sums = tail
             if m >= present:
-                out[lo:hi] = sums.sum(axis=1)
-            else:
-                out[lo:hi] = np.partition(sums, m - 1, axis=1)[:, :m].sum(axis=1)
-        return out
+                return sums.sum(axis=1)
+            return np.partition(sums, m - 1, axis=1)[:, :m].sum(axis=1)
+        tail = self.episodes[tail_rows, :tau]
+        if name == "hotelling":
+            if not K:
+                delta = tail - params.mu0[:tau]
+                inv = params.tail_inverse(tau)
+                return -np.einsum("ij,jk,ik->i", delta, inv, delta)
+            counts = np.full(T, float(K))
+            counts[:tau] += 1.0
+            sums = whole.copy()
+            sums[:, :tau] += tail
+            delta = (sums / counts - params.mu0) * np.sqrt(counts)
+            return -np.einsum("ij,jk,ik->i", delta, params.sigma0_inv, delta)
+        windows = np.concatenate([whole, tail], axis=1) if K else tail
+        prefix = np.cumsum(_cusum_drift(windows, params, kind.k_ref), axis=1)
+        return -(prefix[:, -1] - np.minimum(0.0, prefix.min(axis=1)))
 
-    def _hotelling_values(self, whole_idx, tail_idx, tau):
-        params = self.params
-        T = params.T
-        K = whole_idx.shape[1]
-        R = tail_idx.shape[0]
-        out = np.empty(R)
-        if K == 0:
-            inv = params.tail_inverse(tau)
-            mu = params.mu0[:tau]
-            for lo in range(0, R, _BATCH_CHUNK):
-                hi = min(lo + _BATCH_CHUNK, R)
-                delta = self.episodes[tail_idx[lo:hi], :tau] - mu
-                out[lo:hi] = -np.einsum("ij,jk,ik->i", delta, inv, delta)
-            return out
-        counts = np.full(T, float(K))
-        counts[:tau] += 1.0
-        sqrt_c = np.sqrt(counts)
-        for lo in range(0, R, _BATCH_CHUNK):
-            hi = min(lo + _BATCH_CHUNK, R)
-            sums = self.episodes[whole_idx[lo:hi]].sum(axis=1)
-            sums[:, :tau] += self.episodes[tail_idx[lo:hi], :tau]
-            delta = (sums / counts - params.mu0) * sqrt_c
-            out[lo:hi] = -np.einsum("ij,jk,ik->i", delta, params.sigma0_inv, delta)
-        return out
-
-    def _cusum_values(self, kind, whole_idx, tail_idx, tau):
-        params = self.params
-        T = params.T
-        K = whole_idx.shape[1]
-        R = tail_idx.shape[0]
-        out = np.empty(R)
-        for lo in range(0, R, _BATCH_CHUNK):
-            hi = min(lo + _BATCH_CHUNK, R)
-            tail_vals = self.episodes[tail_idx[lo:hi], :tau]
-            if K:
-                body = self.episodes[whole_idx[lo:hi]].reshape(hi - lo, K * T)
-                windows = np.concatenate([body, tail_vals], axis=1)
-            else:
-                windows = tail_vals
-            prefix = np.cumsum(_cusum_drift(windows, params, kind.k_ref), axis=1)
-            c_final = prefix[:, -1] - np.minimum(0.0, prefix.min(axis=1))
-            out[lo:hi] = -c_final
-        return out
-
-    def _mixed_values(self, kind, whole_idx, tail_idx, tau, store):
+    def mixed_values(
+        self, kind: StatisticKind, lengths, component_values, store
+    ) -> np.ndarray:
+        """A mixed statistic from its components' :meth:`offset_values` on
+        the same windows: row i is the minimum over components of their
+        p-values against the store's distributions at ``lengths[i]``."""
         if store is None:
             raise NotTunedError("mixed statistic requires a bootstrap store")
-        n = whole_idx.shape[1] * self.params.T + tau
-        pvals = None
-        for comp in kind.components:
-            dist = store.values_for(comp, n)
-            vals = self.values(comp, whole_idx, tail_idx, tau, store)
-            counts = np.searchsorted(dist, vals, side="right")
-            p = (1.0 + counts) / (1.0 + dist.size)
-            pvals = p if pvals is None else np.minimum(pvals, p)
-        return pvals
+        out = np.empty_like(component_values[0])
+        for i, n in enumerate(lengths):
+            out[i] = np.minimum.reduce([
+                bootstrap_pvalues(store.values_for(comp, n), vals[i])
+                for comp, vals in zip(kind.components, component_values)
+            ])
+        return out
+
+
+def bootstrap_pvalues(sorted_values: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """p = (1 + #{b : S_b <= y}) / (1 + B) of each y in ``values`` against
+    the sorted bootstrap distribution S."""
+    counts = np.searchsorted(sorted_values, values, side="right")
+    return (1.0 + counts) / (1.0 + sorted_values.size)

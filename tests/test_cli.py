@@ -327,6 +327,14 @@ def test_load_bundle_rejects_store_missing_a_mixed_component(
     assert "'mean' at length 13" in capsys.readouterr().err
 
 
+def test_load_bundle_rejects_wrongly_typed_plan(workspace, tmp_path, capsys):
+    def edit(bundle, store):
+        bundle["plan"]["horizons"] = None
+
+    assert _monitor_with_tampered_bundle(workspace, tmp_path, edit) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.mark.parametrize(
     "store_file",
     ["../bundle.json.store.json", "sub/bundle.json.store.json",

@@ -5,7 +5,7 @@ import pytest
 
 import epimon as em
 from epimon.errors import DegenerateVarianceError, InvalidDataError, NotTunedError
-from epimon.stats import BatchEvaluator
+from epimon.stats import _BATCH_CHUNK, BatchEvaluator
 
 from conftest import make_params, make_reference
 
@@ -361,3 +361,37 @@ def test_batch_matches_scalar(K, tau):
             w = window(np.concatenate(parts), params)
             scalar = em.statistic_value(kind, w, store)
             assert batch[r] == pytest.approx(scalar, rel=1e-10, abs=1e-12), kind.spec
+
+
+OFFSET_KINDS = [MEAN, UDT, em.StatisticKind.pdt(0.5), em.StatisticKind.pdt(1.0),
+                HOTELLING, CUSUM, em.parse_statistic("mdt")]
+
+
+@pytest.mark.parametrize("K", [0, 2])
+@pytest.mark.parametrize("kind", OFFSET_KINDS, ids=lambda k: k.spec)
+def test_offset_values_keep_offsets_independent(kind, K):
+    # More windows than one chunk, so the shared whole-episode part is built
+    # in two chunks; every offset of the episode is evaluated in one call.
+    params = make_params(T=6, seed=59, condition=80)
+    ref = make_reference(params, 40, seed=3)
+    store = em.BootstrapStore(params, B=100, seed=8, reference=ref)
+    fresh = em.generate_episodes(em.Scenario(params=params, kind="h0", seed=61), 40)
+    ev = BatchEvaluator(fresh, params)
+    rng = np.random.default_rng(15)
+    R = _BATCH_CHUNK + 300
+    whole_idx = rng.integers(0, 40, size=(R, K))
+    tail_idx = rng.integers(0, 40, size=R)
+    taus = range(1, params.T + 1)
+
+    multi = ev.offset_values(kind, whole_idx, tail_idx, taus, store)
+    assert multi.shape == (len(taus), R)
+    assert np.array_equal(ev.offset_values(kind, whole_idx, tail_idx, taus, store), multi)
+    rows = sorted({0, _BATCH_CHUNK - 1, _BATCH_CHUNK, R - 1, *range(0, R, 397)})
+    for i, tau in enumerate(taus):
+        assert np.array_equal(multi[i], ev.values(kind, whole_idx, tail_idx, tau, store))
+        oracle = [
+            em.statistic_value(kind, window(np.concatenate(
+                [*fresh[whole_idx[r]], fresh[tail_idx[r], :tau]]), params), store)
+            for r in rows
+        ]
+        np.testing.assert_allclose(multi[i, rows], oracle, rtol=1e-12)
