@@ -1,7 +1,7 @@
 """Golden outputs: the sha256 of every file the CLI pipeline writes.
 
 A tiny reference CSV (``data/golden_reference.csv``, 60 episodes of 8 raw
-samples) and a fixed plan run through estimate -> tune -> simulate ->
+samples) and two fixed plans run through estimate -> tune -> simulate ->
 monitor. The first plan covers ``udt`` and a mixed ``mean+pdt:0.5``; the
 second covers ``mdt`` (``mean``, ``hotelling``, ``pdt:0.9``) and
 ``cusum:0.5``, both with two horizons and test-points every second step.

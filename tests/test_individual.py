@@ -297,3 +297,23 @@ def test_store_builds_each_generator_once_per_plan(monkeypatch):
     store.ensure(plan.statistics, plan.window_lengths(params.T))
     assert len(calls) == plan.B_inner
     assert len(store.entries) == 5 * len(plan.window_lengths(params.T))
+
+
+def test_store_evaluates_each_component_once_per_whole_episode_count(monkeypatch):
+    params = make_params(T=4, seed=18)
+    ref = make_reference(params, 25, seed=19)
+    mdt = em.parse_statistic("mdt")
+    calls = []
+    real_offset_values = em.BatchEvaluator.offset_values
+
+    def counting_offset_values(self, kind, whole_idx, tail_idx, taus, store=None):
+        calls.append((kind.spec, whole_idx.shape[1], tuple(taus)))
+        return real_offset_values(self, kind, whole_idx, tail_idx, taus, store)
+
+    monkeypatch.setattr(em.BatchEvaluator, "offset_values", counting_offset_values)
+    store = em.BootstrapStore(params, B=32, seed=6, reference=ref)
+    store.ensure([mdt], [6, 8, 14, 16])  # K = 1 and K = 3, offsets 2 and 4
+    assert sorted(calls) == sorted(
+        (comp.spec, K, (2, 4)) for comp in mdt.components for K in (1, 3)
+    )
+    assert len(store.entries) == 4 * 4
