@@ -176,8 +176,9 @@ def bfar_min_p(
     Repetition b resamples h_max + h_tilde whole episodes, then replays every
     (test-point, horizon, statistic) combination over the h_tilde episodes
     after the warm-up prefix; all test offsets of one (horizon, statistic)
-    share one evaluation of its whole episodes. Early test-points of long horizons look back
-    into the warm-up region, which is exactly what it exists for.
+    share one evaluation of its whole episodes. Early test-points of long
+    horizons look back into the warm-up region, which is exactly what it
+    exists for.
     """
     T = params.T
     evaluator = BatchEvaluator(ref.episodes, params)
