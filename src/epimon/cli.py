@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -130,7 +131,7 @@ def cmd_monitor(args) -> int:
             value = float(text)
         except ValueError:
             raise EpimonError(f"line {lineno}: not a number: {text!r}")
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise EpimonError(f"line {lineno}: non-finite sample")
         block.append(value)
         if len(block) < d:

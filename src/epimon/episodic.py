@@ -27,6 +27,7 @@ This module provides:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -350,7 +351,7 @@ def load_reference_csv(
                 values = [float(tok) for tok in stripped.split(",")]
             except ValueError as exc:
                 raise InvalidDataError(f"{path}: line {lineno}: {exc}") from exc
-            if not all(np.isfinite(values)):
+            if not all(map(math.isfinite, values)):
                 raise InvalidDataError(f"{path}: line {lineno}: non-finite value")
             if expected is None:
                 expected = len(values)

@@ -45,6 +45,8 @@ from .stats import (
     BatchEvaluator,
     SignalWindow,
     StatisticKind,
+    bootstrap_pvalues,
+    mixed_values,
     parse_statistic,
     statistic_value,
 )
@@ -67,11 +69,9 @@ def threshold_decision(
     """Decision and p-value of a threshold test given the sorted null values."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    B = sorted_values.size
-    count = int(np.searchsorted(sorted_values, y, side="right"))
-    p = (1 + count) / (1 + B)
-    kappa = sorted_values[empirical_quantile_index(alpha, B) - 1]
-    return bool(y < kappa), float(p)
+    p = float(bootstrap_pvalues(sorted_values, y))
+    kappa = sorted_values[empirical_quantile_index(alpha, sorted_values.size) - 1]
+    return bool(y < kappa), p
 
 
 def resample_indices(
@@ -255,7 +255,7 @@ class BootstrapStore:
             ]
             for comp, values in zip(kind.components, component_values):
                 put(comp, values)
-            put(kind, evaluator.mixed_values(kind, lengths, component_values, self))
+            put(kind, mixed_values(kind, lengths, component_values, self))
         else:
             put(kind, evaluator.offset_values(kind, whole_idx, tail_idx, taus))
 

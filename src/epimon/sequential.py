@@ -8,8 +8,15 @@ Detection is one-shot: further samples raise until :meth:`Monitor.reset`.
 
 A horizon-h test at global step t = k*T + tau evaluates the window of the
 last h*T + tau samples (h whole past episodes plus the current partial one),
-so detections can happen in the middle of an episode. The ring buffer
-therefore never holds more than h_max + 1 episodes of samples.
+so detections can happen in the middle of an episode. The monitor evaluates
+it with the same per-episode pieces and finish that the bootstrap store and
+the BFAR replay use (see :mod:`epimon.stats`): for each statistic family of
+the plan, mixed components included, it keeps a ring of the pieces of the
+last h_max completed episodes. At a test-point it builds each tail piece
+once, and per horizon sums the last h ring rows (``cusum`` concatenates
+them) and finishes. ``udt`` keeps a running sum of its episode pieces
+instead, which is udt's finish in Python floats: O(1) per horizon, where a
+numpy batch of one would cost more than the whole test.
 """
 
 from __future__ import annotations
@@ -21,7 +28,15 @@ import numpy as np
 
 from .bfar import TunedMonitor
 from .errors import InvalidDataError, TerminalStateError
-from .stats import SignalWindow, StatisticKind, statistic_value
+from .stats import (
+    StatisticKind,
+    bootstrap_pvalues,
+    episode_piece,
+    finish,
+    mixed_values,
+    statistic_value,  # noqa: F401 -- perfbench's tracer patches this global
+    whole_part,
+)
 
 
 @dataclass(frozen=True)
@@ -69,16 +84,26 @@ class Monitor:
         tuned.store.freeze()  # live monitoring never fills the store lazily
         T = self.params.T
         self.plan.test_offsets(T)  # validates test_every | T
-        self._completed = np.zeros((self.plan.h_max, T))
-        self._num_completed = 0
+        # Base statistics by spec: the plan's own and its mixed components.
+        bases: dict[str, StatisticKind] = {}
+        for kind in self.plan.statistics:
+            for base in kind.components or (kind,):
+                bases.setdefault(base.spec, base)
+        self._bases = bases
+        # Pieces of the last h_max completed episodes, oldest first, per
+        # family (pdt fractions share one): a number for mean, a row else.
+        h_max = self.plan.h_max
+        self._rings = {
+            base.name: np.zeros(h_max if base.name == "mean" else (h_max, T))
+            for base in bases.values()
+            if base.name != "udt"
+        }
         self._partial = np.empty(T)
         self._partial_len = 0
-        # Cumulative full-episode weighted sums, one entry appended per
-        # completed episode. They keep the weighted-mean statistic O(1) per
-        # test-point for the whole-episode part (the tau-block tail
-        # correction is recomputed per test-point and costs O(tau)).
+        # Cumulative udt episode pieces, one entry appended per completed
+        # episode.
         self._udt_cum = [0.0]
-        self._wants_udt = any(k.name == "udt" for k in self.plan.statistics)
+        self._wants_udt = "udt" in bases
         self.t = 0
         self.fired: DetectionRecord | None = None
         self.last_evaluations: tuple[TestEvaluation, ...] = ()
@@ -90,8 +115,8 @@ class Monitor:
 
     def reset(self) -> None:
         """Re-arm after a detection; a fresh warm-up is required."""
-        self._completed.fill(0.0)
-        self._num_completed = 0
+        for ring in self._rings.values():
+            ring.fill(0.0)
         self._partial_len = 0
         self._udt_cum = [0.0]
         self.t = 0
@@ -118,12 +143,13 @@ class Monitor:
         if self.t > self.warmup_steps and self.t % self.plan.test_every == 0:
             record = self._evaluate_test_point()
             self.last_test_point = self.t
-        # Roll the completed-episode buffer after evaluating, so a test at an
-        # episode boundary still sees the just-finished episode as the tail.
+        # Roll the rings after evaluating, so a test at an episode boundary
+        # still sees the just-finished episode as the tail.
         if self._partial_len == T:
-            self._completed[:-1] = self._completed[1:]
-            self._completed[-1] = self._partial
-            self._num_completed = min(self._num_completed + 1, self.plan.h_max)
+            episode = self._partial[np.newaxis]
+            for name, ring in self._rings.items():
+                ring[:-1] = ring[1:]
+                ring[-1] = episode_piece(name, episode, self.params)[0]
             if self._wants_udt:
                 piece = float(self.params.full_weights @ self._partial)
                 self._udt_cum.append(self._udt_cum[-1] + piece)
@@ -133,31 +159,38 @@ class Monitor:
         return record
 
     def _evaluate_test_point(self) -> DetectionRecord | None:
-        T = self.params.T
+        params = self.params
+        T = params.T
         tau = self._partial_len
+        store = self.tuned.store
+        partial = self._partial[:tau]
+        tails = {}
+        for name in self._rings:
+            tails[name] = episode_piece(name, partial[np.newaxis], params, tail=True)
         if self._wants_udt:
-            udt_tail = float(
-                self.params.tail_weights(tau) @ self._partial[:tau]
-            )
+            udt_tail = float(params.tail_weights(tau) @ partial)
         evaluations = []
         best = None
         for h in self.plan.horizons:
             n = h * T + tau
-            window = None
-            for kind in self.plan.statistics:
-                dist = self.tuned.store.values_for(kind, n)
-                if kind.name == "udt":
-                    # O(1) whole-episode part from the cumulative pieces plus
-                    # the O(tau) tail correction computed above.
+            wholes = {}
+            for name, ring in self._rings.items():
+                wholes[name] = whole_part(name, ring[np.newaxis, -h:])
+            values = {}
+            for spec, base in self._bases.items():
+                if base.name == "udt":
                     y = self._udt_cum[-1] - self._udt_cum[-1 - h] + udt_tail
                 else:
-                    if window is None:
-                        window = SignalWindow(
-                            self._window_values(h, tau), self.params
-                        )
-                    y = statistic_value(kind, window, self.tuned.store)
-                count = int(np.searchsorted(dist, y, side="right"))
-                p = (1 + count) / (1 + dist.size)
+                    whole, tail = wholes[base.name], tails[base.name]
+                    y = finish(base, params, whole, tail, h, tau)[0]
+                values[spec] = y
+            for kind in self.plan.statistics:
+                if kind.components:
+                    parts = [[values[comp.spec]] for comp in kind.components]
+                    y = mixed_values(kind, [n], parts, store)[0]
+                else:
+                    y = values[kind.spec]
+                p = float(bootstrap_pvalues(store.values_for(kind, n), y))
                 evaluations.append(TestEvaluation(kind, h, p))
                 if best is None or p < best.p:
                     best = evaluations[-1]
@@ -166,7 +199,7 @@ class Monitor:
             k = (self.t - tau) // T
             return DetectionRecord(
                 t=self.t,
-                raw_t=self.t * self.params.downsample_factor,
+                raw_t=self.t * params.downsample_factor,
                 episode=k,
                 offset=tau,
                 horizon=best.horizon,
@@ -174,10 +207,6 @@ class Monitor:
                 p=best.p,
             )
         return None
-
-    def _window_values(self, horizon: int, tau: int) -> np.ndarray:
-        past = self._completed[self.plan.h_max - horizon :]
-        return np.concatenate([past.ravel(), self._partial[:tau]])
 
     def run_block(self, samples: np.ndarray) -> BlockReport:
         """Feed samples in order, collecting the test-point p-value trace.

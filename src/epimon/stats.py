@@ -20,9 +20,15 @@ s < kappa) serves every test:
 
 Windows always start at an episode boundary: a window of n = K*T + tau steps
 covers K whole episodes followed by the first tau steps of the next one. The
-block structure of the window covariance means every statistic decomposes
-into per-episode pieces plus a tau-block tail term; ``BatchEvaluator``
-exploits that to evaluate thousands of resampled windows at once.
+block structure of the window covariance means every statistic is defined
+once, in two parts: a per-episode *piece* of raw rows
+(:func:`episode_piece`), of which a window sums its K whole episodes' pieces
+(:func:`whole_part`), and a *finish* (:func:`finish`) that combines that
+whole-episode part with the tail's piece. Every caller runs these same
+parts: :class:`BatchEvaluator` caches the pieces of the reference rows for
+the bootstrap store and the BFAR replay, :func:`statistic_value` is a batch
+of one window, and the live monitor keeps a ring of the pieces of its last
+episodes.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .episodic import EpisodeParams, decompose_index, window_weights
+from .episodic import EpisodeParams, decompose_index
 from .errors import DegenerateVarianceError, InvalidDataError, NotTunedError
 
 _VALID_NAMES = ("mean", "udt", "pdt", "hotelling", "cusum", "mixed")
@@ -192,105 +198,104 @@ class SignalWindow:
     def n(self) -> int:
         return self.values.size
 
-    @property
-    def whole_episodes(self) -> int:
-        return decompose_index(self.n, self.params.T).k
-
-    @property
-    def phase(self) -> int:
-        """Within-episode position of the last sample."""
-        return decompose_index(self.n, self.params.T).tau
-
-
-# ---------------------------------------------------------------------------
-# Scalar evaluation
-# ---------------------------------------------------------------------------
-
 
 def statistic_value(kind: StatisticKind, window: SignalWindow, store=None) -> float:
     """Evaluate one statistic on one window. Lower = more degraded.
 
-    ``store`` is only consulted for mixed statistics, whose value is the
-    minimum of the component p-values against the store's per-length bootstrap
-    distributions; a missing store raises :class:`NotTunedError`.
+    The window is a batch of one: its K whole episodes and its tail become
+    the rows of a :class:`BatchEvaluator`. ``store`` is only consulted for
+    mixed statistics, whose value is the minimum of the component p-values
+    against the store's per-length bootstrap distributions; a missing store
+    raises :class:`NotTunedError`.
     """
-    values = window.values
-    params = window.params
-    if kind.name == "mean":
-        return float(values.mean())
-    if kind.name == "udt":
-        return float(window_weights(params, values.size) @ values)
-    if kind.name == "pdt":
-        offset_sums, present = _pdt_offset_sums(values, params)
-        return _smallest_sum(offset_sums, _pdt_m(kind.p, params.T, present))
-    if kind.name == "hotelling":
-        return _hotelling_value(values, params)
-    if kind.name == "cusum":
-        return _cusum_value(values, params, kind.k_ref)
-    if kind.name == "mixed":
-        if store is None:
-            raise NotTunedError("mixed statistic requires a bootstrap store")
-        ps = [
-            _store_pvalue(store, comp, window)
-            for comp in kind.components
-        ]
-        return min(ps)
-    raise ValueError(f"unknown statistic {kind.name!r}")
+    T = window.params.T
+    dec = decompose_index(window.n, T)
+    rows = np.zeros((dec.k + 1, T))
+    rows.flat[: window.n] = window.values
+    evaluator = BatchEvaluator(rows, window.params)
+    whole_idx = np.arange(dec.k)[np.newaxis]
+    values = evaluator.values(kind, whole_idx, np.array([dec.k]), dec.tau, store)
+    return float(values[0])
 
 
-def _store_pvalue(store, kind: StatisticKind, window: SignalWindow) -> float:
-    dist = store.values_for(kind, window.n)
-    y = statistic_value(kind, window, store)
-    count = int(np.searchsorted(dist, y, side="right"))
-    return (1 + count) / (1 + dist.size)
+# ---------------------------------------------------------------------------
+# Per-episode pieces and the finish of each statistic
+# ---------------------------------------------------------------------------
 
 
-def _pdt_m(p: float, T: int, present: int) -> int:
-    return min(ceil_fraction(p * T), present)
+def episode_piece(
+    name: str, rows: np.ndarray, params: EpisodeParams, tail: bool = False
+) -> np.ndarray:
+    """Per-episode piece of the statistic family ``name`` for raw rows.
 
-
-def _pdt_offset_sums(values: np.ndarray, params: EpisodeParams):
-    """Per-offset sums of Sigma^-1 (x - mu) over the window.
-
-    Whole episodes use sigma0^-1; the tail uses the tau-block inverse. For
-    windows shorter than one episode only the first tau offsets exist.
+    ``rows`` is (R, m): whole episodes (m = T), or with ``tail`` episodes
+    cropped to their first tau = m samples. The piece is the row sum for
+    ``mean`` (the running sum at its last step for a tail),
+    ``rows @ 1' Sigma_m^-1`` for ``udt``, ``(rows - mu0) @ Sigma_m^-1`` for
+    ``pdt``, and the raw rows for ``hotelling`` and ``cusum``.
     """
+    m = rows.shape[1]
+    if name == "mean":
+        return np.cumsum(rows, axis=1)[:, -1] if tail else rows.sum(axis=1)
+    if name == "udt":
+        return rows @ params.tail_weights(m)
+    if name == "pdt":
+        return (rows - params.mu0[:m]) @ params.tail_inverse(m)
+    return rows
+
+
+def whole_part(name: str, pieces: np.ndarray) -> np.ndarray:
+    """Whole-episode part of R windows from the (R, K, ...) pieces of their
+    K whole episodes, oldest first: the sum over the episodes, except for
+    ``cusum``, which concatenates them."""
+    if name == "cusum":
+        return pieces.reshape(pieces.shape[0], -1)
+    return pieces.sum(axis=1)
+
+
+def finish(
+    kind: StatisticKind,
+    params: EpisodeParams,
+    whole: np.ndarray | None,
+    tail: np.ndarray,
+    K: int,
+    tau: int,
+) -> np.ndarray:
+    """Values of R windows of K whole episodes plus a tau-step tail, from
+    their :func:`whole_part` (None when K == 0; left unchanged) and the
+    tail :func:`episode_piece` of each window."""
     T = params.T
-    dec = decompose_index(values.size, T)
-    K, tau = dec.k, dec.tau
-    tail = values[K * T :]
-    tail_part = params.tail_inverse(tau) @ (tail - params.mu0[:tau])
-    if K == 0:
-        return tail_part, tau
-    body = values[: K * T].reshape(K, T)
-    sums = ((body - params.mu0) @ params.sigma0_inv).sum(axis=0)
-    sums[:tau] += tail_part
-    return sums, T
-
-
-def _smallest_sum(offset_sums: np.ndarray, m: int) -> float:
-    if m >= offset_sums.size:
-        return float(offset_sums.sum())
-    return float(np.partition(offset_sums, m - 1)[:m].sum())
-
-
-def _hotelling_value(values: np.ndarray, params: EpisodeParams) -> float:
-    T = params.T
-    dec = decompose_index(values.size, T)
-    K, tau = dec.k, dec.tau
-    tail = values[K * T :]
-    if K == 0:
-        delta = tail - params.mu0[:tau]
-        q = float(delta @ params.tail_inverse(tau) @ delta)
-        return -q
-    sums = values[: K * T].reshape(K, T).sum(axis=0)
-    counts = np.full(T, float(K))
-    sums = sums.copy()
-    sums[:tau] += tail
-    counts[:tau] += 1.0
-    delta = sums / counts - params.mu0
-    g = delta * np.sqrt(counts)
-    return -float(g @ params.sigma0_inv @ g)
+    name = kind.name
+    if name == "mean":
+        return (tail + whole if K else tail) / (K * T + tau)
+    if name == "udt":
+        return tail + whole if K else tail
+    if name == "pdt":
+        present = T if K else tau
+        m = min(ceil_fraction(kind.p * T), present)
+        if K:
+            sums = whole.copy()
+            sums[:, :tau] += tail
+        else:
+            sums = tail
+        if m >= present:
+            return sums.sum(axis=1)
+        return np.partition(sums, m - 1, axis=1)[:, :m].sum(axis=1)
+    if name == "hotelling":
+        if not K:
+            delta = tail - params.mu0[:tau]
+            inv = params.tail_inverse(tau)
+            return -np.einsum("ij,jk,ik->i", delta, inv, delta)
+        counts = np.full(T, float(K))
+        counts[:tau] += 1.0
+        sums = whole.copy()
+        sums[:, :tau] += tail
+        delta = (sums / counts - params.mu0) * np.sqrt(counts)
+        return -np.einsum("ij,jk,ik->i", delta, params.sigma0_inv, delta)
+    windows = np.concatenate([whole, tail], axis=1) if K else tail
+    # C_t = max(0, C_{t-1} + a_t) in closed form: C_n = P_n - min(0, min P).
+    prefix = np.cumsum(_cusum_drift(windows, params, kind.k_ref), axis=1)
+    return -(prefix[:, -1] - np.minimum(0.0, prefix.min(axis=1)))
 
 
 def _cusum_drift(values: np.ndarray, params: EpisodeParams, k_ref: float):
@@ -306,11 +311,33 @@ def _cusum_drift(values: np.ndarray, params: EpisodeParams, k_ref: float):
     return (mu_rep - values) / std_rep - k_ref
 
 
-def _cusum_value(values: np.ndarray, params: EpisodeParams, k_ref: float) -> float:
-    # C_t = max(0, C_{t-1} + a_t) solved in closed form: C_n = P_n - min(0, min P).
-    prefix = np.cumsum(_cusum_drift(values, params, k_ref))
-    c_final = prefix[-1] - min(0.0, float(prefix.min()))
-    return -float(c_final)
+def mixed_values(
+    kind: StatisticKind, lengths, component_values, store
+) -> np.ndarray:
+    """A mixed statistic from its components' values on the same windows.
+
+    ``component_values[j][i]`` holds component j's values (one per window,
+    or a single value) at length ``lengths[i]``; entry i of the result is
+    their minimum p-value against the store's distributions at that length.
+    """
+    if store is None:
+        raise NotTunedError("mixed statistic requires a bootstrap store")
+    return np.array([
+        np.minimum.reduce([
+            bootstrap_pvalues(store.values_for(comp, n), vals[i])
+            for comp, vals in zip(kind.components, component_values)
+        ])
+        for i, n in enumerate(lengths)
+    ])
+
+
+def bootstrap_pvalues(sorted_values: np.ndarray, values):
+    """p = (1 + #{b : S_b <= y}) / (1 + B) of each y in ``values`` (or of
+    the single value y) against the sorted bootstrap distribution S."""
+    counts = sorted_values.searchsorted(values, side="right")
+    if isinstance(values, float):
+        counts = int(counts)  # Python arithmetic: numpy scalar math is slower
+    return (1.0 + counts) / (1.0 + sorted_values.size)
 
 
 # ---------------------------------------------------------------------------
@@ -323,20 +350,19 @@ class BatchEvaluator:
 
     A window is described by K whole-episode row indices plus one tail row
     cropped to its first tau samples -- exactly the shape produced by the
-    bootstrap resampler and by the BFAR simulation. Per-episode pieces
-    (row sums, weighted sums, solved deviations) are precomputed once per
-    (episodes, params) pair, so evaluating B windows costs O(B*K) gathers
-    instead of O(B*n) arithmetic for the linear statistics.
+    bootstrap resampler and by the BFAR simulation. The
+    :func:`episode_piece` of every row is computed once per (family, tau)
+    and cached, so evaluating B windows gathers K + 1 pieces per window, and
+    :func:`finish` turns the gathered pieces into values. The bootstrap
+    store, the BFAR replay, :func:`statistic_value` and the live monitor
+    all evaluate through these same pieces and finish.
 
     :meth:`offset_values` evaluates one set of windows at several offsets
-    tau at once. The K whole episodes are the same at every offset, so the
-    whole-episode part of the statistic -- the summed row sums (``mean``),
-    ``udt`` weights or ``Sigma^-1 (x - mu)`` rows (``pdt``), the summed
-    episodes (``hotelling``), or the concatenated episodes (``cusum``) -- is
-    built once per chunk of ``_BATCH_CHUNK`` windows. Each offset then adds
-    its tau-step tail to a copy of that part and finishes with the same
-    per-row operations a single offset uses, so every row of the result is
-    bitwise the one-offset :meth:`values` call at that offset.
+    tau at once. The K whole episodes are the same at every offset, so their
+    :func:`whole_part` is built once per chunk of ``_BATCH_CHUNK`` windows;
+    each offset then finishes it with its own tail, leaving it unchanged,
+    so every row of the result is bitwise the one-offset :meth:`values`
+    call at that offset.
     """
 
     def __init__(self, episodes: np.ndarray, params: EpisodeParams):
@@ -345,32 +371,19 @@ class BatchEvaluator:
             raise ValueError("episodes must be an N x T matrix matching params")
         self.episodes = episodes
         self.params = params
-        self._row_csums = np.cumsum(episodes, axis=1)
-        # Per-episode rows each statistic gathers for its whole episodes:
-        # summed over them, except cusum, which concatenates them.
-        self._pieces = {
-            "mean": episodes.sum(axis=1),
-            "udt": episodes @ params.full_weights,
-            "pdt": (episodes - params.mu0) @ params.sigma0_inv,
-            "hotelling": episodes,
-            "cusum": episodes,
-        }
-        self._udt_tail: dict[int, np.ndarray] = {}
-        self._pdt_tail: dict[int, np.ndarray] = {}
+        self._pieces: dict[tuple[str, int | None], np.ndarray] = {}
 
-    def _udt_tail_for(self, tau: int) -> np.ndarray:
-        cached = self._udt_tail.get(tau)
+    def _piece(self, name: str, tau: int | None = None) -> np.ndarray:
+        """Cached pieces of every row: of the whole episodes, or of the
+        episodes cropped to their first ``tau`` samples."""
+        cached = self._pieces.get((name, tau))
         if cached is None:
-            cached = self.episodes[:, :tau] @ self.params.tail_weights(tau)
-            self._udt_tail[tau] = cached
-        return cached
-
-    def _pdt_tail_for(self, tau: int) -> np.ndarray:
-        cached = self._pdt_tail.get(tau)
-        if cached is None:
-            dev = self.episodes[:, :tau] - self.params.mu0[:tau]
-            cached = dev @ self.params.tail_inverse(tau)
-            self._pdt_tail[tau] = cached
+            if tau is None:
+                cached = episode_piece(name, self.episodes, self.params)
+            else:
+                rows = self.episodes[:, :tau]
+                cached = episode_piece(name, rows, self.params, tail=True)
+            self._pieces[(name, tau)] = cached
         return cached
 
     def values(
@@ -415,81 +428,15 @@ class BatchEvaluator:
                 for comp in kind.components
             ]
             lengths = [K * T + tau for tau in taus]
-            return self.mixed_values(kind, lengths, component_values, store)
-        piece = self._pieces[kind.name]
+            return mixed_values(kind, lengths, component_values, store)
+        name = kind.name
+        piece = self._piece(name) if K else None
+        tails = [self._piece(name, tau) for tau in taus]
         out = np.empty((len(taus), R))
         for lo in range(0, R, _BATCH_CHUNK):
             rows = slice(lo, min(lo + _BATCH_CHUNK, R))
-            whole = None
-            if K:
-                whole = piece[whole_idx[rows]]
-                if kind.name == "cusum":
-                    whole = whole.reshape(whole.shape[0], K * T)
-                else:
-                    whole = whole.sum(axis=1)
+            whole = whole_part(name, piece[whole_idx[rows]]) if K else None
             for i, tau in enumerate(taus):
-                out[i, rows] = self._finish(kind, whole, tail_idx[rows], K, tau)
+                tail = tails[i][tail_idx[rows]]
+                out[i, rows] = finish(kind, self.params, whole, tail, K, tau)
         return out
-
-    def _finish(self, kind, whole, tail_rows, K, tau):
-        """One offset's values for a chunk of windows, given the chunk's
-        whole-episode part (None when K == 0), which is left unchanged."""
-        params = self.params
-        T = params.T
-        name = kind.name
-        if name == "mean":
-            out = self._row_csums[tail_rows, tau - 1]
-            return (out + whole if K else out) / (K * T + tau)
-        if name == "udt":
-            out = self._udt_tail_for(tau)[tail_rows]
-            return out + whole if K else out
-        if name == "pdt":
-            present = T if K else tau
-            m = _pdt_m(kind.p, T, present)
-            tail = self._pdt_tail_for(tau)[tail_rows]
-            if K:
-                sums = whole.copy()
-                sums[:, :tau] += tail
-            else:
-                sums = tail
-            if m >= present:
-                return sums.sum(axis=1)
-            return np.partition(sums, m - 1, axis=1)[:, :m].sum(axis=1)
-        tail = self.episodes[tail_rows, :tau]
-        if name == "hotelling":
-            if not K:
-                delta = tail - params.mu0[:tau]
-                inv = params.tail_inverse(tau)
-                return -np.einsum("ij,jk,ik->i", delta, inv, delta)
-            counts = np.full(T, float(K))
-            counts[:tau] += 1.0
-            sums = whole.copy()
-            sums[:, :tau] += tail
-            delta = (sums / counts - params.mu0) * np.sqrt(counts)
-            return -np.einsum("ij,jk,ik->i", delta, params.sigma0_inv, delta)
-        windows = np.concatenate([whole, tail], axis=1) if K else tail
-        prefix = np.cumsum(_cusum_drift(windows, params, kind.k_ref), axis=1)
-        return -(prefix[:, -1] - np.minimum(0.0, prefix.min(axis=1)))
-
-    def mixed_values(
-        self, kind: StatisticKind, lengths, component_values, store
-    ) -> np.ndarray:
-        """A mixed statistic from its components' :meth:`offset_values` on
-        the same windows: row i is the minimum over components of their
-        p-values against the store's distributions at ``lengths[i]``."""
-        if store is None:
-            raise NotTunedError("mixed statistic requires a bootstrap store")
-        out = np.empty_like(component_values[0])
-        for i, n in enumerate(lengths):
-            out[i] = np.minimum.reduce([
-                bootstrap_pvalues(store.values_for(comp, n), vals[i])
-                for comp, vals in zip(kind.components, component_values)
-            ])
-        return out
-
-
-def bootstrap_pvalues(sorted_values: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """p = (1 + #{b : S_b <= y}) / (1 + B) of each y in ``values`` against
-    the sorted bootstrap distribution S."""
-    counts = np.searchsorted(sorted_values, values, side="right")
-    return (1.0 + counts) / (1.0 + sorted_values.size)

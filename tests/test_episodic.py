@@ -232,3 +232,6 @@ def test_reference_csv_reports_line_numbers(tmp_path):
     path.write_text("1.0,2.0\n3.0\n")
     with pytest.raises(InvalidDataError, match="line 2"):
         em.load_reference_csv(path)
+    path.write_text("1.0,2.0\n3.0,nan\n")
+    with pytest.raises(InvalidDataError, match="line 2"):
+        em.load_reference_csv(path)

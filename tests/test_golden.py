@@ -51,7 +51,7 @@ GOLDEN = {
         "3fd650a01472ac44bb0ca5e5838e1389187550ade777986dbe5ed9830ae8091c"
     ),
     "monitor.ndjson": (
-        "a4081efd087cf9d16c6cff00ff72ab51cb4f41728d2b6b1830f01bed54899409"
+        "01541324dabcb56a88900bc51ee807662520e5c77cf79322994f2107f6e888b6"
     ),
 }
 
@@ -67,7 +67,7 @@ GOLDEN_MDT_CUSUM = {
         "af60888e72334037f91cfefe320de5af1015c38005fb4b946bf056f247f75a8c"
     ),
     "monitor.ndjson": (
-        "4761a2d7f36c4d970b4b6fe77d30b66669f3efa01a7294d5b0de1d21fbeab32f"
+        "4bd0a9321fc78d79e378d112b450fa0e7b4c815c69e01460439062ab0b2ea321"
     ),
 }
 

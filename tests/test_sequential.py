@@ -5,6 +5,7 @@ import pytest
 
 import epimon as em
 from epimon.errors import InvalidDataError, TerminalStateError
+from epimon.stats import bootstrap_pvalues
 
 from conftest import make_params, make_reference
 
@@ -134,6 +135,55 @@ def test_equivalence_with_tuning_simulation(tuned):
         fired_flags.append(report.detection is not None)
     expected = (min_p[:40] < tuned.p_threshold).tolist()
     assert fired_flags == expected
+
+
+def test_pvalues_match_statistic_value_on_explicit_windows():
+    # udt runs on its running sum, mdt and cusum on rings of episode pieces.
+    # Every p at every test-point, before and after a mid-episode reset, must
+    # be the store p-value of statistic_value on the window the test covers.
+    params = make_params(T=6, seed=71, condition=20)
+    T = params.T
+    ref = make_reference(params, 80, seed=72)
+    plan = em.MonitorPlan(
+        statistics=(UDT, em.parse_statistic("mdt"), em.StatisticKind.cusum(0.5)),
+        horizons=(1, 3), h_tilde=2, alpha0=0.5, B_inner=300, B_outer=2,
+        seed=73, test_every=2,
+    )
+    store = em.BootstrapStore(params, plan.B_inner, plan.seed, reference=ref)
+    store.ensure(plan.statistics, plan.window_lengths(T))
+    tuned = em.TunedMonitor(plan, 0.0, store, np.zeros(1))  # never fires
+
+    def test_points(monitor, stream):
+        checked = 0
+        for t, sample in enumerate(stream, start=1):
+            monitor.step(sample)
+            if monitor.last_test_point != t:
+                continue
+            tau = em.decompose_index(t, T).tau
+            expected = []
+            for h in plan.horizons:
+                window = em.SignalWindow(stream[t - h * T - tau : t], params)
+                for kind in plan.statistics:
+                    y = em.statistic_value(kind, window, store)
+                    p = bootstrap_pvalues(store.values_for(kind, window.n), y)
+                    expected.append((kind.spec, h, float(p)))
+            got = [(ev.statistic.spec, ev.horizon, ev.p)
+                   for ev in monitor.last_evaluations]
+            assert got == expected, t
+            checked += 1
+        return checked
+
+    drop = 0.5 * params.mean_step_std
+    streams = [
+        em.generate_episodes(
+            em.Scenario(params=params, kind="uniform", epsilon=drop, seed=seed), 6
+        ).ravel()
+        for seed in (74, 75)
+    ]
+    monitor = em.Monitor(tuned)
+    assert test_points(monitor, streams[0][: 5 * T + 3]) == 7
+    monitor.reset()
+    assert test_points(monitor, streams[1]) == 9
 
 
 def test_udt_beats_mean_on_uniform_degradation():

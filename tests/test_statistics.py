@@ -5,7 +5,7 @@ import pytest
 
 import epimon as em
 from epimon.errors import DegenerateVarianceError, InvalidDataError, NotTunedError
-from epimon.stats import _BATCH_CHUNK, BatchEvaluator
+from epimon.stats import _BATCH_CHUNK, BatchEvaluator, ceil_fraction
 
 from conftest import make_params, make_reference
 
@@ -334,7 +334,90 @@ def test_all_statistics_finite(small_params):
 
 
 # ---------------------------------------------------------------------------
-# batch evaluator agrees with the scalar path
+# independent dense oracle
+# ---------------------------------------------------------------------------
+
+
+def dense_oracle(kind, values, params, store=None):
+    """Value of ``kind`` on one window, computed from its definition on the
+    explicit n x n block-diagonal window covariance with ``np.linalg.solve``,
+    explicit per-offset means and a literal cusum loop."""
+    T, n = params.T, values.size
+    dec = em.decompose_index(n, T)
+    K, tau = dec.k, dec.tau
+    offsets = np.arange(n) % T
+    present = T if K else tau
+    if kind.name == "mean":
+        return values.sum() / n
+    if kind.name in ("udt", "pdt"):
+        sigma = np.zeros((n, n))
+        for k in range(K + 1):
+            size = T if k < K else tau
+            block = slice(k * T, k * T + size)
+            sigma[block, block] = params.sigma0[:size, :size]
+        if kind.name == "udt":
+            return np.ones(n) @ np.linalg.solve(sigma, values)
+        solved = np.linalg.solve(sigma, values - params.mu0[offsets])
+        sums = np.array([solved[offsets == j].sum() for j in range(present)])
+        m = min(ceil_fraction(kind.p * T), present)
+        return np.sort(sums)[:m].sum()
+    if kind.name == "hotelling":
+        counts = np.array([(offsets == j).sum() for j in range(present)])
+        means = np.array([values[offsets == j].mean() for j in range(present)])
+        g = (means - params.mu0[:present]) * np.sqrt(counts)
+        return -(g @ np.linalg.solve(params.sigma0[:present, :present], g))
+    if kind.name == "cusum":
+        std = np.sqrt(np.diag(params.sigma0))
+        c = 0.0
+        for x, j in zip(values, offsets):
+            c = max(0.0, c + (params.mu0[j] - x) / std[j] - kind.k_ref)
+        return -c
+    ps = []
+    for comp in kind.components:
+        dist = store.values_for(comp, n)
+        y = dense_oracle(comp, values, params)
+        ps.append((1 + np.count_nonzero(dist <= y)) / (1 + dist.size))
+    return min(ps)
+
+
+ORACLE_KINDS = [MEAN, UDT, em.StatisticKind.pdt(0.5), em.StatisticKind.pdt(1.0),
+                HOTELLING, CUSUM, em.StatisticKind.mixed(MEAN, UDT),
+                em.parse_statistic("mdt")]
+
+
+@pytest.mark.parametrize("K", [0, 1, 3])
+def test_statistic_value_matches_dense_oracle(K):
+    params = make_params(T=6, seed=59, condition=80)
+    ref = make_reference(params, 40, seed=3)
+    store = em.BootstrapStore(params, B=150, seed=8, reference=ref)
+    rng = np.random.default_rng(16)
+    for tau in (1, 2, 5, 6):
+        n = K * params.T + tau
+        mu = np.tile(params.mu0, K + 1)[:n]
+        sd = 3 * np.tile(np.sqrt(np.diag(params.sigma0)), K + 1)[:n]
+        for _ in range(3):
+            vals = mu + sd * rng.standard_normal(n)
+            for kind in ORACLE_KINDS:
+                got = em.statistic_value(kind, window(vals, params), store)
+                want = dense_oracle(kind, vals, params, store)
+                assert got == pytest.approx(want, rel=1e-10, abs=1e-12), (kind.spec, tau)
+
+
+def test_dense_oracle_hand_values():
+    # Checks of the oracle itself, by hand on an identity covariance.
+    params = em.EpisodeParams(np.zeros(2), np.eye(2))
+    vals = np.array([-5.0, 1.0, -5.0, 1.0, 3.0])
+    assert dense_oracle(UDT, vals, params) == pytest.approx(-5.0)
+    # per-offset sums (-7, 2); the smallest half keeps -7
+    assert dense_oracle(em.StatisticKind.pdt(0.5), vals, params) == pytest.approx(-7.0)
+    # offset means (-7/3, 1) with counts (3, 2): -(3 * 49/9 + 2 * 1)
+    assert dense_oracle(HOTELLING, vals, params) == pytest.approx(-(49 / 3 + 2))
+    # drifts 4.5, -1.5, 4.5, -1.5, -3.5: C = 4.5, 3, 7.5, 6, 2.5
+    assert dense_oracle(CUSUM, vals, params) == pytest.approx(-2.5)
+
+
+# ---------------------------------------------------------------------------
+# batch evaluator agrees with the oracle
 # ---------------------------------------------------------------------------
 
 
@@ -358,9 +441,8 @@ def test_batch_matches_scalar(K, tau):
         for r in range(R):
             parts = [fresh[j] for j in whole_idx[r]]
             parts.append(fresh[tail_idx[r], :tau])
-            w = window(np.concatenate(parts), params)
-            scalar = em.statistic_value(kind, w, store)
-            assert batch[r] == pytest.approx(scalar, rel=1e-10, abs=1e-12), kind.spec
+            oracle = dense_oracle(kind, np.concatenate(parts), params, store)
+            assert batch[r] == pytest.approx(oracle, rel=1e-10, abs=1e-12), kind.spec
 
 
 OFFSET_KINDS = [MEAN, UDT, em.StatisticKind.pdt(0.5), em.StatisticKind.pdt(1.0),
@@ -390,8 +472,8 @@ def test_offset_values_keep_offsets_independent(kind, K):
     for i, tau in enumerate(taus):
         assert np.array_equal(multi[i], ev.values(kind, whole_idx, tail_idx, tau, store))
         oracle = [
-            em.statistic_value(kind, window(np.concatenate(
-                [*fresh[whole_idx[r]], fresh[tail_idx[r], :tau]]), params), store)
+            dense_oracle(kind, np.concatenate(
+                [*fresh[whole_idx[r]], fresh[tail_idx[r], :tau]]), params, store)
             for r in rows
         ]
         np.testing.assert_allclose(multi[i, rows], oracle, rtol=1e-12)
