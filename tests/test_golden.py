@@ -6,7 +6,9 @@ monitor. The first plan covers ``udt`` and a mixed ``mean+pdt:0.5``; the
 second covers ``mdt`` (``mean``, ``hotelling``, ``pdt:0.9``) and
 ``cusum:0.5``, both with two horizons and test-points every second step.
 The hashes pin the outputs across changes to the engine, not only across
-reruns of one version. numpy does not promise stable ``Generator``
+reruns of one version. ``store entries`` hashes the store as the reader
+decodes it, so it also pins the stored values across changes to the store
+file's encoding. numpy does not promise stable ``Generator``
 streams across releases (NEP 19); the constants were captured under numpy
 2.4.6. A change that moves any of them must say why.
 """
@@ -18,6 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from epimon.cli import main
+from epimon.episodic import load_params_json
+from epimon.individual import BootstrapStore
 
 DATA = Path(__file__).parent / "data"
 
@@ -37,6 +41,14 @@ PLAN_MDT_CUSUM = {
     "statistics": ["mdt", "cusum:0.5"],
 }
 
+FILES = (
+    "params.json",
+    "bundle.json",
+    "bundle.json.store.json",
+    "report.json",
+    "monitor.ndjson",
+)
+
 GOLDEN = {
     "params.json": (
         "b205624550704bc0248ca2faa857a585bfdc1b6e0786bad988c4dca2a7a53860"
@@ -52,6 +64,9 @@ GOLDEN = {
     ),
     "monitor.ndjson": (
         "01541324dabcb56a88900bc51ee807662520e5c77cf79322994f2107f6e888b6"
+    ),
+    "store entries": (
+        "996584938ed23141970e5573d3bdf0891488f82e008779ffefb775266bcc8216"
     ),
 }
 
@@ -69,11 +84,26 @@ GOLDEN_MDT_CUSUM = {
     "monitor.ndjson": (
         "4bd0a9321fc78d79e378d112b450fa0e7b4c815c69e01460439062ab0b2ea321"
     ),
+    "store entries": (
+        "8bf54e1f9af23f9c2be29b58181aad7ee127aef59b036bad48aed16e6013628e"
+    ),
 }
 
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _store_entries_digest(store_path, params_path) -> str:
+    """sha256 of the store as the reader decodes it: for each key in sorted
+    order, the spec, the window length and the little-endian float64 bytes.
+    It does not depend on how the file encodes the values."""
+    store = BootstrapStore.load(store_path, load_params_json(params_path))
+    digest = hashlib.sha256()
+    for (spec, n), values in sorted(store.entries.items()):
+        digest.update(f"{spec}\0{n}\0".encode())
+        digest.update(np.asarray(values, dtype="<f8").tobytes())
+    return digest.hexdigest()
 
 
 def _stream_text() -> str:
@@ -108,9 +138,11 @@ def _pipeline_digests(tmp_path, capsys, plan):
     code = run("monitor", tmp_path / "stream.txt",
                "--bundle", tmp_path / "bundle.json")
     (tmp_path / "monitor.ndjson").write_text(capsys.readouterr().out)
-    return code, {
-        name: _sha256((tmp_path / name).read_bytes()) for name in GOLDEN
-    }
+    digests = {name: _sha256((tmp_path / name).read_bytes()) for name in FILES}
+    digests["store entries"] = _store_entries_digest(
+        tmp_path / "bundle.json.store.json", tmp_path / "params.json"
+    )
+    return code, digests
 
 
 def test_pipeline_outputs_match_golden_hashes(tmp_path, capsys):
