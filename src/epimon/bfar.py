@@ -38,6 +38,7 @@ import numpy as np
 from .episodic import (
     EpisodeParams,
     ReferenceDataset,
+    check_format_version,
     params_from_dict,
     params_to_dict,
 )
@@ -289,13 +290,15 @@ def load_bundle(path) -> TunedMonitor:
 
     Everything the monitor will read is checked here, so a bad bundle fails
     at load with :class:`ValueError` rather than at the first test-point
-    that needs it: ``store_file`` must be a bare file name, and the store
-    must have the plan's B_inner and seed and an entry for every statistic
-    of the plan (and every component of a mixed one) at every window length
-    the plan tests.
+    that needs it: the bundle, its params and the store must have the
+    format versions this code writes, ``store_file`` must be a bare file
+    name, and the store must have the plan's B_inner and seed and an entry
+    for every statistic of the plan (and every component of a mixed one) at
+    every window length the plan tests.
     """
     with open(path) as fh:
         data = json.load(fh)
+    check_format_version(data, BUNDLE_FORMAT_VERSION, "bundle")
     params = params_from_dict(data["params"])
     plan = MonitorPlan.from_dict(data["plan"])
     store_file = data["store_file"]

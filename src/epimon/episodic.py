@@ -378,7 +378,23 @@ def params_to_dict(params: EpisodeParams) -> dict:
     }
 
 
+def check_format_version(
+    data: dict, expected: int, what: str, hint: str = ""
+) -> None:
+    """Raise :class:`InvalidDataError` unless the file object ``data`` has
+    ``format_version`` ``expected``; ``hint`` is appended to the message."""
+    if not isinstance(data, dict):
+        raise InvalidDataError(f"{what} file is not a JSON object")
+    found = data.get("format_version")
+    if found != expected:
+        raise InvalidDataError(
+            f"{what} file has format_version {found!r}, "
+            f"this version reads {expected}{hint}"
+        )
+
+
 def params_from_dict(data: dict) -> EpisodeParams:
+    check_format_version(data, PARAMS_FORMAT_VERSION, "params")
     mu0 = np.asarray(data["mu0"], dtype=float)
     if mu0.size != int(data["T"]):
         raise InvalidDataError("params file: mu0 length does not match T")

@@ -29,16 +29,29 @@ every (statistic, length) entry. Slicing is exact, not an approximation:
 ``Generator.integers`` produces its output values in order from the stream,
 so the first K+1 values of a longer draw are the values a draw of length
 K+1 returns.
+
+Store file format (version 2). The store is a JSON object with
+``format_version``, ``B``, ``seed`` and ``entries``; each entry has the
+statistic spec ``kind``, the window length ``n`` and ``values``, the base64
+of the entry's B sorted values as little-endian float64 (``'<f8'``) bytes.
+Storing the bytes keeps every value bit-exact and costs far less to write
+and read than decimal text. A reader accepts only this version.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 
 import numpy as np
 
-from .episodic import EpisodeParams, ReferenceDataset, decompose_index
+from .episodic import (
+    EpisodeParams,
+    ReferenceDataset,
+    check_format_version,
+    decompose_index,
+)
 from .errors import NotTunedError
 from .rng import substream
 from .stats import (
@@ -51,7 +64,7 @@ from .stats import (
     statistic_value,
 )
 
-STORE_FORMAT_VERSION = 1
+STORE_FORMAT_VERSION = 2
 
 
 def empirical_quantile_index(alpha: float, B: int) -> int:
@@ -134,6 +147,28 @@ def _sorted(values: np.ndarray) -> np.ndarray:
     return values
 
 
+def _encode_values(values: np.ndarray) -> str:
+    """base64 of ``values`` as little-endian float64 bytes."""
+    raw = np.asarray(values, dtype="<f8").tobytes()
+    return base64.b64encode(raw).decode("ascii")
+
+
+def _decode_values(text: str, B: int, key: tuple[str, int]) -> np.ndarray:
+    """Read-only entry decoded from :func:`_encode_values` output; it must
+    hold exactly B finite values in non-decreasing order."""
+    raw = base64.b64decode(text, validate=True)
+    if len(raw) != 8 * B:
+        raise ValueError(
+            f"store entry {key} holds {len(raw)} bytes, expected {8 * B} for B={B}"
+        )
+    values = np.frombuffer(raw, dtype="<f8")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"store entry {key} has non-finite values")
+    if np.any(values[1:] < values[:-1]):
+        raise ValueError(f"store entry {key} is not sorted")
+    return values
+
+
 class BootstrapStore:
     """Cached per-window-length bootstrap distributions of each statistic.
 
@@ -147,6 +182,12 @@ class BootstrapStore:
     :func:`resample_indices`). The table is drawn at the longest length
     needed so far and redrawn wider if a later entry needs a longer window;
     :meth:`freeze` drops it.
+
+    :meth:`to_dict` writes store format version 2 (see the module
+    docstring): ``format_version``, ``B``, ``seed`` and ``entries[].kind/n``
+    as JSON, each entry's ``values`` as base64 of its sorted little-endian
+    float64 bytes. :meth:`from_dict` rejects any other version and any
+    entry that does not decode to B finite, non-decreasing values.
     """
 
     def __init__(
@@ -261,7 +302,7 @@ class BootstrapStore:
 
     def to_dict(self) -> dict:
         entries = [
-            {"kind": spec, "n": n, "values": vals.tolist()}
+            {"kind": spec, "n": n, "values": _encode_values(vals)}
             for (spec, n), vals in sorted(self.entries.items())
         ]
         return {
@@ -278,17 +319,19 @@ class BootstrapStore:
         params: EpisodeParams,
         reference: ReferenceDataset | None = None,
     ) -> "BootstrapStore":
+        check_format_version(
+            data, STORE_FORMAT_VERSION, "store",
+            "; re-run `epimon tune` to rebuild it",
+        )
+        B = int(data["B"])
         entries: dict[tuple[str, int], np.ndarray] = {}
         for item in data["entries"]:
             kind = parse_statistic(item["kind"])  # validates the spelling
-            vals = np.asarray(item["values"], dtype=float)
-            if vals.size != int(data["B"]) or not np.all(np.isfinite(vals)):
-                raise ValueError(f"store entry {item['kind']!r} is corrupt")
-            vals.setflags(write=False)
-            entries[(kind.spec, int(item["n"]))] = vals
+            key = (kind.spec, int(item["n"]))
+            entries[key] = _decode_values(item["values"], B, key)
         return cls(
             params,
-            int(data["B"]),
+            B,
             int(data["seed"]),
             reference=reference,
             entries=entries,

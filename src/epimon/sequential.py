@@ -16,12 +16,14 @@ last h_max completed episodes. At a test-point it builds each tail piece
 once, and per horizon sums the last h ring rows (``cusum`` concatenates
 them) and finishes. ``udt`` keeps a running sum of its episode pieces
 instead, which is udt's finish in Python floats: O(1) per horizon, where a
-numpy batch of one would cost more than the whole test.
+numpy batch of one would cost more than the whole test; it keeps the last
+h_max + 1 sums only, so memory does not grow with the stream.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,9 +102,11 @@ class Monitor:
         }
         self._partial = np.empty(T)
         self._partial_len = 0
-        # Cumulative udt episode pieces, one entry appended per completed
-        # episode.
-        self._udt_cum = [0.0]
+        # Running sums of the udt episode pieces, one per completed episode
+        # (the first is 0.0); a test reads back at most h_max episodes, so
+        # only the last h_max + 1 sums are kept. They stay absolute sums, so
+        # every difference is the same number as with the full history.
+        self._udt_cum = deque([0.0], maxlen=h_max + 1)
         self._wants_udt = "udt" in bases
         self.t = 0
         self.fired: DetectionRecord | None = None
@@ -118,7 +122,8 @@ class Monitor:
         for ring in self._rings.values():
             ring.fill(0.0)
         self._partial_len = 0
-        self._udt_cum = [0.0]
+        self._udt_cum.clear()
+        self._udt_cum.append(0.0)
         self.t = 0
         self.fired = None
         self.last_evaluations = ()

@@ -1,7 +1,32 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from epimon import EpisodeParams, ReferenceDataset, Scenario, generate_episodes, random_spd
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_cli(*args, stdin=None):
+    """Run ``python -m epimon`` in a subprocess that imports the package from
+    this checkout's ``src``; pytest's ``pythonpath`` setting reaches only the
+    test process itself."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "epimon", *map(str, args)],
+        capture_output=True,
+        text=True,
+        input=stdin,
+        env=env,
+    )
 
 
 def make_params(T, seed=0, condition=50.0, mu_range=(1.0, 2.0)):

@@ -7,8 +7,6 @@ one core.
 
 import hashlib
 import json
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -16,6 +14,8 @@ from scipy.special import ndtri
 
 import epimon as em
 from epimon.errors import ResolutionError
+
+from conftest import run_cli
 
 MEAN = em.StatisticKind.mean()
 UDT = em.StatisticKind.udt()
@@ -290,15 +290,6 @@ def test_criterion_7_individual_calibration():
 # ---------------------------------------------------------------------------
 # criterion 8: CLI determinism (byte-identical reruns)
 # ---------------------------------------------------------------------------
-
-
-def run_cli(*args, stdin=None):
-    return subprocess.run(
-        [sys.executable, "-m", "epimon", *map(str, args)],
-        capture_output=True,
-        text=True,
-        input=stdin,
-    )
 
 
 def sha(path):

@@ -1,9 +1,8 @@
 """End-to-end CLI pipeline: estimate -> tune -> monitor / simulate / power."""
 
+import base64
 import hashlib
 import json
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -11,16 +10,7 @@ import pytest
 import epimon as em
 from epimon.cli import main
 
-from conftest import make_params
-
-
-def run_cli(*args, stdin=None):
-    return subprocess.run(
-        [sys.executable, "-m", "epimon", *map(str, args)],
-        capture_output=True,
-        text=True,
-        input=stdin,
-    )
+from conftest import make_params, run_cli
 
 
 def sha256(path):
@@ -348,3 +338,76 @@ def test_load_bundle_rejects_store_file_with_a_path(
 
     assert _monitor_with_tampered_bundle(workspace, tmp_path, edit) == 2
     assert "bare file name" in capsys.readouterr().err
+
+
+def test_load_bundle_rejects_other_bundle_format_version(
+    workspace, tmp_path, capsys
+):
+    def edit(bundle, store):
+        bundle["format_version"] = 7
+
+    assert _monitor_with_tampered_bundle(workspace, tmp_path, edit) == 2
+    assert "bundle file has format_version 7" in capsys.readouterr().err
+
+
+def test_load_bundle_rejects_v1_store(workspace, tmp_path, capsys):
+    # Store format 1 held each entry's values as a JSON list of numbers.
+    def edit(bundle, store):
+        store["format_version"] = 1
+        for entry in store["entries"]:
+            entry["values"] = _decode(entry["values"]).tolist()
+
+    assert _monitor_with_tampered_bundle(workspace, tmp_path, edit) == 2
+    err = capsys.readouterr().err
+    assert "store file has format_version 1" in err
+    assert "epimon tune" in err
+
+
+def test_params_file_with_other_format_version_exits_two(
+    workspace, tmp_path, capsys
+):
+    params = json.loads((workspace / "params.json").read_text())
+    params["format_version"] = 2
+    (tmp_path / "params.json").write_text(json.dumps(params))
+    code = main(["power", "--params", str(tmp_path / "params.json"),
+                 "--epsilon-sigma", "0.1", "--out", str(tmp_path / "x.json")])
+    assert code == 2
+    assert "params file has format_version 2" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+def _decode(text):
+    return np.frombuffer(base64.b64decode(text), dtype="<f8")
+
+
+def _encode(values):
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode()
+
+
+def _swap_two(values):
+    values = values.copy()
+    values[[10, 500]] = values[[500, 10]]
+    return values
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda text: _encode(_swap_two(_decode(text))), "not sorted"),
+        (lambda text: _encode(_decode(text)[:-1]), "6392 bytes, expected 6400"),
+        (lambda text: _encode(np.append(_decode(text)[:-1], np.inf)),
+         "non-finite"),
+        (lambda text: "!" + text[1:], "error: "),
+    ],
+    ids=["swapped", "short", "non-finite", "not-base64"],
+)
+def test_load_bundle_rejects_corrupt_store_entry(
+    workspace, tmp_path, capsys, corrupt, message
+):
+    def edit(bundle, store):
+        entry = store["entries"][3]
+        assert entry["kind"] == "mean"
+        entry["values"] = corrupt(entry["values"])
+
+    assert _monitor_with_tampered_bundle(workspace, tmp_path, edit) == 2
+    assert message in capsys.readouterr().err

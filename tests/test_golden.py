@@ -57,7 +57,7 @@ GOLDEN = {
         "681afc80b83d2591f6a433af83f47d31e411ffb4b71050d68e91dd6bd1151ccb"
     ),
     "bundle.json.store.json": (
-        "5012a284937c24f5d4f6971777c9053e0ace8b488fab4d0c9bce9b946f7d0e71"
+        "5355d2c14b54c4d4a7cb673e6557671241f08748114cfc5ebc8bbd902020a80a"
     ),
     "report.json": (
         "3fd650a01472ac44bb0ca5e5838e1389187550ade777986dbe5ed9830ae8091c"
@@ -76,7 +76,7 @@ GOLDEN_MDT_CUSUM = {
         "bd2300fce674e1561c6cfc727524cea5b1bbff80fd15615c2bd1b64616ea5fee"
     ),
     "bundle.json.store.json": (
-        "3d1a4fa38166be9a3811e4ae63ce7e9f63f0daa7d68ca6a7a53777f3cd915dd4"
+        "9089691749bbf3e07cb53fc404115bacd479f6fc130f08ed611e86af98c7bff5"
     ),
     "report.json": (
         "af60888e72334037f91cfefe320de5af1015c38005fb4b946bf056f247f75a8c"

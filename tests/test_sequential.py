@@ -186,6 +186,22 @@ def test_pvalues_match_statistic_value_on_explicit_windows():
     assert test_points(monitor, streams[1]) == 9
 
 
+def test_udt_running_sums_stay_bounded(tuned):
+    # A long run without detections keeps only the h_max + 1 running sums a
+    # test can read, through a reset too.
+    plan, T = tuned.plan, tuned.params.T
+    monitor = em.Monitor(tuned.with_threshold(0.0))
+    stream = h0_stream(tuned, 5000, seed=98)
+    for sample in stream:
+        monitor.step(sample)
+    assert monitor.t == 5000 * T
+    assert len(monitor._udt_cum) <= plan.h_max + 1
+    monitor.reset()
+    for sample in stream[: 3 * T]:
+        monitor.step(sample)
+    assert list(monitor._udt_cum)[0] == 0.0 and len(monitor._udt_cum) == 4
+
+
 def test_udt_beats_mean_on_uniform_degradation():
     # Heteroscedastic covariance, uniform drop of 2 small-step sigmas: the
     # weighted test must detect at least as often as the plain mean test.
