@@ -19,6 +19,7 @@ from .bfar import (
     far_verify,
     h0_stream_indices,
     load_bundle,
+    replay_pvalues,
 )
 from .episodic import (
     EpisodeParams,
@@ -49,7 +50,7 @@ from .individual import (
     individual_test,
     threshold_decision,
 )
-from .sequential import BlockReport, DetectionRecord, Monitor, TestEvaluation
+from .sequential import DetectionRecord, Monitor, TestEvaluation
 from .stats import (
     MDT_PRESET,
     MIXED_MEAN_PDT_PRESET,
@@ -70,7 +71,6 @@ from .synthetic import (
 
 __all__ = [
     "BatchEvaluator",
-    "BlockReport",
     "BootstrapStore",
     "DegenerateVarianceError",
     "DetectionRecord",
@@ -113,6 +113,7 @@ __all__ = [
     "parse_statistic",
     "power_gain",
     "random_spd",
+    "replay_pvalues",
     "statistic_value",
     "threshold_decision",
     "window_weights",

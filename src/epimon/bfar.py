@@ -5,26 +5,23 @@ and lookback horizon) at every test-point and fires when any p-value drops
 below a single threshold. To make the family-wise false-alarm rate equal
 alpha0 per h_tilde episodes, whole sequential runs are simulated under the
 null model: each outer repetition resamples h_max + h_tilde episodes from the
-reference data, replays every test-point of the h_tilde-episode stretch after
-the warm-up prefix, and records the minimal p-value seen. The alpha0-quantile
-of those minima is the threshold.
+reference data, replays every test-point after the warm-up prefix, and
+records the minimal p-value seen. The alpha0-quantile of those minima is the
+threshold.
 
-A horizon-h window at offset tau is always the same h whole episodes plus a
-tau-step tail, so the replay evaluates each (horizon, statistic) pair with
-one :meth:`BatchEvaluator.offset_values` call over all F test offsets. The
-whole-episode part of the statistic (row sums, weights, solved rows or
-episode sums) is built once per horizon, at O(B_outer * h_tilde * h * T);
-each offset then adds only its tail and the per-window finish of the
-statistic, O(B_outer * h_tilde * F * T_stat) over all offsets.
+One batched replay, :func:`replay_pvalues`, gives the minimal p-value over
+statistics and horizons at every test-point of whole runs. It has three
+callers: :func:`bfar_min_p` takes each resampled run's minimum,
+:func:`far_verify` counts the fresh null runs whose minimum is below the
+threshold, and ``epimon simulate`` takes a generated block's first
+test-point below it as the detection time. Each replays at most
+min(B_outer, _BATCH_CHUNK // E) runs of E tested episodes at a time, so
+memory stays flat in the number of runs. The live
+:class:`~epimon.sequential.Monitor` computes the same p-values.
 
-The inner bootstrap distributions are shared across outer repetitions
-through one :class:`BootstrapStore`, so they are built once per (statistic,
-window length), and the store builds each whole-episode part once per
-(statistic, K) rather than once per length. Their random indices cost even
-less: the store draws one (B_inner, h_max+1) episode-index table, one
-generator per inner repetition, and slices it for every statistic and window
-length, which is exact because a shorter window's draw is a prefix of a
-longer one's. Each outer repetition likewise draws its whole stream once.
+Each (horizon, statistic) pair is one :meth:`BatchEvaluator.offset_values`
+call over all F test offsets, and every run reads the inner bootstrap
+distributions from one shared :class:`BootstrapStore`.
 """
 
 from __future__ import annotations
@@ -46,6 +43,7 @@ from .errors import ResolutionError
 from .individual import BootstrapStore, empirical_quantile_index
 from .rng import substream
 from .stats import (
+    _BATCH_CHUNK,
     BatchEvaluator,
     StatisticKind,
     bootstrap_pvalues,
@@ -109,6 +107,10 @@ class MonitorPlan:
             )
         return range(self.test_every, T + 1, self.test_every)
 
+    def replay_runs(self, episodes_per_run: int) -> int:
+        """Runs per :func:`replay_pvalues` call: min(B_outer, _BATCH_CHUNK // E)."""
+        return max(1, min(self.B_outer, _BATCH_CHUNK // episodes_per_run))
+
     def window_lengths(self, T: int) -> list[int]:
         lengths = {
             h * T + tau for h in self.horizons for tau in self.test_offsets(T)
@@ -166,44 +168,53 @@ def h0_stream_indices(plan: MonitorPlan, num_episodes: int, b: int) -> np.ndarra
     return rng.integers(0, num_episodes, size=plan.h_max + plan.h_tilde)
 
 
+def replay_pvalues(
+    evaluator: BatchEvaluator,
+    streams: np.ndarray,
+    plan: MonitorPlan,
+    store: BootstrapStore,
+) -> np.ndarray:
+    """Minimal p-value over statistics and horizons at every test-point.
+
+    Row r of ``streams`` holds the evaluator's episode rows of run r: h_max
+    warm-up episodes, then E tested ones. Returns (runs, E*F) p-values in
+    time order, episode first, then offset: column c is (c + 1) * test_every
+    steps after the warm-up, whose episodes the long horizons look back into.
+    """
+    T = evaluator.params.T
+    runs, E = streams.shape[0], streams.shape[1] - plan.h_max
+    # Window at test-episode k, offset tau, horizon h = episodes
+    # [h_max+k-h, h_max+k) whole + episode h_max+k cropped to tau.
+    windows = np.lib.stride_tricks.sliding_window_view(streams, plan.h_max + 1, axis=1)
+    taus = plan.test_offsets(T)
+    tail_idx = streams[:, plan.h_max :].reshape(-1)
+    min_p = np.ones((runs * E, len(taus)))
+    for h in plan.horizons:
+        whole_idx = windows[:, :, plan.h_max - h : plan.h_max].reshape(-1, h)
+        for kind in plan.statistics:
+            values = evaluator.offset_values(kind, whole_idx, tail_idx, taus, store)
+            for j, (tau, vals) in enumerate(zip(taus, values)):
+                p = bootstrap_pvalues(store.values_for(kind, h * T + tau), vals)
+                np.minimum(min_p[:, j], p, out=min_p[:, j])
+    return min_p.reshape(runs, E * len(taus))
+
+
 def bfar_min_p(
     ref: ReferenceDataset,
     params: EpisodeParams,
     plan: MonitorPlan,
     store: BootstrapStore,
 ) -> np.ndarray:
-    """Minimal p-value of each simulated sequential run (unsorted, by rep).
-
-    Repetition b resamples h_max + h_tilde whole episodes, then replays every
-    (test-point, horizon, statistic) combination over the h_tilde episodes
-    after the warm-up prefix; all test offsets of one (horizon, statistic)
-    share one evaluation of its whole episodes. Early test-points of long
-    horizons look back into the warm-up region, which is exactly what it
-    exists for.
-    """
-    T = params.T
+    """Minimal p-value of each simulated sequential run (unsorted, by rep):
+    repetition b replays the h_tilde episodes after the warm-up of its
+    resampled stream (:func:`h0_stream_indices`)."""
     evaluator = BatchEvaluator(ref.episodes, params)
-    B_out = plan.B_outer
-    streams = np.empty((B_out, plan.h_max + plan.h_tilde), dtype=np.intp)
-    for b in range(B_out):
-        streams[b] = h0_stream_indices(plan, ref.num_episodes, b)
-
-    # Window at test-episode k, offset tau, horizon h = episodes
-    # [h_max+k-h, h_max+k) whole + episode h_max+k cropped to tau.
-    windows = np.lib.stride_tricks.sliding_window_view(
-        streams, plan.h_max + 1, axis=1
-    )
-    taus = plan.test_offsets(T)
-    tail_idx = streams[:, plan.h_max :].reshape(-1)
-    min_p = np.ones(B_out)
-    for h in plan.horizons:
-        whole = windows[:, : plan.h_tilde, plan.h_max - h : plan.h_max]
-        whole_idx = whole.reshape(-1, h)
-        for kind in plan.statistics:
-            values = evaluator.offset_values(kind, whole_idx, tail_idx, taus, store)
-            for tau, vals in zip(taus, values):
-                p = bootstrap_pvalues(store.values_for(kind, h * T + tau), vals)
-                np.minimum(min_p, p.reshape(B_out, plan.h_tilde).min(axis=1), out=min_p)
+    min_p = np.empty(plan.B_outer)
+    chunk = plan.replay_runs(plan.h_tilde)
+    for lo in range(0, plan.B_outer, chunk):
+        reps = range(lo, min(lo + chunk, plan.B_outer))
+        streams = np.array([h0_stream_indices(plan, ref.num_episodes, b) for b in reps])
+        min_p[lo : reps.stop] = replay_pvalues(evaluator, streams, plan, store).min(1)
     return min_p
 
 
@@ -252,20 +263,27 @@ def far_verify(tuned: TunedMonitor, h0_generator, runs: int) -> float:
     """Empirical false-alarm rate of the tuned sequential monitor.
 
     ``h0_generator(i)`` must return the i-th independent null stream of
-    (h_max + h_tilde) * T downsampled samples; the fraction of runs in which
-    the monitor fires within the h_tilde post-warm-up episodes is returned.
+    exactly (h_max + h_tilde) * T finite downsampled samples; the fraction
+    of runs in which the monitor fires within the h_tilde post-warm-up
+    episodes is returned. Chunks of runs go through :func:`replay_pvalues`.
     """
-    from .sequential import Monitor
-
     if runs < 1:
         raise ValueError("runs must be positive")
+    plan, params = tuned.plan, tuned.params
+    length = plan.h_max + plan.h_tilde
+    n = length * params.T
+    chunk = plan.replay_runs(plan.h_tilde)
     fired = 0
-    for i in range(runs):
-        monitor = Monitor(tuned)
-        for sample in np.asarray(h0_generator(i), dtype=float):
-            if monitor.step(float(sample)) is not None:
-                fired += 1
-                break
+    for lo in range(0, runs, chunk):
+        count = min(chunk, runs - lo)
+        samples = [np.asarray(h0_generator(i), float) for i in range(lo, lo + count)]
+        for i, stream in enumerate(samples, start=lo):
+            if stream.shape != (n,) or not np.isfinite(stream).all():
+                raise ValueError(f"stream {i} is not {n} finite samples")
+        evaluator = BatchEvaluator(np.reshape(samples, (-1, params.T)), params)
+        streams = np.arange(count * length).reshape(count, length)
+        min_p = replay_pvalues(evaluator, streams, plan, tuned.store).min(axis=1)
+        fired += int(np.count_nonzero(min_p < tuned.p_threshold))
     return fired / runs
 
 

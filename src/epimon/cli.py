@@ -22,11 +22,12 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
-from .bfar import MonitorPlan, bfar_tune, bundle_to_dict, load_bundle
+from .bfar import MonitorPlan, bfar_tune, bundle_to_dict, load_bundle, replay_pvalues
 from .episodic import (
     ReferenceDataset,
     estimate_params,
@@ -37,6 +38,7 @@ from .episodic import (
 from .errors import EpimonError
 from .rng import substream
 from .sequential import Monitor
+from .stats import BatchEvaluator
 from .synthetic import Scenario, asymptotic_power, generate_episodes, power_gain
 
 REPORT_FORMAT_VERSION = 1
@@ -158,7 +160,7 @@ def cmd_monitor(args) -> int:
     return EXIT_DETECTION if detected else EXIT_OK
 
 
-def _load_scenario(path: str, params, seed: int) -> Scenario:
+def _load_scenario(path: str, params) -> Scenario:
     with open(path) as fh:
         data = json.load(fh)
     kind = data["kind"]
@@ -169,33 +171,33 @@ def _load_scenario(path: str, params, seed: int) -> Scenario:
         epsilon=epsilon_sigma * params.mean_step_std,
         offsets=tuple(int(o) for o in data.get("offsets", ())),
         K=int(data.get("K", 1)),
-        seed=seed,
     )
 
 
 def cmd_simulate(args) -> int:
     tuned = load_bundle(args.bundle)
-    params = tuned.params
-    plan = tuned.plan
+    params, plan = tuned.params, tuned.plan
     episodes_per_block = args.episodes or plan.h_tilde
+    scenario = _load_scenario(args.scenario, params)
+    # Block i is run i of the replay; its column c is the test-point
+    # (c + 1) * test_every steps after the onset.
+    length = plan.h_max + episodes_per_block
+    chunk = plan.replay_runs(episodes_per_block)
     detections = []
-    onset = plan.h_max * params.T
-    for block in range(args.blocks):
-        block_seed = int(
-            substream(args.seed, "block", block).integers(0, 2**63 - 1)
-        )
-        warmup = Scenario(params=params, kind="h0", seed=block_seed)
-        scenario = _load_scenario(args.scenario, params, block_seed)
-        samples = np.concatenate(
-            [
-                generate_episodes(warmup, plan.h_max, stream=0).ravel(),
-                generate_episodes(scenario, episodes_per_block, stream=1).ravel(),
-            ]
-        )
-        monitor = Monitor(tuned)
-        report = monitor.run_block(samples)
-        if report.detection is not None:
-            detections.append(report.detection.t - onset)
+    for lo in range(0, args.blocks, chunk):
+        episodes = []
+        for block in range(lo, min(lo + chunk, args.blocks)):
+            seed = int(substream(args.seed, "block", block).integers(0, 2**63 - 1))
+            warmup = Scenario(params=params, kind="h0", seed=seed)
+            episodes.append(generate_episodes(warmup, plan.h_max, stream=0))
+            scenario = replace(scenario, seed=seed)
+            episodes.append(generate_episodes(scenario, episodes_per_block, stream=1))
+        episodes = np.concatenate(episodes)
+        streams = np.arange(len(episodes)).reshape(-1, length)
+        p = replay_pvalues(BatchEvaluator(episodes, params), streams, plan, tuned.store)
+        below = p < tuned.p_threshold
+        first = below.argmax(axis=1)[below.any(axis=1)]
+        detections.extend(((first + 1) * plan.test_every).tolist())
     times = sorted(detections)
     out = {
         "format_version": REPORT_FORMAT_VERSION,
@@ -299,9 +301,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "blocks", 1) < 1:
-        print("error: --blocks must be positive", file=sys.stderr)
-        return EXIT_ERROR
+    for flag in ("blocks", "episodes"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            print(f"error: --{flag} must be positive", file=sys.stderr)
+            return EXIT_ERROR
     try:
         return args.func(args)
     except (

@@ -1,4 +1,5 @@
-"""Online sequential monitor.
+"""Online sequential monitor: the live path (``epimon monitor``, library use).
+Simulated whole runs use :func:`epimon.bfar.replay_pvalues`, tested equal to it.
 
 The monitor consumes one downsampled sample at a time, aligned so that the
 first sample is step 1 of an episode. After a warm-up of h_max episodes it
@@ -65,15 +66,6 @@ class DetectionRecord:
     horizon: int
     statistic: StatisticKind
     p: float
-
-
-@dataclass(frozen=True)
-class BlockReport:
-    """Outcome of feeding one block of samples: the detection (if any) and
-    the per-test-point p-value trace, ready for cumulative-detection plots."""
-
-    detection: DetectionRecord | None
-    trace: tuple[tuple[int, tuple[TestEvaluation, ...]], ...]
 
 
 class Monitor:
@@ -212,19 +204,3 @@ class Monitor:
                 p=best.p,
             )
         return None
-
-    def run_block(self, samples: np.ndarray) -> BlockReport:
-        """Feed samples in order, collecting the test-point p-value trace.
-
-        Stops at the first detection (the monitor is one-shot).
-        """
-        trace: list[tuple[int, tuple[TestEvaluation, ...]]] = []
-        detection = None
-        for sample in np.asarray(samples, dtype=float):
-            record = self.step(float(sample))
-            if self.last_test_point == self.t:
-                trace.append((self.t, self.last_evaluations))
-            if record is not None:
-                detection = record
-                break
-        return BlockReport(detection=detection, trace=tuple(trace))

@@ -56,11 +56,11 @@ def test_criterion_1_far_calibration():
     def stream(i):
         return em.generate_episodes(h0, plan.h_max + plan.h_tilde, stream=i).ravel()
 
-    far = em.far_verify(tuned, stream, runs=400)
+    far = em.far_verify(tuned, stream, runs=2000)
     assert 0.03 <= far <= 0.08, f"empirical FAR {far} outside [0.03, 0.08]"
     report(
         f"criterion 1: sequential FAR {far:.4f} in [0.03, 0.08] "
-        f"(alpha0=0.05, threshold {tuned.p_threshold:.4g}, 400 runs)"
+        f"(alpha0=0.05, threshold {tuned.p_threshold:.4g}, 2000 runs)"
     )
 
 
@@ -224,20 +224,22 @@ def test_criterion_6_heteroscedastic_advantage():
         "mean": em.bfar_tune(ref, params, em.MonitorPlan(statistics=(MEAN,), **common)),
     }
     blocks = 100
-    detected = {"udt": 0, "mean": 0}
-    warm_len = common["horizons"][-1]
+    episodes = []
     for i in range(blocks):
-        warm = em.generate_episodes(
-            em.Scenario(params=params, kind="h0", seed=900 + i), warm_len
-        ).ravel()
-        bad = em.generate_episodes(
-            em.Scenario(params=params, kind="uniform", epsilon=eps, seed=1900 + i),
-            common["h_tilde"],
-        ).ravel()
-        stream = np.concatenate([warm, bad])
-        for name in ("udt", "mean"):
-            if em.Monitor(tuned[name]).run_block(stream).detection is not None:
-                detected[name] += 1
+        warm = em.Scenario(params=params, kind="h0", seed=900 + i)
+        bad = em.Scenario(params=params, kind="uniform", epsilon=eps, seed=1900 + i)
+        episodes += [
+            em.generate_episodes(warm, common["horizons"][-1]),
+            em.generate_episodes(bad, common["h_tilde"]),
+        ]
+    episodes = np.concatenate(episodes)
+    # Block i is run i of the batched replay, as in ``epimon simulate``.
+    evaluator = em.BatchEvaluator(episodes, params)
+    streams = np.arange(len(episodes)).reshape(blocks, -1)
+    detected = {}
+    for name, tm in tuned.items():
+        p = em.replay_pvalues(evaluator, streams, tm.plan, tm.store)
+        detected[name] = int(np.count_nonzero(p.min(axis=1) < tm.p_threshold))
     gap = (detected["udt"] - detected["mean"]) / blocks
     assert gap >= 0.20, detected
     report(

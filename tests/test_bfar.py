@@ -156,7 +156,9 @@ def test_regression_config_shape_reduced_b():
     assert tuned.p_threshold == again.p_threshold
 
 
-def test_far_verify_forced_thresholds():
+@pytest.fixture(scope="module")
+def mean_monitor():
+    """A small tuned mean monitor and its generator of null streams."""
     params = make_params(T=3, seed=30)
     ref = make_reference(params, 60, seed=39)
     plan = make_plan(statistics=(MEAN,), horizons=(1,), h_tilde=2,
@@ -167,8 +169,20 @@ def test_far_verify_forced_thresholds():
         scenario = em.Scenario(params=params, kind="h0", seed=500 + i)
         return em.generate_episodes(scenario, plan.h_max + plan.h_tilde).ravel()
 
+    return tuned, gen
+
+
+def test_far_verify_forced_thresholds(mean_monitor):
+    tuned, gen = mean_monitor
     assert em.far_verify(tuned.with_threshold(0.0), gen, runs=20) == 0.0
     assert em.far_verify(tuned.with_threshold(1.0 + 1e-9), gen, runs=20) == 1.0
+    # At the tuned threshold, which is one of the discrete p-values, the
+    # batched replay fires on exactly the runs the live monitor fires on.
+    fired = 0
+    for i in range(300):
+        monitor = em.Monitor(tuned)
+        fired += any(monitor.step(x) is not None for x in gen(i))
+    assert em.far_verify(tuned, gen, runs=300) == fired / 300
 
 
 def test_far_verify_tuned_within_band():
@@ -186,3 +200,20 @@ def test_far_verify_tuned_within_band():
 
     far = em.far_verify(tuned, gen, runs=200)
     assert 0.01 <= far <= 0.10
+
+
+def test_far_verify_rejects_streams_of_the_wrong_length(mean_monitor):
+    # A longer stream would be tested past the h_tilde stretch and a shorter
+    # one would count as "no alarm"; both, and non-finite samples, are errors.
+    tuned, gen = mean_monitor
+    T = tuned.params.T
+    n = (tuned.plan.h_max + tuned.plan.h_tilde) * T
+    for bad in (
+        lambda i: np.concatenate([gen(i), gen(i)[:T]]),
+        lambda i: gen(i)[: n - 1],
+        lambda i: gen(i).reshape(-1, T),
+        lambda i: np.where(np.arange(n) == 4, np.nan, gen(i)),
+    ):
+        with pytest.raises(ValueError, match=f"not {n} finite samples"):
+            em.far_verify(tuned, bad, runs=3)
+    assert 0.0 <= em.far_verify(tuned, gen, runs=3) <= 1.0

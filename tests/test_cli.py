@@ -9,6 +9,7 @@ import pytest
 
 import epimon as em
 from epimon.cli import main
+from epimon.rng import substream
 
 from conftest import make_params, run_cli
 
@@ -222,6 +223,59 @@ def test_simulate_h0_rarely_fires(workspace, tmp_path):
     assert res.returncode == 0, res.stderr
     report = json.loads(out.read_text())
     assert report["detection_fraction"] <= 0.3  # alpha0 = 0.1 plus slack
+
+
+def test_simulate_rejects_nonpositive_episodes(workspace, tmp_path, capsys):
+    scenario = tmp_path / "h0.json"
+    scenario.write_text(json.dumps({"kind": "h0"}))
+    code = main([
+        "simulate", "--bundle", str(workspace / "bundle.json"),
+        "--scenario", str(scenario), "--blocks", "2", "--episodes", "0",
+        "--seed", "1", "--out", str(tmp_path / "report.json"),
+    ])
+    assert code == 2
+    assert "--episodes must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_simulate_detection_times_match_the_monitor(workspace, tmp_path):
+    # simulate replays its blocks in batches; every detection time must be
+    # the live monitor's on the same block. Five episodes per block (not
+    # h_tilde) and more blocks than one replay chunk of B_outer = 150 runs.
+    scenario = tmp_path / "drop.json"
+    scenario.write_text(json.dumps({"kind": "uniform", "epsilon_sigma": 0.4}))
+    out = tmp_path / "report.json"
+    blocks, episodes, seed = 170, 5, 80
+    assert main([
+        "simulate", "--bundle", str(workspace / "bundle.json"),
+        "--scenario", str(scenario), "--blocks", str(blocks),
+        "--episodes", str(episodes), "--seed", str(seed), "--out", str(out),
+    ]) == 0
+    tuned = em.load_bundle(workspace / "bundle.json")
+    params, plan = tuned.params, tuned.plan
+    assert blocks > plan.B_outer
+    expected = []
+    for block in range(blocks):
+        block_seed = int(substream(seed, "block", block).integers(0, 2**63 - 1))
+        drop = em.Scenario(params=params, kind="uniform", seed=block_seed,
+                           epsilon=0.4 * params.mean_step_std)
+        samples = np.concatenate([
+            em.generate_episodes(
+                em.Scenario(params=params, kind="h0", seed=block_seed),
+                plan.h_max, stream=0,
+            ).ravel(),
+            em.generate_episodes(drop, episodes, stream=1).ravel(),
+        ])
+        monitor = em.Monitor(tuned)
+        for sample in samples:
+            record = monitor.step(sample)
+            if record is not None:
+                expected.append(record.t - plan.h_max * params.T)
+                break
+    report = json.loads(out.read_text())
+    assert report["episodes_per_block"] == episodes
+    assert 0 < len(expected) < blocks
+    assert report["detection_curve"]["steps_after_onset"] == sorted(expected)
 
 
 def test_power_report(workspace, tmp_path):

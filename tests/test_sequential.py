@@ -1,4 +1,5 @@
-"""Online monitor behavior: warm-up, firing, one-shot semantics, traces."""
+"""Online monitor behavior: warm-up, firing, one-shot semantics, traces, and
+agreement with the batched replay of whole runs."""
 
 import numpy as np
 import pytest
@@ -34,14 +35,26 @@ def h0_stream(tuned, episodes, seed):
     return em.generate_episodes(scenario, episodes).ravel()
 
 
+def feed(monitor, samples):
+    """Step samples until the first detection; return the detection (or
+    None) and the (t, evaluations) trace of every test-point."""
+    trace = []
+    for sample in samples:
+        record = monitor.step(sample)
+        if monitor.last_test_point == monitor.t:
+            trace.append((monitor.t, monitor.last_evaluations))
+        if record is not None:
+            return record, trace
+    return None, trace
+
+
 def test_reference_mean_stream_never_fires(tuned):
     plan = tuned.plan
     stream = np.tile(tuned.params.mu0, plan.h_max + plan.h_tilde)
-    monitor = em.Monitor(tuned)
-    report = monitor.run_block(stream)
-    assert report.detection is None
+    detection, trace = feed(em.Monitor(tuned), stream)
+    assert detection is None
     # every statistic sits at its null center, so no p-value can be extreme
-    assert all(ev.p > tuned.p_threshold for _, evs in report.trace for ev in evs)
+    assert all(ev.p > tuned.p_threshold for _, evs in trace for ev in evs)
 
 
 def test_catastrophic_fires_at_first_test_point(tuned):
@@ -49,9 +62,7 @@ def test_catastrophic_fires_at_first_test_point(tuned):
     params = tuned.params
     warm = h0_stream(tuned, plan.h_max, seed=99)
     degraded = np.tile(params.mu0 - 20 * params.step_std, 2)
-    monitor = em.Monitor(tuned)
-    report = monitor.run_block(np.concatenate([warm, degraded]))
-    rec = report.detection
+    rec, _ = feed(em.Monitor(tuned), np.concatenate([warm, degraded]))
     assert rec is not None
     assert rec.t == plan.h_max * params.T + 1  # first test-point after warm-up
     assert rec.offset == 1 and rec.offset < params.T  # mid-episode detection
@@ -63,9 +74,7 @@ def test_detection_time_is_a_test_point_after_warmup(tuned):
     params = tuned.params
     warm = h0_stream(tuned, plan.h_max, seed=100)
     degraded = np.tile(params.mu0 - 6 * params.step_std, 3)
-    monitor = em.Monitor(tuned)
-    report = monitor.run_block(np.concatenate([warm, degraded]))
-    rec = report.detection
+    rec, _ = feed(em.Monitor(tuned), np.concatenate([warm, degraded]))
     assert rec is not None
     assert rec.t > plan.h_max * params.T
     assert rec.t % plan.test_every == 0
@@ -80,15 +89,15 @@ def test_one_shot_then_reset(tuned):
     warm = h0_stream(tuned, plan.h_max, seed=101)
     degraded = np.tile(params.mu0 - 20 * params.step_std, 2)
     monitor = em.Monitor(tuned)
-    report = monitor.run_block(np.concatenate([warm, degraded]))
-    assert report.detection is not None
+    detection, _ = feed(monitor, np.concatenate([warm, degraded]))
+    assert detection is not None
     with pytest.raises(TerminalStateError):
         monitor.step(0.0)
     monitor.reset()
     assert monitor.t == 0 and monitor.fired is None
     # after reset a fresh warm-up is required before any test fires
-    report2 = monitor.run_block(h0_stream(tuned, plan.h_max, seed=102))
-    assert report2.detection is None and len(report2.trace) == 0
+    detection, trace = feed(monitor, h0_stream(tuned, plan.h_max, seed=102))
+    assert detection is None and len(trace) == 0
 
 
 def test_rejects_bad_samples(tuned):
@@ -103,25 +112,60 @@ def test_trace_counts_test_points(tuned):
     plan = tuned.plan
     params = tuned.params
     stream = h0_stream(tuned, plan.h_max + 2, seed=103)
-    monitor = em.Monitor(tuned)
-    report = monitor.run_block(stream)
-    if report.detection is None:  # a false alarm would shorten the trace
-        assert len(report.trace) == 2 * (params.T // plan.test_every)
-    for t, evals in report.trace:
+    detection, trace = feed(em.Monitor(tuned), stream)
+    if detection is None:  # a false alarm would shorten the trace
+        assert len(trace) == 2 * (params.T // plan.test_every)
+    for t, evals in trace:
         assert t > plan.h_max * params.T
         assert len(evals) == len(plan.statistics) * len(plan.horizons)
 
 
-def test_empty_block(tuned):
-    monitor = em.Monitor(tuned)
-    report = monitor.run_block(np.array([]))
-    assert report.detection is None and report.trace == ()
+STATISTICS = ("mean", "udt", "pdt:0.5", "hotelling", "cusum:0.5", "mdt",
+              "mixed:mean+udt")
 
 
 def test_equivalence_with_tuning_simulation(tuned):
+    # The batched replay of whole runs that tuning, far_verify and simulate
+    # use must give, at every test-point of generated streams, exactly the
+    # minimal p-value the live monitor computes there.
+    params = tuned.params
+    ref = tuned.store.reference
+    kinds = [em.parse_statistic(spec) for spec in STATISTICS]
+    store = em.BootstrapStore(params, 400, seed=54, reference=ref)
+    store.ensure(kinds, [h * params.T + tau for h in (1, 3) for tau in range(1, 7)])
+    runs, checked, smallest = 12, 0, 1.0
+    for kind in kinds:
+        for test_every in (1, 2, 3):
+            plan = em.MonitorPlan(
+                statistics=(kind,), horizons=(1, 3), h_tilde=3, alpha0=0.5,
+                B_inner=400, B_outer=2, seed=54, test_every=test_every,
+            )
+            live = em.TunedMonitor(plan, 0.0, store, np.zeros(1))  # never fires
+            length = plan.h_max + plan.h_tilde
+            episodes = em.generate_episodes(
+                em.Scenario(params=params, kind="uniform", seed=55 + test_every,
+                            epsilon=0.3 * params.mean_step_std),
+                runs * length,
+            )
+            evaluator = em.BatchEvaluator(episodes, params)
+            streams = np.arange(runs * length).reshape(runs, length)
+            replay = em.replay_pvalues(evaluator, streams, plan, store)
+            for run, row in zip(episodes.reshape(runs, -1), replay):
+                _, trace = feed(em.Monitor(live), run)
+                got = [min(ev.p for ev in evals) for _, evals in trace]
+                assert got == row.tolist(), (kind.spec, test_every)
+                checked += len(got)
+                smallest = min(smallest, *got)
+    assert checked == len(kinds) * runs * 3 * (6 + 3 + 2)
+    assert smallest < 0.05  # the checked p-values reach into the tail
+
+
+def test_reference_streams_decide_like_tuning_simulation(tuned):
     # Feeding the monitor a stream assembled exactly like outer repetition b
     # of the tuning simulation must fire iff that repetition's minimal
-    # p-value is below the threshold.
+    # p-value is below the threshold. Such streams repeat reference
+    # episodes, so their windows can tie the store's values exactly; the
+    # decisions must agree all the same.
     plan = tuned.plan
     params = tuned.params
     ref = tuned.store.reference
@@ -129,10 +173,8 @@ def test_equivalence_with_tuning_simulation(tuned):
     fired_flags = []
     for b in range(40):
         rows = em.h0_stream_indices(plan, ref.num_episodes, b)
-        stream = ref.episodes[rows].ravel()
-        monitor = em.Monitor(tuned)
-        report = monitor.run_block(stream)
-        fired_flags.append(report.detection is not None)
+        detection, _ = feed(em.Monitor(tuned), ref.episodes[rows].ravel())
+        fired_flags.append(detection is not None)
     expected = (min_p[:40] < tuned.p_threshold).tolist()
     assert fired_flags == expected
 
@@ -225,7 +267,7 @@ def test_udt_beats_mean_on_uniform_degradation():
         ).ravel()
         stream = np.concatenate([warm, bad])
         for name, tm in (("udt", tuned_udt), ("mean", tuned_mean)):
-            if em.Monitor(tm).run_block(stream).detection is not None:
+            if feed(em.Monitor(tm), stream)[0] is not None:
                 wins[name] += 1
     assert wins["udt"] >= wins["mean"]
     assert wins["udt"] >= blocks // 3  # the weighted test actually detects
