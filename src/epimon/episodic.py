@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve
 
-from .errors import InsufficientDataError, InvalidDataError
+from .errors import DegenerateVarianceError, InsufficientDataError, InvalidDataError
 
 PARAMS_FORMAT_VERSION = 1
 
@@ -161,6 +161,7 @@ class EpisodeParams:
         self._tail_inv: dict[int, np.ndarray] = {T: inv}
         self._tail_weights: dict[int, np.ndarray] = {T: _readonly(inv.sum(axis=0))}
         self._window_weights: dict[int, np.ndarray] = {}
+        self._step_std: np.ndarray | None = None
 
     @property
     def T(self) -> int:
@@ -173,8 +174,14 @@ class EpisodeParams:
 
     @property
     def step_std(self) -> np.ndarray:
-        """Per-step standard deviations sqrt(diag(sigma0))."""
-        return np.sqrt(np.diag(self.sigma0))
+        """Per-step standard deviations sqrt(diag(sigma0)) (cached, read-only);
+        raises :class:`DegenerateVarianceError` unless all are positive."""
+        if self._step_std is None:
+            std = np.sqrt(np.diag(self.sigma0))
+            if std.min() <= 0.0:
+                raise DegenerateVarianceError("per-step std must be positive")
+            self._step_std = _readonly(std)
+        return self._step_std
 
     @property
     def mean_step_std(self) -> float:

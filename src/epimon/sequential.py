@@ -13,12 +13,15 @@ so detections can happen in the middle of an episode. The monitor evaluates
 it with the same per-episode pieces and finish that the bootstrap store and
 the BFAR replay use (see :mod:`epimon.stats`): for each statistic family of
 the plan, mixed components included, it keeps a ring of the pieces of the
-last h_max completed episodes. At a test-point it builds each tail piece
-once, and per horizon sums the last h ring rows (``cusum`` concatenates
-them) and finishes. ``udt`` keeps a running sum of its episode pieces
-instead, which is udt's finish in Python floats: O(1) per horizon, where a
-numpy batch of one would cost more than the whole test; it keeps the last
-h_max + 1 sums only, so memory does not grow with the stream.
+last h_max completed episodes. When an episode completes it rolls the rings
+and builds each statistic's whole part of the last h episodes for every
+horizon h. A test-point then only builds each tail piece once and finishes
+each (statistic, horizon), so its cost does not grow with h*T; the sorted
+store rows of every test are looked up once, at construction. ``udt``
+keeps a running sum of its episode pieces instead, which is udt's finish in
+Python floats: O(1) per horizon, where a numpy batch of one would cost more
+than the whole test; it keeps the last h_max + 1 sums only, so memory does
+not grow with the stream.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from .stats import (
     bootstrap_pvalues,
     episode_piece,
     finish,
-    mixed_values,
     statistic_value,  # noqa: F401 -- perfbench's tracer patches this global
     whole_part,
 )
@@ -69,28 +71,48 @@ class DetectionRecord:
 
 
 class Monitor:
-    """Streaming sequential degradation test driven by a tuned bundle."""
+    """Streaming sequential degradation test driven by a tuned bundle; raises
+    :class:`NotTunedError` if its store lacks an entry the plan tests."""
 
     def __init__(self, tuned: TunedMonitor):
         self.tuned = tuned
         self.params = tuned.params
-        self.plan = tuned.plan
-        tuned.store.freeze()  # live monitoring never fills the store lazily
-        T = self.params.T
-        self.plan.test_offsets(T)  # validates test_every | T
+        self.plan = plan = tuned.plan
+        store = tuned.store
+        store.freeze()  # live monitoring never fills the store lazily
+        T = self._T = self.params.T
+        offsets = plan.test_offsets(T)  # validates test_every | T
+        h_max = plan.h_max
+        self.warmup_steps = h_max * T
+        self._test_every = plan.test_every
+        self._horizons = plan.horizons
         # Base statistics by spec: the plan's own and its mixed components.
         bases: dict[str, StatisticKind] = {}
-        for kind in self.plan.statistics:
+        for kind in plan.statistics:
             for base in kind.components or (kind,):
                 bases.setdefault(base.spec, base)
-        self._bases = bases
+        self._bases = tuple(bases.items())
         # Pieces of the last h_max completed episodes, oldest first, per
         # family (pdt fractions share one): a number for mean, a row else.
-        h_max = self.plan.h_max
         self._rings = {
             base.name: np.zeros(h_max if base.name == "mean" else (h_max, T))
             for base in bases.values()
             if base.name != "udt"
+        }
+        # Whole parts of the last h episodes by spec (a cusum's depends on
+        # its reference value), one dict per horizon, rebuilt when an
+        # episode completes.
+        self._wholes = [{} for _ in self._horizons]
+        # Sorted store rows of every test, per (horizon, offset): the
+        # statistic's own and, for a mixed one, its components'.
+        self._tests = {
+            (h, tau): [
+                (kind, kind.spec, store.values_for(kind, h * T + tau),
+                 [(c.spec, store.values_for(c, h * T + tau)) for c in kind.components])
+                for kind in plan.statistics
+            ]
+            for h in self._horizons
+            for tau in offsets
         }
         self._partial = np.empty(T)
         self._partial_len = 0
@@ -104,10 +126,6 @@ class Monitor:
         self.fired: DetectionRecord | None = None
         self.last_evaluations: tuple[TestEvaluation, ...] = ()
         self.last_test_point = 0
-
-    @property
-    def warmup_steps(self) -> int:
-        return self.plan.h_max * self.params.T
 
     def reset(self) -> None:
         """Re-arm after a detection; a fresh warm-up is required."""
@@ -125,41 +143,49 @@ class Monitor:
         """Ingest one downsampled sample; return a record if the monitor fires."""
         if self.fired is not None:
             raise TerminalStateError("monitor already fired; reset() to re-arm")
-        if np.ndim(sample) != 0:
-            raise InvalidDataError("samples must be scalars")
-        sample = float(sample)
+        if type(sample) is not float:
+            if np.ndim(sample) != 0:
+                raise InvalidDataError("samples must be scalars")
+            sample = float(sample)
         if not math.isfinite(sample):
             raise InvalidDataError(f"non-finite sample at step {self.t + 1}")
 
-        T = self.params.T
         self.t += 1
         self._partial[self._partial_len] = sample
         self._partial_len += 1
 
         record = None
-        if self.t > self.warmup_steps and self.t % self.plan.test_every == 0:
+        if self.t > self.warmup_steps and self.t % self._test_every == 0:
             record = self._evaluate_test_point()
             self.last_test_point = self.t
         # Roll the rings after evaluating, so a test at an episode boundary
         # still sees the just-finished episode as the tail.
-        if self._partial_len == T:
-            episode = self._partial[np.newaxis]
-            for name, ring in self._rings.items():
-                ring[:-1] = ring[1:]
-                ring[-1] = episode_piece(name, episode, self.params)[0]
-            if self._wants_udt:
-                piece = float(self.params.full_weights @ self._partial)
-                self._udt_cum.append(self._udt_cum[-1] + piece)
-            self._partial_len = 0
+        if self._partial_len == self._T:
+            self._complete_episode()
         if record is not None:
             self.fired = record
         return record
 
+    def _complete_episode(self) -> None:
+        """Roll the rings and rebuild every horizon's whole parts."""
+        params = self.params
+        episode = self._partial[np.newaxis]
+        for name, ring in self._rings.items():
+            ring[:-1] = ring[1:]
+            ring[-1] = episode_piece(name, episode, params)[0]
+        for h, wholes in zip(self._horizons, self._wholes):
+            for spec, base in self._bases:
+                if base.name != "udt":
+                    pieces = self._rings[base.name][np.newaxis, -h:]
+                    wholes[spec] = whole_part(base, pieces)
+        if self._wants_udt:
+            piece = float(params.full_weights @ self._partial)
+            self._udt_cum.append(self._udt_cum[-1] + piece)
+        self._partial_len = 0
+
     def _evaluate_test_point(self) -> DetectionRecord | None:
         params = self.params
-        T = params.T
         tau = self._partial_len
-        store = self.tuned.store
         partial = self._partial[:tau]
         tails = {}
         for name in self._rings:
@@ -168,32 +194,26 @@ class Monitor:
             udt_tail = float(params.tail_weights(tau) @ partial)
         evaluations = []
         best = None
-        for h in self.plan.horizons:
-            n = h * T + tau
-            wholes = {}
-            for name, ring in self._rings.items():
-                wholes[name] = whole_part(name, ring[np.newaxis, -h:])
+        for h, wholes in zip(self._horizons, self._wholes):
             values = {}
-            for spec, base in self._bases.items():
+            for spec, base in self._bases:
                 if base.name == "udt":
                     y = self._udt_cum[-1] - self._udt_cum[-1 - h] + udt_tail
                 else:
-                    whole, tail = wholes[base.name], tails[base.name]
-                    y = finish(base, params, whole, tail, h, tau)[0]
+                    y = finish(base, params, wholes[spec], tails[base.name], h, tau)[0]
                 values[spec] = y
-            for kind in self.plan.statistics:
-                if kind.components:
-                    parts = [[values[comp.spec]] for comp in kind.components]
-                    y = mixed_values(kind, [n], parts, store)[0]
+            for kind, spec, rows, components in self._tests[h, tau]:
+                if components:  # mixed: the minimum component p-value
+                    y = min(bootstrap_pvalues(r, values[c]) for c, r in components)
                 else:
-                    y = values[kind.spec]
-                p = float(bootstrap_pvalues(store.values_for(kind, n), y))
+                    y = values[spec]
+                p = float(bootstrap_pvalues(rows, y))
                 evaluations.append(TestEvaluation(kind, h, p))
                 if best is None or p < best.p:
                     best = evaluations[-1]
         self.last_evaluations = tuple(evaluations)
         if best is not None and best.p < self.tuned.p_threshold:
-            k = (self.t - tau) // T
+            k = (self.t - tau) // self._T
             return DetectionRecord(
                 t=self.t,
                 raw_t=self.t * params.downsample_factor,

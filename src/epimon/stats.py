@@ -23,12 +23,13 @@ covers K whole episodes followed by the first tau steps of the next one. The
 block structure of the window covariance means every statistic is defined
 once, in two parts: a per-episode *piece* of raw rows
 (:func:`episode_piece`), of which a window sums its K whole episodes' pieces
-(:func:`whole_part`), and a *finish* (:func:`finish`) that combines that
+(:func:`whole_part`; ``cusum`` keeps the last value and the minimum of its
+drift prefix instead), and a *finish* (:func:`finish`) that combines that
 whole-episode part with the tail's piece. Every caller runs these same
 parts: :class:`BatchEvaluator` caches the pieces of the reference rows for
 the bootstrap store and the BFAR replay, :func:`statistic_value` is a batch
 of one window, and the live monitor keeps a ring of the pieces of its last
-episodes.
+episodes and their whole parts.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .episodic import EpisodeParams, decompose_index
-from .errors import DegenerateVarianceError, InvalidDataError, NotTunedError
+from .errors import InvalidDataError, NotTunedError
 
 _VALID_NAMES = ("mean", "udt", "pdt", "hotelling", "cusum", "mixed")
 
@@ -232,7 +233,8 @@ def episode_piece(
     cropped to their first tau = m samples. The piece is the row sum for
     ``mean`` (the running sum at its last step for a tail),
     ``rows @ 1' Sigma_m^-1`` for ``udt``, ``(rows - mu0) @ Sigma_m^-1`` for
-    ``pdt``, and the raw rows for ``hotelling`` and ``cusum``.
+    ``pdt``, the raw rows for ``hotelling``, and the per-step normalized
+    deviations ``(mu0 - rows) / std`` for ``cusum``.
     """
     m = rows.shape[1]
     if name == "mean":
@@ -241,15 +243,20 @@ def episode_piece(
         return rows @ params.tail_weights(m)
     if name == "pdt":
         return (rows - params.mu0[:m]) @ params.tail_inverse(m)
+    if name == "cusum":
+        return (params.mu0[:m] - rows) / params.step_std[:m]
     return rows
 
 
-def whole_part(name: str, pieces: np.ndarray) -> np.ndarray:
+def whole_part(kind: StatisticKind, pieces: np.ndarray) -> np.ndarray:
     """Whole-episode part of R windows from the (R, K, ...) pieces of their
     K whole episodes, oldest first: the sum over the episodes, except for
-    ``cusum``, which concatenates them."""
-    if name == "cusum":
-        return pieces.reshape(pieces.shape[0], -1)
+    ``cusum``, whose (R, 2) part is the last value and the minimum of the
+    drift prefix P_j = sum_{i<=j} (piece_i - k_ref) over the K*T steps."""
+    if kind.name == "cusum":
+        drift = pieces.reshape(pieces.shape[0], -1) - kind.k_ref
+        prefix = np.cumsum(drift, axis=1, out=drift)
+        return np.stack([prefix[:, -1], prefix.min(axis=1)], axis=1)
     return pieces.sum(axis=1)
 
 
@@ -292,23 +299,15 @@ def finish(
         sums[:, :tau] += tail
         delta = (sums / counts - params.mu0) * np.sqrt(counts)
         return -np.einsum("ij,jk,ik->i", delta, params.sigma0_inv, delta)
-    windows = np.concatenate([whole, tail], axis=1) if K else tail
     # C_t = max(0, C_{t-1} + a_t) in closed form: C_n = P_n - min(0, min P).
-    prefix = np.cumsum(_cusum_drift(windows, params, kind.k_ref), axis=1)
-    return -(prefix[:, -1] - np.minimum(0.0, prefix.min(axis=1)))
-
-
-def _cusum_drift(values: np.ndarray, params: EpisodeParams, k_ref: float):
-    std = params.step_std
-    if std.min() <= 0.0:
-        raise DegenerateVarianceError("cusum requires positive per-step std")
-    T = params.T
-    n = values.shape[-1]
-    dec = decompose_index(n, T)
-    reps = dec.k + (1 if dec.tau else 0)
-    mu_rep = np.tile(params.mu0, reps)[:n]
-    std_rep = np.tile(std, reps)[:n]
-    return (mu_rep - values) / std_rep - k_ref
+    # The tail continues the whole part's prefix one addition at a time,
+    # so P and its minimum are bitwise those of one cumsum over the window.
+    drift = tail - kind.k_ref
+    if K:
+        drift[:, 0] += whole[:, 0]
+    prefix = np.cumsum(drift, axis=1, out=drift)
+    low = np.minimum(prefix.min(axis=1), whole[:, 1]) if K else prefix.min(axis=1)
+    return -(prefix[:, -1] - np.minimum(0.0, low))
 
 
 def mixed_values(
@@ -435,7 +434,7 @@ class BatchEvaluator:
         out = np.empty((len(taus), R))
         for lo in range(0, R, _BATCH_CHUNK):
             rows = slice(lo, min(lo + _BATCH_CHUNK, R))
-            whole = whole_part(name, piece[whole_idx[rows]]) if K else None
+            whole = whole_part(kind, piece[whole_idx[rows]]) if K else None
             for i, tau in enumerate(taus):
                 tail = tails[i][tail_idx[rows]]
                 out[i, rows] = finish(kind, self.params, whole, tail, K, tau)

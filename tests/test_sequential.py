@@ -1,11 +1,14 @@
 """Online monitor behavior: warm-up, firing, one-shot semantics, traces, and
 agreement with the batched replay of whole runs."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import epimon as em
-from epimon.errors import InvalidDataError, TerminalStateError
+from epimon import sequential
+from epimon.errors import InvalidDataError, NotTunedError, TerminalStateError
 from epimon.stats import bootstrap_pvalues
 
 from conftest import make_params, make_reference
@@ -271,3 +274,102 @@ def test_udt_beats_mean_on_uniform_degradation():
                 wins[name] += 1
     assert wins["udt"] >= wins["mean"]
     assert wins["udt"] >= blocks // 3  # the weighted test actually detects
+
+
+def test_shared_rings_match_the_replay_across_a_reset():
+    # cusum whole parts differ per reference value and pdt fractions share
+    # one ring; every test-point of the monitor, before and after a
+    # mid-episode reset, must give the replay's minimal p exactly.
+    params = make_params(T=6, seed=91, condition=30)
+    T = params.T
+    ref = make_reference(params, 80, seed=92)
+    kinds = tuple(em.parse_statistic(spec) for spec in
+                  ("cusum:0.5", "cusum:1", "pdt:0.5", "pdt:0.9", "mdt"))
+    store = em.BootstrapStore(params, 300, seed=93, reference=ref)
+    store.ensure(kinds, [h * T + tau for h in (1, 3) for tau in range(1, T + 1)])
+    runs, checked = 4, 0
+    for test_every in (1, 2):
+        plan = em.MonitorPlan(
+            statistics=kinds, horizons=(1, 3), h_tilde=3, alpha0=0.5,
+            B_inner=300, B_outer=2, seed=93, test_every=test_every,
+        )
+        length = plan.h_max + plan.h_tilde
+        episodes = em.generate_episodes(
+            em.Scenario(params=params, kind="uniform", seed=94 + test_every,
+                        epsilon=0.3 * params.mean_step_std),
+            runs * length,
+        )
+        streams = np.arange(runs * length).reshape(runs, length)
+        evaluator = em.BatchEvaluator(episodes, params)
+        replay = em.replay_pvalues(evaluator, streams, plan, store)
+        # each statistic alone too, so a wrong p cannot hide behind another
+        alone = {
+            kind: em.replay_pvalues(
+                evaluator, streams, dataclasses.replace(plan, statistics=(kind,)), store)
+            for kind in kinds
+        }
+        monitor = em.Monitor(em.TunedMonitor(plan, 0.0, store, np.zeros(1)))
+        for i, run in enumerate(episodes.reshape(runs, -1)):
+            # every other run is cut mid-episode, then the monitor is reset
+            cut = run[: (plan.h_max + 1) * T + 3] if i % 2 == 0 else run
+            _, trace = feed(monitor, cut)
+            got = [min(ev.p for ev in evals) for _, evals in trace]
+            assert got == replay[i, : len(got)].tolist(), (test_every, i)
+            assert len(got) == (replay.shape[1] if i % 2 else (T + 3) // test_every)
+            for kind in kinds:
+                mine = [min(ev.p for ev in evals if ev.statistic == kind)
+                        for _, evals in trace]
+                assert mine == alone[kind][i, : len(got)].tolist(), (kind.spec, i)
+            checked += len(got)
+            monitor.reset()
+    assert checked == 2 * (6 * 3 + 9) + 2 * (3 * 3 + 4)
+
+
+def test_whole_parts_are_built_only_when_an_episode_completes(monkeypatch):
+    calls = []
+    real = sequential.whole_part
+
+    def counting(kind, pieces):
+        calls.append(kind.spec)
+        return real(kind, pieces)
+
+    monkeypatch.setattr(sequential, "whole_part", counting)
+    params = make_params(T=4, seed=95, condition=20)
+    T = params.T
+    ref = make_reference(params, 60, seed=96)
+    plan = em.MonitorPlan(
+        statistics=(em.parse_statistic("mdt"), em.StatisticKind.cusum(0.5),
+                    em.StatisticKind.cusum(1.0), UDT),
+        horizons=(1, 3), h_tilde=2, alpha0=0.5, B_inner=100, B_outer=2, seed=97,
+    )
+    store = em.BootstrapStore(params, plan.B_inner, plan.seed, reference=ref)
+    store.ensure(plan.statistics, plan.window_lengths(T))
+    monitor = em.Monitor(em.TunedMonitor(plan, 0.0, store, np.zeros(1)))
+    assert calls == []
+    # mean, hotelling, pdt and the two cusums, for each horizon
+    per_episode = 5 * len(plan.horizons)
+    stream = em.generate_episodes(
+        em.Scenario(params=params, kind="h0", seed=98), 6).ravel()
+    test_points = 0
+    for t, sample in enumerate(stream, start=1):
+        before = len(calls)
+        monitor.step(sample)
+        test_points += monitor.last_test_point == t
+        assert len(calls) - before == (per_episode if t % T == 0 else 0), t
+    assert test_points == 3 * T
+    assert len(calls) == 6 * per_episode
+
+
+def test_monitor_rejects_a_store_missing_an_entry():
+    params = make_params(T=4, seed=99, condition=20)
+    ref = make_reference(params, 40, seed=100)
+    plan = em.MonitorPlan(
+        statistics=(em.parse_statistic("mdt"),), horizons=(1, 2), h_tilde=2,
+        alpha0=0.5, B_inner=100, B_outer=2, seed=101, test_every=2,
+    )
+    store = em.BootstrapStore(params, plan.B_inner, plan.seed, reference=ref)
+    store.ensure(plan.statistics, plan.window_lengths(params.T))
+    em.Monitor(em.TunedMonitor(plan, 0.0, store, np.zeros(1)))  # complete
+    del store.entries[("pdt:0.9", 2 * params.T + 2)]
+    with pytest.raises(NotTunedError, match="pdt:0.9"):
+        em.Monitor(em.TunedMonitor(plan, 0.0, store, np.zeros(1)))

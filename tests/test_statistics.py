@@ -477,3 +477,47 @@ def test_offset_values_keep_offsets_independent(kind, K):
             for r in rows
         ]
         np.testing.assert_allclose(multi[i, rows], oracle, rtol=1e-12)
+
+
+def _concatenated_cusum(kind, params, episodes, whole_idx, tail_idx, tau):
+    """Reference cusum: the whole window's raw rows concatenated, drifts
+    from tiled mu0/std, one cumsum over all K*T + tau columns."""
+    T = params.T
+    K = whole_idx.shape[1]
+    windows = np.concatenate(
+        [episodes[whole_idx].reshape(len(tail_idx), -1), episodes[tail_idx, :tau]],
+        axis=1,
+    )
+    n = K * T + tau
+    mu = np.tile(params.mu0, K + 1)[:n]
+    std = np.tile(np.sqrt(np.diag(params.sigma0)), K + 1)[:n]
+    prefix = np.cumsum((mu - windows) / std - kind.k_ref, axis=1)
+    return -(prefix[:, -1] - np.minimum(0.0, prefix.min(axis=1)))
+
+
+@pytest.mark.parametrize("K", [0, 1, 3])
+def test_cusum_offset_values_bitwise_match_one_cumsum_over_the_window(K):
+    # The whole part keeps (last value, minimum) of the drift prefix and the
+    # finish continues it over the tail; that must be bitwise one cumsum
+    # over the concatenated window, in both chunks of the batch.
+    params = make_params(T=7, seed=81, condition=60)
+    episodes = em.generate_episodes(em.Scenario(params=params, kind="h0", seed=82), 50)
+    ev = BatchEvaluator(episodes, params)
+    rng = np.random.default_rng(83)
+    R = _BATCH_CHUNK + 150
+    whole_idx = rng.integers(0, 50, size=(R, K))
+    tail_idx = rng.integers(0, 50, size=R)
+    taus = range(1, params.T + 1)
+    for k_ref in (0.0, 0.5, 1.0):
+        kind = em.StatisticKind.cusum(k_ref)
+        got = ev.offset_values(kind, whole_idx, tail_idx, taus)
+        for i, tau in enumerate(taus):
+            oracle = _concatenated_cusum(kind, params, episodes, whole_idx, tail_idx, tau)
+            assert np.array_equal(got[i], oracle), (k_ref, tau)
+
+
+def test_step_std_is_cached_and_read_only(small_params):
+    std = small_params.step_std
+    assert small_params.step_std is std
+    assert not std.flags.writeable
+    np.testing.assert_array_equal(std, np.sqrt(np.diag(small_params.sigma0)))
