@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .episodic import (
     params_from_dict,
     params_to_dict,
 )
-from .errors import ResolutionError
+from .errors import InvalidDataError, ResolutionError
 from .individual import BootstrapStore, empirical_quantile_index
 from .rng import substream
 from .stats import (
@@ -131,6 +131,11 @@ class MonitorPlan:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MonitorPlan":
+        """Plan from its JSON object; ``test_every`` may be omitted, any key
+        that is not a field raises :class:`ValueError`."""
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"plan has unknown keys: {', '.join(unknown)}")
         return cls(
             statistics=tuple(parse_statistic(s) for s in data["statistics"]),
             horizons=tuple(int(h) for h in data["horizons"]),
@@ -233,8 +238,8 @@ def bfar_tune(
             f"reference episode length {ref.episode_length} != params T {T}"
         )
     lengths = plan.window_lengths(T)
-    store = BootstrapStore(params, plan.B_inner, plan.seed, reference=ref)
-    store.ensure(plan.statistics, lengths)
+    store = BootstrapStore(params, plan.B_inner, plan.seed)
+    store.ensure(ref, plan.statistics, lengths)
 
     min_p = bfar_min_p(ref, params, plan, store)
     distribution = np.sort(min_p)
@@ -250,7 +255,6 @@ def bfar_tune(
             "never reject. Either increase B or reduce significance "
             "requirements."
         )
-    store.freeze()
     return TunedMonitor(
         plan=plan,
         p_threshold=threshold,
@@ -309,16 +313,27 @@ def load_bundle(path) -> TunedMonitor:
     Everything the monitor will read is checked here, so a bad bundle fails
     at load with :class:`ValueError` rather than at the first test-point
     that needs it: the bundle, its params and the store must have the
-    format versions this code writes, ``store_file`` must be a bare file
-    name, and the store must have the plan's B_inner and seed and an entry
-    for every statistic of the plan (and every component of a mixed one) at
-    every window length the plan tests.
+    format versions this code writes, the plan must have no unknown keys,
+    ``p_threshold`` must be a number in (0, 1] (:class:`InvalidDataError`
+    otherwise), ``store_file`` must be a bare file name, and the store must
+    have the plan's B_inner and seed and an entry for every statistic of the
+    plan (and every component of a mixed one) at every window length the
+    plan tests.
     """
     with open(path) as fh:
         data = json.load(fh)
     check_format_version(data, BUNDLE_FORMAT_VERSION, "bundle")
     params = params_from_dict(data["params"])
     plan = MonitorPlan.from_dict(data["plan"])
+    threshold = data["p_threshold"]
+    if (
+        isinstance(threshold, bool)
+        or not isinstance(threshold, (int, float))
+        or not 0.0 < threshold <= 1.0  # also false for NaN
+    ):
+        raise InvalidDataError(
+            f"p_threshold must be a finite number in (0, 1], got {threshold!r}"
+        )
     store_file = data["store_file"]
     if (
         not isinstance(store_file, str)
@@ -333,7 +348,7 @@ def load_bundle(path) -> TunedMonitor:
     distribution.setflags(write=False)
     return TunedMonitor(
         plan=plan,
-        p_threshold=float(data["p_threshold"]),
+        p_threshold=float(threshold),
         store=store,
         min_p_distribution=distribution,
     )

@@ -23,12 +23,13 @@ monotone reparameterizations of a statistic, makes statistics that differ by
 a constant produce identical decisions, and couples the stored distributions
 across lengths the same way a live monitor's growing windows are coupled.
 
-A :class:`BootstrapStore` therefore draws one (B, K_max+1) index table, at
-the longest window length it needs, and slices its leading K+1 columns for
-every (statistic, length) entry. Slicing is exact, not an approximation:
-``Generator.integers`` produces its output values in order from the stream,
-so the first K+1 values of a longer draw are the values a draw of length
-K+1 returns.
+A :class:`BootstrapStore` is filled one way, by
+``BootstrapStore.ensure(ref, kinds, lengths)`` at tuning time. Each call
+draws one (B, K_max+1) index table, at the longest of ``lengths``, and
+slices its leading K+1 columns for every (statistic, length) entry.
+Slicing is exact, not an approximation: ``Generator.integers`` produces its
+output values in order from the stream, so the first K+1 values of a longer
+draw are the values a draw of length K+1 returns.
 
 Store file format (version 2). The store is a JSON object with
 ``format_version``, ``B``, ``seed`` and ``entries``; each entry has the
@@ -58,6 +59,7 @@ from .stats import (
     BatchEvaluator,
     SignalWindow,
     StatisticKind,
+    base_statistics,
     bootstrap_pvalues,
     mixed_values,
     parse_statistic,
@@ -105,8 +107,8 @@ def resample_indices(
     Because the draw at length n is a prefix of the draw at any longer
     length, the columns ``[:, :k+1]`` of one table drawn at the longest
     length equal this function's result at every shorter length with K = k;
-    :class:`BootstrapStore` relies on that to build each of its B generators
-    once rather than once per entry.
+    :meth:`BootstrapStore.ensure` relies on that to build each of its B
+    generators once per call rather than once per entry.
     """
     dec = decompose_index(n, T)
     idx = np.empty((B, dec.k + 1), dtype=np.intp)
@@ -123,18 +125,16 @@ def bootstrap_distribution(
     n: int,
     B: int,
     seed: int,
-    evaluator: BatchEvaluator | None = None,
     store: "BootstrapStore | None" = None,
 ) -> np.ndarray:
     """Sorted bootstrap distribution of ``kind`` at window length ``n``.
 
-    Mixed statistics are evaluated against ``store`` (component distributions
-    at the same length, built on demand).
+    A mixed kind is evaluated against ``store``, which must already hold its
+    components' entries at length ``n``.
     """
     if B < 1 or n < 1:
         raise ValueError("B and n must be positive")
-    if evaluator is None:
-        evaluator = BatchEvaluator(ref.episodes, params)
+    evaluator = BatchEvaluator(ref.episodes, params)
     idx = resample_indices(ref.num_episodes, n, params.T, B, seed)
     dec = decompose_index(n, params.T)
     return _sorted(evaluator.values(kind, idx[:, : dec.k], idx[:, dec.k], dec.tau, store))
@@ -170,18 +170,14 @@ def _decode_values(text: str, B: int, key: tuple[str, int]) -> np.ndarray:
 
 
 class BootstrapStore:
-    """Cached per-window-length bootstrap distributions of each statistic.
+    """Per-window-length bootstrap distributions of each statistic.
 
     Keys are (statistic spec, window length); each entry is a sorted vector of
     exactly B finite values, a deterministic function of (reference data, key,
-    B, seed). A store built from a reference dataset fills entries lazily on
-    demand (offline mode); :meth:`freeze` forbids further fills, which is the
-    contract during live monitoring where every length must be precomputed.
-
-    Every entry slices one shared (B, K_max+1) episode-index table (see
-    :func:`resample_indices`). The table is drawn at the longest length
-    needed so far and redrawn wider if a later entry needs a longer window;
-    :meth:`freeze` drops it.
+    B, seed). :meth:`ensure` is the one way to fill a store: it builds every
+    entry a plan needs from the reference data at tuning time. Everything
+    else only reads: :meth:`values_for` raises :class:`NotTunedError` for a
+    missing entry, so live monitoring never waits on bootstrap work.
 
     :meth:`to_dict` writes store format version 2 (see the module
     docstring): ``format_version``, ``B``, ``seed`` and ``entries[].kind/n``
@@ -195,110 +191,61 @@ class BootstrapStore:
         params: EpisodeParams,
         B: int,
         seed: int,
-        reference: ReferenceDataset | None = None,
         entries: dict[tuple[str, int], np.ndarray] | None = None,
-        frozen: bool = False,
     ):
         if B < 1:
             raise ValueError("B must be positive")
         self.params = params
         self.B = int(B)
         self.seed = int(seed)
-        self.reference = reference
         self.entries: dict[tuple[str, int], np.ndarray] = dict(entries or {})
-        self.frozen = bool(frozen)
-        self._evaluator: BatchEvaluator | None = None
-        self._indices: np.ndarray | None = None
-
-    def freeze(self) -> None:
-        self.frozen = True
-        self._indices = None
-
-    def _index_table(self, n: int) -> np.ndarray:
-        """The shared index table, at least as wide as length ``n`` needs."""
-        k = decompose_index(n, self.params.T).k
-        if self._indices is None or self._indices.shape[1] <= k:
-            self._indices = resample_indices(
-                self.reference.num_episodes, n, self.params.T, self.B, self.seed
-            )
-        return self._indices
-
-    def _get_evaluator(self) -> BatchEvaluator:
-        if self._evaluator is None:
-            self._evaluator = BatchEvaluator(self.reference.episodes, self.params)
-        return self._evaluator
 
     def values_for(self, kind: StatisticKind, n: int) -> np.ndarray:
-        """Sorted distribution for (kind, n), building it if allowed."""
-        key = (kind.spec, int(n))
-        entry = self.entries.get(key)
+        """Sorted distribution for (kind, n)."""
+        entry = self.entries.get((kind.spec, int(n)))
         if entry is None:
-            dec = decompose_index(int(n), self.params.T)
-            self._build(kind, dec.k, [dec.tau])
-            entry = self.entries[key]
+            raise NotTunedError(
+                f"no bootstrap distribution for {kind.spec!r} at length {n}"
+            )
         return entry
 
-    def ensure(self, kinds, lengths) -> None:
-        """Precompute all (kind, length) entries (tuning phase 1).
+    def ensure(self, ref: ReferenceDataset, kinds, lengths) -> None:
+        """Build the entries of ``kinds``, and of every mixed kind's
+        components, at each of ``lengths`` from the reference data ``ref``.
 
-        The index table is drawn once, at the longest length, before any
-        entry is built. Lengths with the same number K of whole episodes
-        are built together, so each statistic's whole-episode part is
-        computed once per K rather than once per length.
+        One index table is drawn, at the longest length, and every entry
+        slices it. Lengths with the same number K of whole episodes are
+        built together: each distinct base statistic (a kind of the list or
+        a mixed kind's component) is evaluated once per K, its entries are
+        put, and each mixed kind's entries are then its components' minimal
+        p-values against them.
         """
-        if lengths and self.reference is not None and not self.frozen:
-            self._index_table(max(lengths))
-        offsets: dict[int, list[int]] = {}
-        for n in sorted(set(int(n) for n in lengths)):
-            dec = decompose_index(n, self.params.T)
-            offsets.setdefault(dec.k, []).append(dec.tau)
-        for kind in kinds:
-            for K, taus in offsets.items():
-                self._build(kind, K, taus)
-
-    def _build(self, kind: StatisticKind, K: int, taus) -> None:
-        """Fill the missing entries of ``kind``, and of a mixed kind's
-        components, at the lengths K*T + tau.
-
-        A mixed kind's component values are computed once and serve both
-        the component's own entry and the mixed p-values.
-        """
-        T = self.params.T
-        specs = [comp.spec for comp in kind.components] + [kind.spec]
-        missing = [
-            (spec, K * T + tau)
-            for tau in taus
-            for spec in specs
-            if (spec, K * T + tau) not in self.entries
-        ]
-        if not missing:
+        lengths = sorted({int(n) for n in lengths})
+        if not lengths:
             return
-        if self.frozen or self.reference is None:
-            spec, n = missing[0]
-            raise NotTunedError(
-                f"no bootstrap distribution for {spec!r} at length {n}"
-            )
-        taus = sorted({n - K * T for _, n in missing})
-        lengths = [K * T + tau for tau in taus]
-        idx = self._index_table(lengths[-1])
-        whole_idx, tail_idx = idx[:, :K], idx[:, K]
-        evaluator = self._get_evaluator()
-
-        def put(stat, values):
-            for n, vals in zip(lengths, values):
-                if (stat.spec, n) not in self.entries:
-                    self.entries[(stat.spec, n)] = _sorted(vals)
-
-        if kind.components:
-            component_values = [
-                evaluator.offset_values(comp, whole_idx, tail_idx, taus)
-                for comp in kind.components
-            ]
-            for comp, values in zip(kind.components, component_values):
-                put(comp, values)
-            put(kind, mixed_values(kind, lengths, component_values, self))
-        else:
-            put(kind, evaluator.offset_values(kind, whole_idx, tail_idx, taus))
+        T = self.params.T
+        idx = resample_indices(ref.num_episodes, lengths[-1], T, self.B, self.seed)
+        evaluator = BatchEvaluator(ref.episodes, self.params)
+        bases = base_statistics(kinds)
+        offsets: dict[int, list[int]] = {}
+        for n in lengths:
+            dec = decompose_index(n, T)
+            offsets.setdefault(dec.k, []).append(dec.tau)
+        for K, taus in offsets.items():
+            ns = [K * T + tau for tau in taus]
+            values = {
+                spec: evaluator.offset_values(base, idx[:, :K], idx[:, K], taus)
+                for spec, base in bases.items()
+            }
+            for spec, rows in values.items():
+                for n, row in zip(ns, rows):
+                    self.entries[(spec, n)] = _sorted(row)
+            for kind in kinds:
+                if kind.components:
+                    comps = [values[c.spec] for c in kind.components]
+                    rows = mixed_values(kind, ns, comps, self)
+                    for n, row in zip(ns, rows):
+                        self.entries[(kind.spec, n)] = _sorted(row)
 
     def to_dict(self) -> dict:
         entries = [
@@ -313,12 +260,7 @@ class BootstrapStore:
         }
 
     @classmethod
-    def from_dict(
-        cls,
-        data: dict,
-        params: EpisodeParams,
-        reference: ReferenceDataset | None = None,
-    ) -> "BootstrapStore":
+    def from_dict(cls, data: dict, params: EpisodeParams) -> "BootstrapStore":
         check_format_version(
             data, STORE_FORMAT_VERSION, "store",
             "; re-run `epimon tune` to rebuild it",
@@ -329,14 +271,7 @@ class BootstrapStore:
             kind = parse_statistic(item["kind"])  # validates the spelling
             key = (kind.spec, int(item["n"]))
             entries[key] = _decode_values(item["values"], B, key)
-        return cls(
-            params,
-            B,
-            int(data["seed"]),
-            reference=reference,
-            entries=entries,
-            frozen=reference is None,
-        )
+        return cls(params, B, int(data["seed"]), entries=entries)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:

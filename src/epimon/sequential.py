@@ -1,5 +1,13 @@
 """Online sequential monitor: the live path (``epimon monitor``, library use).
-Simulated whole runs use :func:`epimon.bfar.replay_pvalues`, tested equal to it.
+Simulated whole runs use :func:`epimon.bfar.replay_pvalues`, whose p-values
+are tested equal to the monitor's at every test-point of generated streams.
+A stream that repeats reference episodes verbatim, as the BFAR replay's
+resampled runs do, can have windows that tie a stored value exactly; there
+a live p-value can differ from the replay's by a few ranks, because a value
+can differ in its last bit: ``udt`` differences running sums, and the
+monitor takes ``udt`` and ``pdt`` pieces from one-row matrix products,
+whose rounding can differ from the batch's. ``mean``, ``hotelling`` and
+``cusum`` matched exactly on such streams.
 
 The monitor consumes one downsampled sample at a time, aligned so that the
 first sample is step 1 of an episode. After a warm-up of h_max episodes it
@@ -21,7 +29,11 @@ store rows of every test are looked up once, at construction. ``udt``
 keeps a running sum of its episode pieces instead, which is udt's finish in
 Python floats: O(1) per horizon, where a numpy batch of one would cost more
 than the whole test; it keeps the last h_max + 1 sums only, so memory does
-not grow with the stream.
+not grow with the stream. Routing ``udt`` through the rings was measured
+and rejected: at test_every 1 the extra whole-part sums at each episode
+completion raised the per-test-point latency of the benchmark's ``udt_c1``
+workload by 59% at p99 and 19% at p50 (4 alternating runs against the
+running sum, 2-vCPU host).
 """
 
 from __future__ import annotations
@@ -36,6 +48,7 @@ from .bfar import TunedMonitor
 from .errors import InvalidDataError, TerminalStateError
 from .stats import (
     StatisticKind,
+    base_statistics,
     bootstrap_pvalues,
     episode_piece,
     finish,
@@ -79,18 +92,13 @@ class Monitor:
         self.params = tuned.params
         self.plan = plan = tuned.plan
         store = tuned.store
-        store.freeze()  # live monitoring never fills the store lazily
         T = self._T = self.params.T
         offsets = plan.test_offsets(T)  # validates test_every | T
         h_max = plan.h_max
         self.warmup_steps = h_max * T
         self._test_every = plan.test_every
         self._horizons = plan.horizons
-        # Base statistics by spec: the plan's own and its mixed components.
-        bases: dict[str, StatisticKind] = {}
-        for kind in plan.statistics:
-            for base in kind.components or (kind,):
-                bases.setdefault(base.spec, base)
+        bases = base_statistics(plan.statistics)
         self._bases = tuple(bases.items())
         # Pieces of the last h_max completed episodes, oldest first, per
         # family (pdt fractions share one): a number for mean, a row else.

@@ -123,6 +123,16 @@ class StatisticKind:
         return self.spec
 
 
+def base_statistics(kinds) -> dict[str, StatisticKind]:
+    """The non-mixed statistics that ``kinds`` evaluate, each once, by spec:
+    every non-mixed kind and every mixed kind's components, in order."""
+    bases: dict[str, StatisticKind] = {}
+    for kind in kinds:
+        for base in kind.components or (kind,):
+            bases.setdefault(base.spec, base)
+    return bases
+
+
 def parse_statistic(text: str) -> StatisticKind:
     """Parse a config statistic name.
 

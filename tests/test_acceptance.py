@@ -185,10 +185,9 @@ def test_criterion_5_pdt_full_equals_udt():
                 em.Scenario(params=params, kind="h0", seed=7000 + trial), N
             )
         )
-        store = em.BootstrapStore(
-            params, B=int(rng.integers(100, 400)), seed=trial, reference=ref
-        )
+        store = em.BootstrapStore(params, B=int(rng.integers(100, 400)), seed=trial)
         n = int(rng.integers(1, 3 * T + 1))
+        store.ensure(ref, [UDT, pdt_full], [n])
         eps = float(rng.uniform(0, 2)) * params.mean_step_std
         scenario = em.Scenario(
             params=params, kind="uniform", epsilon=eps, seed=8000 + trial
@@ -261,7 +260,7 @@ def test_criterion_7_individual_calibration():
     ref = em.ReferenceDataset(
         em.generate_episodes(em.Scenario(params=params, kind="h0", seed=2002), 4000)
     )
-    store = em.BootstrapStore(params, B=8000, seed=2003, reference=ref)
+    store = em.BootstrapStore(params, B=8000, seed=2003)
     kinds = [
         MEAN,
         UDT,
@@ -271,6 +270,7 @@ def test_criterion_7_individual_calibration():
         em.MDT_PRESET,
     ]
     n = K * T
+    store.ensure(ref, kinds, [n])
     fresh = em.generate_episodes(
         em.Scenario(params=params, kind="h0", seed=2004), trials * K
     ).reshape(trials, n)

@@ -127,6 +127,20 @@ def test_tune_rejects_unknown_statistic(workspace, tmp_path):
     assert "wavelet" in res.stderr
 
 
+def test_tune_rejects_unknown_plan_key(workspace, tmp_path, capsys):
+    plan = json.loads((workspace / "plan.json").read_text())
+    del plan["test_every"]  # optional, unlike a misspelled key
+    plan["test_evry"] = 4
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    code = main(["tune", str(workspace / "reference.csv"),
+                 "--params", str(workspace / "params.json"),
+                 "--plan", str(tmp_path / "plan.json"),
+                 "--out", str(tmp_path / "bundle.json")])
+    assert code == 2
+    assert "plan has unknown keys: test_evry" in capsys.readouterr().err
+    assert not (tmp_path / "bundle.json").exists()
+
+
 def _stream_text(params_raw, scenario_kind, episodes, seed, epsilon=0.0):
     sc = em.Scenario(params=params_raw, kind=scenario_kind, epsilon=epsilon, seed=seed)
     samples = em.generate_episodes(sc, episodes).ravel()
@@ -377,6 +391,29 @@ def test_load_bundle_rejects_wrongly_typed_plan(workspace, tmp_path, capsys):
 
     assert _monitor_with_tampered_bundle(workspace, tmp_path, edit) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "threshold",
+    [float("nan"), -0.5, float("inf"), 7.0, True],
+    ids=["nan", "negative", "infinity", "above-one", "true"],
+)
+def test_load_bundle_rejects_p_threshold_outside_unit_interval(
+    workspace, tmp_path, capsys, threshold
+):
+    def edit(bundle, store):
+        bundle["p_threshold"] = threshold
+
+    assert _monitor_with_tampered_bundle(workspace, tmp_path, edit) == 2
+    assert "p_threshold must be a finite number in (0, 1]" in capsys.readouterr().err
+
+
+def test_load_bundle_rejects_unknown_plan_key(workspace, tmp_path, capsys):
+    def edit(bundle, store):
+        bundle["plan"]["test_evry"] = 4
+
+    assert _monitor_with_tampered_bundle(workspace, tmp_path, edit) == 2
+    assert "plan has unknown keys: test_evry" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -57,7 +57,8 @@ def test_bootstrap_is_sorted_and_finite():
 def test_pvalue_floor_and_ceiling():
     params = make_params(T=3, seed=5)
     ref = make_reference(params, 40, seed=8)
-    store = em.BootstrapStore(params, B=200, seed=3, reference=ref)
+    store = em.BootstrapStore(params, B=200, seed=3)
+    store.ensure(ref, [MEAN], [params.T])
     low = em.SignalWindow(params.mu0 - 100 * params.step_std, params)
     reject, p = em.individual_test(low, MEAN, store, alpha=0.05)
     assert p == pytest.approx(1 / 201)
@@ -73,9 +74,10 @@ def test_individual_calibration_under_h0():
     # [0.04, 0.06].
     params = make_params(T=6, seed=6, condition=20)
     ref = make_reference(params, 2000, seed=9)
-    store = em.BootstrapStore(params, B=2000, seed=4, reference=ref)
+    store = em.BootstrapStore(params, B=2000, seed=4)
     trials = 5000
     K = 2
+    store.ensure(ref, [MEAN], [K * params.T])
     fresh = em.generate_episodes(
         em.Scenario(params=params, kind="h0", seed=123), trials * K
     ).reshape(trials, K * params.T)
@@ -91,7 +93,8 @@ def test_individual_calibration_under_h0():
 def test_alpha_validation():
     params = make_params(T=3, seed=7)
     ref = make_reference(params, 20, seed=10)
-    store = em.BootstrapStore(params, B=50, seed=5, reference=ref)
+    store = em.BootstrapStore(params, B=50, seed=5)
+    store.ensure(ref, [MEAN], [3])
     w = em.SignalWindow(np.zeros(3), params)
     for alpha in (0.0, 1.0, -0.1, 1.1):
         with pytest.raises(ValueError):
@@ -154,35 +157,24 @@ def test_quantile_index_float_artifacts():
 def test_store_roundtrip(tmp_path):
     params = make_params(T=4, seed=8)
     ref = make_reference(params, 25, seed=11)
-    store = em.BootstrapStore(params, B=120, seed=6, reference=ref)
-    store.values_for(MEAN, 6)
-    store.values_for(em.MIXED_MEAN_PDT_PRESET, 6)
+    store = em.BootstrapStore(params, B=120, seed=6)
+    store.ensure(ref, [MEAN, em.MIXED_MEAN_PDT_PRESET], [6])
     path = tmp_path / "store.json"
     store.save(path)
     loaded = em.BootstrapStore.load(path, params)
     assert loaded.B == store.B and loaded.seed == store.seed
     for key, vals in store.entries.items():
         assert np.array_equal(loaded.entries[key], vals)  # exact float roundtrip
-    # a loaded store has no reference: lazy fill must be refused
-    with pytest.raises(NotTunedError):
+    # a store only reads: an entry that was never built raises
+    with pytest.raises(NotTunedError, match="'mean' at length 7"):
         loaded.values_for(MEAN, 7)
-
-
-def test_frozen_store_refuses_lazy_fill():
-    params = make_params(T=3, seed=9)
-    ref = make_reference(params, 20, seed=12)
-    store = em.BootstrapStore(params, B=40, seed=7, reference=ref)
-    store.values_for(MEAN, 3)
-    store.freeze()
-    with pytest.raises(NotTunedError):
-        store.values_for(MEAN, 4)
 
 
 def test_mixed_store_builds_components_first():
     params = make_params(T=3, seed=10)
     ref = make_reference(params, 20, seed=13)
-    store = em.BootstrapStore(params, B=60, seed=8, reference=ref)
-    store.values_for(em.MIXED_MEAN_PDT_PRESET, 5)
+    store = em.BootstrapStore(params, B=60, seed=8)
+    store.ensure(ref, [em.MIXED_MEAN_PDT_PRESET], [5])
     assert ("mean", 5) in store.entries
     assert ("pdt:0.9", 5) in store.entries
     mixed = store.entries[(em.MIXED_MEAN_PDT_PRESET.spec, 5)]
@@ -199,7 +191,7 @@ STORE_LENGTHS = [3, 4, 6, 8, 9, 12]  # T = 4: K = 0, 0, 1, 1, 2, 2
 
 
 def _oracle_entries(ref, params, keys, B, seed):
-    """Each distribution drawn on its own; mixed ones read a frozen store of
+    """Each distribution drawn on its own; mixed ones read a store of
     component distributions that never touches a shared index table."""
     plain = {
         (spec, n): em.bootstrap_distribution(
@@ -208,7 +200,7 @@ def _oracle_entries(ref, params, keys, B, seed):
         for spec, n in keys
         if not spec.startswith("mixed")
     }
-    components = em.BootstrapStore(params, B, seed, entries=plain, frozen=True)
+    components = em.BootstrapStore(params, B, seed, entries=plain)
     mixed = {
         (spec, n): em.bootstrap_distribution(
             ref, params, em.parse_statistic(spec), n, B, seed, store=components
@@ -219,43 +211,29 @@ def _oracle_entries(ref, params, keys, B, seed):
     return {**plain, **mixed}
 
 
-def _fill_ensure_ascending(store):
-    store.ensure(STORE_KINDS, STORE_LENGTHS)
+def _fill_ensure_ascending(store, ref):
+    store.ensure(ref, STORE_KINDS, STORE_LENGTHS)
 
 
-def _fill_ensure_descending(store):
-    store.ensure(STORE_KINDS, STORE_LENGTHS[::-1])
+def _fill_ensure_descending(store, ref):
+    store.ensure(ref, STORE_KINDS, STORE_LENGTHS[::-1])
 
 
-def _fill_lazy_ascending(store):
-    # Every new K widens the table, so this redraws it at each step.
-    for n in STORE_LENGTHS:
-        for kind in STORE_KINDS:
-            store.values_for(kind, n)
-
-
-def _fill_lazy_beyond_plan(store):
-    store.ensure(STORE_KINDS, STORE_LENGTHS)
-    for kind in STORE_KINDS:
-        store.values_for(kind, 23)  # K = 5, wider than the ensured table
-    store.values_for(MEAN, 5)
+def _fill_ensure_twice(store, ref):
+    store.ensure(ref, STORE_KINDS, STORE_LENGTHS)
+    # K = 5, wider than the first call's table; 5 is a new length at K = 1
+    store.ensure(ref, STORE_KINDS, [23, 5])
 
 
 @pytest.mark.parametrize(
-    "fill",
-    [
-        _fill_ensure_ascending,
-        _fill_ensure_descending,
-        _fill_lazy_ascending,
-        _fill_lazy_beyond_plan,
-    ],
+    "fill", [_fill_ensure_ascending, _fill_ensure_descending, _fill_ensure_twice]
 )
 def test_store_entries_equal_standalone_bootstrap(fill):
     params = make_params(T=4, seed=14)
     ref = make_reference(params, 30, seed=15)
     B, seed = 64, 21
-    store = em.BootstrapStore(params, B=B, seed=seed, reference=ref)
-    fill(store)
+    store = em.BootstrapStore(params, B=B, seed=seed)
+    fill(store, ref)
     oracle = _oracle_entries(ref, params, store.entries, B, seed)
     assert store.entries.keys() == oracle.keys()
     for key, entry in store.entries.items():
@@ -293,8 +271,8 @@ def test_store_builds_each_generator_once_per_plan(monkeypatch):
         return real_substream(*args)
 
     monkeypatch.setattr(individual, "substream", counting_substream)
-    store = em.BootstrapStore(params, plan.B_inner, plan.seed, reference=ref)
-    store.ensure(plan.statistics, plan.window_lengths(params.T))
+    store = em.BootstrapStore(params, plan.B_inner, plan.seed)
+    store.ensure(ref, plan.statistics, plan.window_lengths(params.T))
     assert len(calls) == plan.B_inner
     assert len(store.entries) == 5 * len(plan.window_lengths(params.T))
 
@@ -302,7 +280,6 @@ def test_store_builds_each_generator_once_per_plan(monkeypatch):
 def test_store_evaluates_each_component_once_per_whole_episode_count(monkeypatch):
     params = make_params(T=4, seed=18)
     ref = make_reference(params, 25, seed=19)
-    mdt = em.parse_statistic("mdt")
     calls = []
     real_offset_values = em.BatchEvaluator.offset_values
 
@@ -311,9 +288,20 @@ def test_store_evaluates_each_component_once_per_whole_episode_count(monkeypatch
         return real_offset_values(self, kind, whole_idx, tail_idx, taus, store)
 
     monkeypatch.setattr(em.BatchEvaluator, "offset_values", counting_offset_values)
-    store = em.BootstrapStore(params, B=32, seed=6, reference=ref)
-    store.ensure([mdt], [6, 8, 14, 16])  # K = 1 and K = 3, offsets 2 and 4
-    assert sorted(calls) == sorted(
-        (comp.spec, K, (2, 4)) for comp in mdt.components for K in (1, 3)
-    )
-    assert len(store.entries) == 4 * 4
+    plans = [
+        (("mdt",), ("mean", "hotelling", "pdt:0.9")),
+        # udt is a plan statistic and a mixed component: evaluated once
+        (("udt", "mixed:mean+udt"), ("udt", "mean")),
+    ]
+    for specs, bases in plans:
+        calls.clear()
+        kinds = [em.parse_statistic(spec) for spec in specs]
+        store = em.BootstrapStore(params, B=32, seed=6)
+        store.ensure(ref, kinds, [6, 8, 14, 16])  # K = 1 and 3, offsets 2 and 4
+        assert sorted(calls) == sorted(
+            (spec, K, (2, 4)) for spec in bases for K in (1, 3)
+        ), specs
+        mixed = [kind.spec for kind in kinds if kind.components]
+        assert sorted(store.entries) == sorted(
+            (spec, n) for spec in (*bases, *mixed) for n in (6, 8, 14, 16)
+        )

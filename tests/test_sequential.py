@@ -17,10 +17,16 @@ MEAN = em.StatisticKind.mean()
 UDT = em.StatisticKind.udt()
 
 
+PARAMS = make_params(T=6, seed=51, condition=20)
+
+
 @pytest.fixture(scope="module")
-def tuned():
-    params = make_params(T=6, seed=51, condition=20)
-    ref = make_reference(params, 300, seed=52)
+def ref():
+    return make_reference(PARAMS, 300, seed=52)
+
+
+@pytest.fixture(scope="module")
+def tuned(ref):
     plan = em.MonitorPlan(
         statistics=(UDT, MEAN),
         horizons=(2, 4),
@@ -30,7 +36,7 @@ def tuned():
         B_outer=300,
         seed=53,
     )
-    return em.bfar_tune(ref, params, plan)
+    return em.bfar_tune(ref, PARAMS, plan)
 
 
 def h0_stream(tuned, episodes, seed):
@@ -127,15 +133,15 @@ STATISTICS = ("mean", "udt", "pdt:0.5", "hotelling", "cusum:0.5", "mdt",
               "mixed:mean+udt")
 
 
-def test_equivalence_with_tuning_simulation(tuned):
+def test_equivalence_with_tuning_simulation(tuned, ref):
     # The batched replay of whole runs that tuning, far_verify and simulate
     # use must give, at every test-point of generated streams, exactly the
     # minimal p-value the live monitor computes there.
     params = tuned.params
-    ref = tuned.store.reference
     kinds = [em.parse_statistic(spec) for spec in STATISTICS]
-    store = em.BootstrapStore(params, 400, seed=54, reference=ref)
-    store.ensure(kinds, [h * params.T + tau for h in (1, 3) for tau in range(1, 7)])
+    store = em.BootstrapStore(params, 400, seed=54)
+    lengths = [h * params.T + tau for h in (1, 3) for tau in range(1, 7)]
+    store.ensure(ref, kinds, lengths)
     runs, checked, smallest = 12, 0, 1.0
     for kind in kinds:
         for test_every in (1, 2, 3):
@@ -163,7 +169,7 @@ def test_equivalence_with_tuning_simulation(tuned):
     assert smallest < 0.05  # the checked p-values reach into the tail
 
 
-def test_reference_streams_decide_like_tuning_simulation(tuned):
+def test_reference_streams_decide_like_tuning_simulation(tuned, ref):
     # Feeding the monitor a stream assembled exactly like outer repetition b
     # of the tuning simulation must fire iff that repetition's minimal
     # p-value is below the threshold. Such streams repeat reference
@@ -171,7 +177,6 @@ def test_reference_streams_decide_like_tuning_simulation(tuned):
     # decisions must agree all the same.
     plan = tuned.plan
     params = tuned.params
-    ref = tuned.store.reference
     min_p = em.bfar_min_p(ref, params, plan, tuned.store)
     fired_flags = []
     for b in range(40):
@@ -194,8 +199,8 @@ def test_pvalues_match_statistic_value_on_explicit_windows():
         horizons=(1, 3), h_tilde=2, alpha0=0.5, B_inner=300, B_outer=2,
         seed=73, test_every=2,
     )
-    store = em.BootstrapStore(params, plan.B_inner, plan.seed, reference=ref)
-    store.ensure(plan.statistics, plan.window_lengths(T))
+    store = em.BootstrapStore(params, plan.B_inner, plan.seed)
+    store.ensure(ref, plan.statistics, plan.window_lengths(T))
     tuned = em.TunedMonitor(plan, 0.0, store, np.zeros(1))  # never fires
 
     def test_points(monitor, stream):
@@ -285,8 +290,8 @@ def test_shared_rings_match_the_replay_across_a_reset():
     ref = make_reference(params, 80, seed=92)
     kinds = tuple(em.parse_statistic(spec) for spec in
                   ("cusum:0.5", "cusum:1", "pdt:0.5", "pdt:0.9", "mdt"))
-    store = em.BootstrapStore(params, 300, seed=93, reference=ref)
-    store.ensure(kinds, [h * T + tau for h in (1, 3) for tau in range(1, T + 1)])
+    store = em.BootstrapStore(params, 300, seed=93)
+    store.ensure(ref, kinds, [h * T + tau for h in (1, 3) for tau in range(1, T + 1)])
     runs, checked = 4, 0
     for test_every in (1, 2):
         plan = em.MonitorPlan(
@@ -342,8 +347,8 @@ def test_whole_parts_are_built_only_when_an_episode_completes(monkeypatch):
                     em.StatisticKind.cusum(1.0), UDT),
         horizons=(1, 3), h_tilde=2, alpha0=0.5, B_inner=100, B_outer=2, seed=97,
     )
-    store = em.BootstrapStore(params, plan.B_inner, plan.seed, reference=ref)
-    store.ensure(plan.statistics, plan.window_lengths(T))
+    store = em.BootstrapStore(params, plan.B_inner, plan.seed)
+    store.ensure(ref, plan.statistics, plan.window_lengths(T))
     monitor = em.Monitor(em.TunedMonitor(plan, 0.0, store, np.zeros(1)))
     assert calls == []
     # mean, hotelling, pdt and the two cusums, for each horizon
@@ -367,8 +372,8 @@ def test_monitor_rejects_a_store_missing_an_entry():
         statistics=(em.parse_statistic("mdt"),), horizons=(1, 2), h_tilde=2,
         alpha0=0.5, B_inner=100, B_outer=2, seed=101, test_every=2,
     )
-    store = em.BootstrapStore(params, plan.B_inner, plan.seed, reference=ref)
-    store.ensure(plan.statistics, plan.window_lengths(params.T))
+    store = em.BootstrapStore(params, plan.B_inner, plan.seed)
+    store.ensure(ref, plan.statistics, plan.window_lengths(params.T))
     em.Monitor(em.TunedMonitor(plan, 0.0, store, np.zeros(1)))  # complete
     del store.entries[("pdt:0.9", 2 * params.T + 2)]
     with pytest.raises(NotTunedError, match="pdt:0.9"):

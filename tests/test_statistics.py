@@ -249,8 +249,9 @@ def test_mixed_requires_store(small_params):
 def test_mixed_takes_min_component_pvalue():
     params = make_params(T=4, seed=43)
     ref = make_reference(params, 60, seed=1)
-    store = em.BootstrapStore(params, B=200, seed=5, reference=ref)
+    store = em.BootstrapStore(params, B=200, seed=5)
     kind = em.StatisticKind.mixed(MEAN, UDT)
+    store.ensure(ref, [kind], [params.T])
     # catastrophic window: both component p-values at the floor -> min = floor
     w = window(params.mu0 - 50 * params.step_std, params)
     assert em.statistic_value(kind, w, store) == pytest.approx(1 / 201)
@@ -269,9 +270,10 @@ def test_mixed_h0_distribution_subuniform_and_recalibrated():
     # its own bootstrap restores the intended rejection rate.
     params = make_params(T=3, seed=47)
     ref = make_reference(params, 400, seed=2)
-    store = em.BootstrapStore(params, B=800, seed=6, reference=ref)
+    store = em.BootstrapStore(params, B=800, seed=6)
     kind = em.MIXED_MEAN_PDT_PRESET
     n = 2 * params.T
+    store.ensure(ref, [kind], [n])
     draws = 4000
     fresh = em.generate_episodes(em.Scenario(params=params, kind="h0", seed=99), 2 * draws)
     windows = fresh.reshape(draws, n)
@@ -389,7 +391,8 @@ ORACLE_KINDS = [MEAN, UDT, em.StatisticKind.pdt(0.5), em.StatisticKind.pdt(1.0),
 def test_statistic_value_matches_dense_oracle(K):
     params = make_params(T=6, seed=59, condition=80)
     ref = make_reference(params, 40, seed=3)
-    store = em.BootstrapStore(params, B=150, seed=8, reference=ref)
+    store = em.BootstrapStore(params, B=150, seed=8)
+    store.ensure(ref, ORACLE_KINDS, [K * params.T + tau for tau in (1, 2, 5, 6)])
     rng = np.random.default_rng(16)
     for tau in (1, 2, 5, 6):
         n = K * params.T + tau
@@ -427,7 +430,8 @@ def test_batch_matches_scalar(K, tau):
     # store's reference, so mixed p-values see no exact-tie artifacts.
     params = make_params(T=6, seed=59, condition=80)
     ref = make_reference(params, 40, seed=3)
-    store = em.BootstrapStore(params, B=150, seed=8, reference=ref)
+    store = em.BootstrapStore(params, B=150, seed=8)
+    store.ensure(ref, [em.StatisticKind.mixed(MEAN, UDT)], [K * params.T + tau])
     fresh = em.generate_episodes(em.Scenario(params=params, kind="h0", seed=61), 40)
     ev = BatchEvaluator(fresh, params)
     rng = np.random.default_rng(14)
@@ -456,7 +460,7 @@ def test_offset_values_keep_offsets_independent(kind, K):
     # in two chunks; every offset of the episode is evaluated in one call.
     params = make_params(T=6, seed=59, condition=80)
     ref = make_reference(params, 40, seed=3)
-    store = em.BootstrapStore(params, B=100, seed=8, reference=ref)
+    store = em.BootstrapStore(params, B=100, seed=8)
     fresh = em.generate_episodes(em.Scenario(params=params, kind="h0", seed=61), 40)
     ev = BatchEvaluator(fresh, params)
     rng = np.random.default_rng(15)
@@ -464,6 +468,7 @@ def test_offset_values_keep_offsets_independent(kind, K):
     whole_idx = rng.integers(0, 40, size=(R, K))
     tail_idx = rng.integers(0, 40, size=R)
     taus = range(1, params.T + 1)
+    store.ensure(ref, [kind], [K * params.T + tau for tau in taus])
 
     multi = ev.offset_values(kind, whole_idx, tail_idx, taus, store)
     assert multi.shape == (len(taus), R)
