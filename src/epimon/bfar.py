@@ -10,14 +10,13 @@ records the minimal p-value seen. The alpha0-quantile of those minima is the
 threshold.
 
 One batched replay, :func:`replay_pvalues`, gives the minimal p-value over
-statistics and horizons at every test-point of whole runs. It has three
-callers: :func:`bfar_min_p` takes each resampled run's minimum,
-:func:`far_verify` counts the fresh null runs whose minimum is below the
-threshold, and ``epimon simulate`` takes a generated block's first
-test-point below it as the detection time. Each replays at most
-min(B_outer, _BATCH_CHUNK // E) runs of E tested episodes at a time, so
-memory stays flat in the number of runs. The live
-:class:`~epimon.sequential.Monitor` computes the same p-values.
+statistics and horizons at every test-point of whole runs. :func:`bfar_min_p`
+takes each resampled run's minimum; :func:`detection_steps` takes each
+generated run's first test-point below the threshold, for :func:`far_verify`
+and ``epimon simulate``. Each replays at most min(B_outer, _BATCH_CHUNK // E)
+runs of E tested episodes at a time, so memory stays flat in the number of
+runs. The live :class:`~epimon.sequential.Monitor` computes the same
+p-values from the same store rows (:meth:`MonitorPlan.store_rows`).
 
 Each (horizon, statistic) pair is one :meth:`BatchEvaluator.offset_values`
 call over all F test offsets, and every run reads the inner bootstrap
@@ -26,6 +25,7 @@ distributions from one shared :class:`BootstrapStore`.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from dataclasses import dataclass, fields, replace
@@ -116,6 +116,21 @@ class MonitorPlan:
             h * T + tau for h in self.horizons for tau in self.test_offsets(T)
         }
         return sorted(lengths)
+
+    def store_rows(self, store: BootstrapStore, T: int) -> dict:
+        """Sorted store rows of each test, per (horizon, offset): a list of
+        (kind, spec, rows, components) in plan order, where components holds
+        (spec, rows) of each component of a mixed kind and is empty for the
+        others. A missing entry raises :class:`NotTunedError`."""
+        return {
+            (h, tau): [
+                (kind, kind.spec, store.values_for(kind, h * T + tau),
+                 [(c.spec, store.values_for(c, h * T + tau)) for c in kind.components])
+                for kind in self.statistics
+            ]
+            for h in self.horizons
+            for tau in self.test_offsets(T)
+        }
 
     def to_dict(self) -> dict:
         return {
@@ -263,32 +278,43 @@ def bfar_tune(
     )
 
 
+def detection_steps(tuned: TunedMonitor, runs, episodes_per_run: int) -> np.ndarray:
+    """First detection step of each run after its warm-up, 0 if it never
+    fires: column c of :func:`replay_pvalues` is step (c + 1) * test_every.
+    Each run is (h_max + episodes_per_run) * T finite downsampled samples;
+    runs are read and replayed ``plan.replay_runs(episodes_per_run)`` at a
+    time."""
+    plan, params = tuned.plan, tuned.params
+    length = plan.h_max + episodes_per_run
+    n = length * params.T
+    chunk = plan.replay_runs(episodes_per_run)
+    runs = iter(runs)
+    steps = np.zeros(0, dtype=int)
+    while samples := [np.asarray(run, float) for run in itertools.islice(runs, chunk)]:
+        for i, stream in enumerate(samples, start=steps.size):
+            if stream.shape != (n,) or not np.isfinite(stream).all():
+                raise ValueError(f"stream {i} is not {n} finite samples")
+        evaluator = BatchEvaluator(np.reshape(samples, (-1, params.T)), params)
+        streams = np.arange(len(samples) * length).reshape(-1, length)
+        p = replay_pvalues(evaluator, streams, plan, tuned.store)
+        below = p < tuned.p_threshold
+        first = (below.argmax(axis=1) + 1) * plan.test_every
+        steps = np.concatenate([steps, np.where(below.any(axis=1), first, 0)])
+    return steps
+
+
 def far_verify(tuned: TunedMonitor, h0_generator, runs: int) -> float:
     """Empirical false-alarm rate of the tuned sequential monitor.
 
     ``h0_generator(i)`` must return the i-th independent null stream of
     exactly (h_max + h_tilde) * T finite downsampled samples; the fraction
     of runs in which the monitor fires within the h_tilde post-warm-up
-    episodes is returned. Chunks of runs go through :func:`replay_pvalues`.
+    episodes is returned (:func:`detection_steps`).
     """
     if runs < 1:
         raise ValueError("runs must be positive")
-    plan, params = tuned.plan, tuned.params
-    length = plan.h_max + plan.h_tilde
-    n = length * params.T
-    chunk = plan.replay_runs(plan.h_tilde)
-    fired = 0
-    for lo in range(0, runs, chunk):
-        count = min(chunk, runs - lo)
-        samples = [np.asarray(h0_generator(i), float) for i in range(lo, lo + count)]
-        for i, stream in enumerate(samples, start=lo):
-            if stream.shape != (n,) or not np.isfinite(stream).all():
-                raise ValueError(f"stream {i} is not {n} finite samples")
-        evaluator = BatchEvaluator(np.reshape(samples, (-1, params.T)), params)
-        streams = np.arange(count * length).reshape(count, length)
-        min_p = replay_pvalues(evaluator, streams, plan, tuned.store).min(axis=1)
-        fired += int(np.count_nonzero(min_p < tuned.p_threshold))
-    return fired / runs
+    steps = detection_steps(tuned, map(h0_generator, range(runs)), tuned.plan.h_tilde)
+    return np.count_nonzero(steps) / runs
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +342,9 @@ def load_bundle(path) -> TunedMonitor:
     format versions this code writes, the plan must have no unknown keys,
     ``p_threshold`` must be a number in (0, 1] (:class:`InvalidDataError`
     otherwise), ``store_file`` must be a bare file name, and the store must
-    have the plan's B_inner and seed and an entry for every statistic of the
-    plan (and every component of a mixed one) at every window length the
-    plan tests.
+    have the plan's B_inner and seed. The store must also hold every row
+    that the monitor reads (:meth:`MonitorPlan.store_rows`): a missing
+    entry raises :class:`NotTunedError` naming its spec and length.
     """
     with open(path) as fh:
         data = json.load(fh)
@@ -343,7 +369,11 @@ def load_bundle(path) -> TunedMonitor:
         raise ValueError(f"store_file {store_file!r} is not a bare file name")
     store_path = os.path.join(os.path.dirname(os.fspath(path)), store_file)
     store = BootstrapStore.load(store_path, params)
-    _check_store_matches_plan(store, plan, params.T)
+    if store.B != plan.B_inner:
+        raise ValueError(f"store has B={store.B}, plan has B_inner={plan.B_inner}")
+    if store.seed != plan.seed:
+        raise ValueError(f"store has seed={store.seed}, plan has seed={plan.seed}")
+    plan.store_rows(store, params.T)  # every row the monitor will read
     distribution = np.asarray(data["min_p_distribution"], dtype=float)
     distribution.setflags(write=False)
     return TunedMonitor(
@@ -353,19 +383,3 @@ def load_bundle(path) -> TunedMonitor:
         min_p_distribution=distribution,
     )
 
-
-def _check_store_matches_plan(
-    store: BootstrapStore, plan: MonitorPlan, T: int
-) -> None:
-    if store.B != plan.B_inner:
-        raise ValueError(f"store has B={store.B}, plan has B_inner={plan.B_inner}")
-    if store.seed != plan.seed:
-        raise ValueError(f"store has seed={store.seed}, plan has seed={plan.seed}")
-    lengths = plan.window_lengths(T)
-    for kind in plan.statistics:
-        for spec in [c.spec for c in kind.components] + [kind.spec]:
-            for n in lengths:
-                if (spec, n) not in store.entries:
-                    raise ValueError(
-                        f"store has no distribution for {spec!r} at length {n}"
-                    )

@@ -27,9 +27,10 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .bfar import MonitorPlan, bfar_tune, bundle_to_dict, load_bundle, replay_pvalues
+from .bfar import MonitorPlan, bfar_tune, bundle_to_dict, detection_steps, load_bundle
 from .episodic import (
     ReferenceDataset,
+    downsample,
     estimate_params,
     load_params_json,
     load_reference_csv,
@@ -38,7 +39,6 @@ from .episodic import (
 from .errors import EpimonError
 from .rng import substream
 from .sequential import Monitor
-from .stats import BatchEvaluator
 from .synthetic import Scenario, asymptotic_power, generate_episodes, power_gain
 
 REPORT_FORMAT_VERSION = 1
@@ -138,7 +138,7 @@ def cmd_monitor(args) -> int:
         block.append(value)
         if len(block) < d:
             continue
-        sample = sum(block) / d
+        sample = float(downsample(block, d)[0])  # ReferenceDataset's arithmetic
         block.clear()
         record = monitor.step(sample)
         if monitor.last_test_point == monitor.t:
@@ -163,6 +163,9 @@ def cmd_monitor(args) -> int:
 def _load_scenario(path: str, params) -> Scenario:
     with open(path) as fh:
         data = json.load(fh)
+    unknown = sorted(set(data) - {"kind", "epsilon_sigma", "offsets", "K"})
+    if unknown:
+        raise ValueError(f"scenario has unknown keys: {', '.join(unknown)}")
     kind = data["kind"]
     epsilon_sigma = float(data.get("epsilon_sigma", 0.0))
     return Scenario(
@@ -179,32 +182,25 @@ def cmd_simulate(args) -> int:
     params, plan = tuned.params, tuned.plan
     episodes_per_block = args.episodes or plan.h_tilde
     scenario = _load_scenario(args.scenario, params)
-    # Block i is run i of the replay; its column c is the test-point
-    # (c + 1) * test_every steps after the onset.
-    length = plan.h_max + episodes_per_block
-    chunk = plan.replay_runs(episodes_per_block)
-    detections = []
-    for lo in range(0, args.blocks, chunk):
-        episodes = []
-        for block in range(lo, min(lo + chunk, args.blocks)):
+
+    def blocks():  # h_max H0 warm-up episodes, then the scenario's
+        for block in range(args.blocks):
             seed = int(substream(args.seed, "block", block).integers(0, 2**63 - 1))
             warmup = Scenario(params=params, kind="h0", seed=seed)
-            episodes.append(generate_episodes(warmup, plan.h_max, stream=0))
-            scenario = replace(scenario, seed=seed)
-            episodes.append(generate_episodes(scenario, episodes_per_block, stream=1))
-        episodes = np.concatenate(episodes)
-        streams = np.arange(len(episodes)).reshape(-1, length)
-        p = replay_pvalues(BatchEvaluator(episodes, params), streams, plan, tuned.store)
-        below = p < tuned.p_threshold
-        first = below.argmax(axis=1)[below.any(axis=1)]
-        detections.extend(((first + 1) * plan.test_every).tolist())
-    times = sorted(detections)
+            tested = replace(scenario, seed=seed)
+            yield np.concatenate([
+                generate_episodes(warmup, plan.h_max, stream=0),
+                generate_episodes(tested, episodes_per_block, stream=1),
+            ]).ravel()
+
+    steps = detection_steps(tuned, blocks(), episodes_per_block)
+    times = sorted(steps[steps > 0].tolist())
     out = {
         "format_version": REPORT_FORMAT_VERSION,
         "blocks": args.blocks,
         "episodes_per_block": episodes_per_block,
-        "detections": len(detections),
-        "detection_fraction": len(detections) / args.blocks,
+        "detections": len(times),
+        "detection_fraction": len(times) / args.blocks,
         "detection_curve": {
             "steps_after_onset": times,
             "cumulative_fraction": [
@@ -214,8 +210,8 @@ def cmd_simulate(args) -> int:
     }
     _write_atomic(args.out, _dump_json(out))
     print(
-        f"{len(detections)}/{args.blocks} blocks detected "
-        f"({100.0 * len(detections) / args.blocks:.1f}%)"
+        f"{len(times)}/{args.blocks} blocks detected "
+        f"({100.0 * len(times) / args.blocks:.1f}%)"
     )
     return EXIT_OK
 

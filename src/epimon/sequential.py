@@ -1,6 +1,7 @@
 """Online sequential monitor: the live path (``epimon monitor``, library use).
 Simulated whole runs use :func:`epimon.bfar.replay_pvalues`, whose p-values
-are tested equal to the monitor's at every test-point of generated streams.
+are tested equal to the monitor's at every test-point of generated streams;
+both read the store rows of :meth:`epimon.bfar.MonitorPlan.store_rows`.
 A stream that repeats reference episodes verbatim, as the BFAR replay's
 resampled runs do, can have windows that tie a stored value exactly; there
 a live p-value can differ from the replay's by a few ranks, because a value
@@ -91,9 +92,7 @@ class Monitor:
         self.tuned = tuned
         self.params = tuned.params
         self.plan = plan = tuned.plan
-        store = tuned.store
         T = self._T = self.params.T
-        offsets = plan.test_offsets(T)  # validates test_every | T
         h_max = plan.h_max
         self.warmup_steps = h_max * T
         self._test_every = plan.test_every
@@ -111,17 +110,7 @@ class Monitor:
         # its reference value), one dict per horizon, rebuilt when an
         # episode completes.
         self._wholes = [{} for _ in self._horizons]
-        # Sorted store rows of every test, per (horizon, offset): the
-        # statistic's own and, for a mixed one, its components'.
-        self._tests = {
-            (h, tau): [
-                (kind, kind.spec, store.values_for(kind, h * T + tau),
-                 [(c.spec, store.values_for(c, h * T + tau)) for c in kind.components])
-                for kind in plan.statistics
-            ]
-            for h in self._horizons
-            for tau in offsets
-        }
+        self._tests = plan.store_rows(tuned.store, T)  # checks test_every | T
         self._partial = np.empty(T)
         self._partial_len = 0
         # Running sums of the udt episode pieces, one per completed episode
@@ -197,7 +186,7 @@ class Monitor:
         partial = self._partial[:tau]
         tails = {}
         for name in self._rings:
-            tails[name] = episode_piece(name, partial[np.newaxis], params, tail=True)
+            tails[name] = episode_piece(name, partial[np.newaxis], params)
         if self._wants_udt:
             udt_tail = float(params.tail_weights(tau) @ partial)
         evaluations = []

@@ -21,15 +21,15 @@ s < kappa) serves every test:
 Windows always start at an episode boundary: a window of n = K*T + tau steps
 covers K whole episodes followed by the first tau steps of the next one. The
 block structure of the window covariance means every statistic is defined
-once, in two parts: a per-episode *piece* of raw rows
-(:func:`episode_piece`), of which a window sums its K whole episodes' pieces
-(:func:`whole_part`; ``cusum`` keeps the last value and the minimum of its
-drift prefix instead), and a *finish* (:func:`finish`) that combines that
-whole-episode part with the tail's piece. Every caller runs these same
-parts: :class:`BatchEvaluator` caches the pieces of the reference rows for
-the bootstrap store and the BFAR replay, :func:`statistic_value` is a batch
-of one window, and the live monitor keeps a ring of the pieces of its last
-episodes and their whole parts.
+once, in two parts: a *piece* of episode rows cropped to m samples
+(:func:`episode_piece`, one formula for whole episodes, m = T, and tails,
+m = tau), of which a window sums its K whole episodes' (:func:`whole_part`;
+``cusum`` keeps the last value and the minimum of its drift prefix), and a
+*finish* (:func:`finish`) that combines it with the tail's piece. Every
+caller runs these parts: :class:`BatchEvaluator` caches the pieces of the
+reference rows for the bootstrap store and the BFAR replay,
+:func:`statistic_value` is a batch of one window, and the live monitor
+keeps a ring of the pieces of its last episodes and their whole parts.
 """
 
 from __future__ import annotations
@@ -112,9 +112,9 @@ class StatisticKind:
     def spec(self) -> str:
         """Canonical config spelling; also the bootstrap-store key."""
         if self.name == "pdt":
-            return f"pdt:{self.p:g}"
+            return f"pdt:{_spell(self.p)}"
         if self.name == "cusum":
-            return f"cusum:{self.k_ref:g}"
+            return f"cusum:{_spell(self.k_ref)}"
         if self.name == "mixed":
             return "mixed:" + "+".join(c.spec for c in self.components)
         return self.name
@@ -178,6 +178,11 @@ def _parse_float(text: str, token: str) -> float:
         raise ValueError(f"bad parameter in statistic {text!r}") from exc
 
 
+def _spell(x: float) -> str:
+    """``x`` as ``:g`` (``0.9``) if that parses back to ``x``, else as repr."""
+    return f"{x:g}" if float(f"{x:g}") == x else repr(float(x))
+
+
 MDT_PRESET = StatisticKind.mixed(
     StatisticKind.mean(), StatisticKind.hotelling(), StatisticKind.pdt(0.9)
 )
@@ -234,21 +239,19 @@ def statistic_value(kind: StatisticKind, window: SignalWindow, store=None) -> fl
 # ---------------------------------------------------------------------------
 
 
-def episode_piece(
-    name: str, rows: np.ndarray, params: EpisodeParams, tail: bool = False
-) -> np.ndarray:
+def episode_piece(name: str, rows: np.ndarray, params: EpisodeParams) -> np.ndarray:
     """Per-episode piece of the statistic family ``name`` for raw rows.
 
-    ``rows`` is (R, m): whole episodes (m = T), or with ``tail`` episodes
-    cropped to their first tau = m samples. The piece is the row sum for
-    ``mean`` (the running sum at its last step for a tail),
-    ``rows @ 1' Sigma_m^-1`` for ``udt``, ``(rows - mu0) @ Sigma_m^-1`` for
-    ``pdt``, the raw rows for ``hotelling``, and the per-step normalized
-    deviations ``(mu0 - rows) / std`` for ``cusum``.
+    ``rows`` is (R, m): episodes cropped to their first m samples, so whole
+    episodes are the m = T case and one formula serves both. The piece is
+    the row sum for ``mean``, ``rows @ 1' Sigma_m^-1`` for ``udt``,
+    ``(rows - mu0) @ Sigma_m^-1`` for ``pdt``, the raw rows for
+    ``hotelling``, and the per-step normalized deviations
+    ``(mu0 - rows) / std`` for ``cusum``.
     """
     m = rows.shape[1]
     if name == "mean":
-        return np.cumsum(rows, axis=1)[:, -1] if tail else rows.sum(axis=1)
+        return rows.sum(axis=1)
     if name == "udt":
         return rows @ params.tail_weights(m)
     if name == "pdt":
@@ -360,7 +363,7 @@ class BatchEvaluator:
     A window is described by K whole-episode row indices plus one tail row
     cropped to its first tau samples -- exactly the shape produced by the
     bootstrap resampler and by the BFAR simulation. The
-    :func:`episode_piece` of every row is computed once per (family, tau)
+    :func:`episode_piece` of every row is computed once per (family, m)
     and cached, so evaluating B windows gathers K + 1 pieces per window, and
     :func:`finish` turns the gathered pieces into values. The bootstrap
     store, the BFAR replay, :func:`statistic_value` and the live monitor
@@ -380,19 +383,15 @@ class BatchEvaluator:
             raise ValueError("episodes must be an N x T matrix matching params")
         self.episodes = episodes
         self.params = params
-        self._pieces: dict[tuple[str, int | None], np.ndarray] = {}
+        self._pieces: dict[tuple[str, int], np.ndarray] = {}
 
-    def _piece(self, name: str, tau: int | None = None) -> np.ndarray:
-        """Cached pieces of every row: of the whole episodes, or of the
-        episodes cropped to their first ``tau`` samples."""
-        cached = self._pieces.get((name, tau))
+    def _piece(self, name: str, m: int) -> np.ndarray:
+        """Cached pieces of every row cropped to its first ``m`` samples;
+        the whole episodes' are the m = T entry, which a tau = T tail shares."""
+        cached = self._pieces.get((name, m))
         if cached is None:
-            if tau is None:
-                cached = episode_piece(name, self.episodes, self.params)
-            else:
-                rows = self.episodes[:, :tau]
-                cached = episode_piece(name, rows, self.params, tail=True)
-            self._pieces[(name, tau)] = cached
+            cached = episode_piece(name, self.episodes[:, :m], self.params)
+            self._pieces[(name, m)] = cached
         return cached
 
     def values(
@@ -439,7 +438,7 @@ class BatchEvaluator:
             lengths = [K * T + tau for tau in taus]
             return mixed_values(kind, lengths, component_values, store)
         name = kind.name
-        piece = self._piece(name) if K else None
+        piece = self._piece(name, T) if K else None
         tails = [self._piece(name, tau) for tau in taus]
         out = np.empty((len(taus), R))
         for lo in range(0, R, _BATCH_CHUNK):

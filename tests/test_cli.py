@@ -3,12 +3,15 @@
 import base64
 import hashlib
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import epimon as em
+from epimon import cli
 from epimon.cli import main
+from epimon.errors import NotTunedError
 from epimon.rng import substream
 
 from conftest import make_params, run_cli
@@ -202,6 +205,35 @@ def test_monitor_rearm_continues(workspace, raw_params, tmp_path):
     assert res.returncode == 3
 
 
+@pytest.mark.parametrize("d", [8, 25])
+def test_monitor_downsamples_like_the_reference(tmp_path, monkeypatch, d):
+    # Live samples are the block means ReferenceDataset.from_raw makes of
+    # the same raw rows, bitwise: from 8 samples on, numpy's pairwise mean
+    # and a running sum differ in the last bit.
+    raw = np.random.default_rng(d).normal(1.5, 2.0, size=(50, 4 * d))
+    stream = tmp_path / "raw.txt"
+    stream.write_text("".join(f"{float(x)!r}\n" for x in raw.ravel()))
+    samples = []
+
+    class Recorder:
+        t = 0
+        last_test_point = -1
+
+        def __init__(self, tuned):
+            pass
+
+        def step(self, sample):
+            samples.append(sample)
+
+    tuned = SimpleNamespace(params=SimpleNamespace(downsample_factor=d))
+    monkeypatch.setattr(cli, "load_bundle", lambda path: tuned)
+    monkeypatch.setattr(cli, "Monitor", Recorder)
+    assert main(["monitor", str(stream), "--bundle", "bundle.json"]) == 0
+    expected = em.ReferenceDataset.from_raw(raw, d).episodes.ravel()
+    assert len(samples) == expected.size
+    assert np.array_equal(samples, expected)
+
+
 def test_simulate_report(workspace, tmp_path):
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps({"kind": "uniform", "epsilon_sigma": 10.0}))
@@ -250,6 +282,22 @@ def test_simulate_rejects_nonpositive_episodes(workspace, tmp_path, capsys):
     assert code == 2
     assert "--episodes must be positive" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
+
+
+def test_simulate_rejects_unknown_scenario_key(workspace, tmp_path, capsys):
+    # "epsilon" is a typo for "epsilon_sigma"; ignored, it would simulate
+    # no drop at all and exit 0.
+    scenario = tmp_path / "typo.json"
+    scenario.write_text(json.dumps({"kind": "uniform", "epsilon": 0.5}))
+    out = tmp_path / "report.json"
+    code = main([
+        "simulate", "--bundle", str(workspace / "bundle.json"),
+        "--scenario", str(scenario), "--blocks", "2", "--seed", "1",
+        "--out", str(out),
+    ])
+    assert code == 2
+    assert "scenario has unknown keys: epsilon" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_detection_times_match_the_monitor(workspace, tmp_path):
@@ -323,20 +371,24 @@ def test_missing_file_exits_two(tmp_path):
     assert res.returncode == 2
 
 
-def _monitor_with_tampered_bundle(workspace, tmp_path, edit):
+def _tampered_bundle(workspace, tmp_path, edit):
     """Copy the tuned bundle and store, apply ``edit(bundle, store)`` to the
-    parsed JSON, and run ``monitor`` in-process on the copy. The stream ends
-    before the first test-point, so only a check at load can reject it."""
+    parsed JSON, and return the copied bundle's path."""
     bundle = json.loads((workspace / "bundle.json").read_text())
     store = json.loads((workspace / "bundle.json.store.json").read_text())
     edit(bundle, store)
     (tmp_path / "bundle.json").write_text(json.dumps(bundle))
     (tmp_path / "bundle.json.store.json").write_text(json.dumps(store))
+    return tmp_path / "bundle.json"
+
+
+def _monitor_with_tampered_bundle(workspace, tmp_path, edit):
+    """Run ``monitor`` in-process on a :func:`_tampered_bundle`. The stream
+    ends before the first test-point, so only a check at load can reject it."""
+    bundle = _tampered_bundle(workspace, tmp_path, edit)
     stream = tmp_path / "stream.txt"
     stream.write_text("1.0\n" * 4)
-    return main(
-        ["monitor", str(stream), "--bundle", str(tmp_path / "bundle.json")]
-    )
+    return main(["monitor", str(stream), "--bundle", str(bundle)])
 
 
 def test_load_bundle_rejects_store_with_other_b(workspace, tmp_path, capsys):
@@ -363,6 +415,19 @@ def test_load_bundle_rejects_store_missing_a_length(workspace, tmp_path, capsys)
 
     assert _monitor_with_tampered_bundle(workspace, tmp_path, edit) == 2
     assert "'mean' at length 18" in capsys.readouterr().err
+
+
+def test_load_bundle_raises_not_tuned_for_a_missing_entry(workspace, tmp_path):
+    # load_bundle looks up the store rows the monitor reads, so the bundle
+    # fails there, not when a Monitor is built from it.
+    def edit(bundle, store):
+        store["entries"] = [
+            e for e in store["entries"] if (e["kind"], e["n"]) != ("udt", 17)
+        ]
+
+    bundle = _tampered_bundle(workspace, tmp_path, edit)
+    with pytest.raises(NotTunedError, match="'udt' at length 17"):
+        em.load_bundle(bundle)
 
 
 def test_load_bundle_rejects_store_missing_a_mixed_component(

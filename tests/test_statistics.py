@@ -5,7 +5,7 @@ import pytest
 
 import epimon as em
 from epimon.errors import DegenerateVarianceError, InvalidDataError, NotTunedError
-from epimon.stats import _BATCH_CHUNK, BatchEvaluator, ceil_fraction
+from epimon.stats import _BATCH_CHUNK, BatchEvaluator, ceil_fraction, episode_piece
 
 from conftest import make_params, make_reference
 
@@ -230,6 +230,26 @@ def test_cusum_degenerate_variance():
 # ---------------------------------------------------------------------------
 # mixed
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("x", [0.9, 1.0, 0.5, 0.25, 1e-7, 0.1234567, 0.1234568, 1 / 3])
+def test_spec_parses_back_to_its_kind(x):
+    # A spec is the store key and the bundle's spelling of a plan: it must
+    # parse back to the same parameter, or the monitor would read another
+    # statistic than the one tuned (pdt:0.1234567 at T = 81 takes m = 10).
+    pdt = em.StatisticKind.pdt(x)
+    for kind in (pdt, em.StatisticKind.cusum(x), em.StatisticKind.cusum(-x),
+                 em.StatisticKind.mixed(MEAN, pdt)):
+        assert em.parse_statistic(kind.spec) == kind, kind.spec
+
+
+def test_spec_keeps_short_spellings_and_distinct_keys():
+    # Values that :g spells exactly keep that spelling (golden store keys);
+    # values it would round get a store key of their own.
+    specs = ["pdt:0.9", "pdt:1", "cusum:0.5", "mixed:mean+pdt:0.9"]
+    assert [em.parse_statistic(spec).spec for spec in specs] == specs
+    assert em.StatisticKind.pdt(0.1234567).spec == "pdt:0.1234567"
+    assert em.StatisticKind.pdt(0.1234568).spec == "pdt:0.1234568"
 
 
 def test_mixed_requires_two_components():
@@ -519,6 +539,25 @@ def test_cusum_offset_values_bitwise_match_one_cumsum_over_the_window(K):
         for i, tau in enumerate(taus):
             oracle = _concatenated_cusum(kind, params, episodes, whole_idx, tail_idx, tau)
             assert np.array_equal(got[i], oracle), (k_ref, tau)
+
+
+def test_mean_piece_of_cropped_rows_is_their_row_sum():
+    # Whole and cropped rows share one piece formula. From 8 columns on a
+    # running cumsum differs from numpy's pairwise row sum in the last bit,
+    # so a tail piece taken from the cumsum would not be the whole piece's
+    # arithmetic. The tau = T tail shares the whole-episode piece.
+    T, R = 40, 400
+    params = make_params(T=T, seed=84)
+    rows = np.random.default_rng(85).normal(3.0, 10.0, size=(R, T))
+    ev = BatchEvaluator(rows, params)
+    no_whole = np.empty((R, 0), dtype=int)
+    for m in range(8, T + 1):
+        expected = rows[:, :m].sum(axis=1)
+        assert np.array_equal(episode_piece("mean", rows[:, :m], params), expected), m
+        assert np.array_equal(ev.values(MEAN, no_whole, np.arange(R), m), expected / m), m
+    whole = BatchEvaluator(rows, params)
+    whole.values(MEAN, np.arange(R)[:, np.newaxis], np.arange(R), T)
+    assert list(whole._pieces) == [("mean", T)]
 
 
 def test_step_std_is_cached_and_read_only(small_params):
