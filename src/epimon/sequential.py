@@ -6,9 +6,9 @@ A stream that repeats reference episodes verbatim, as the BFAR replay's
 resampled runs do, can have windows that tie a stored value exactly; there
 a live p-value can differ from the replay's by a few ranks, because a value
 can differ in its last bit: ``udt`` differences running sums, and the
-monitor takes ``udt`` and ``pdt`` pieces from one-row matrix products,
-whose rounding can differ from the batch's. ``mean``, ``hotelling`` and
-``cusum`` matched exactly on such streams.
+monitor takes ``udt`` and ``pdt`` pieces and ``hotelling``'s quadratic
+from one-row matrix products, whose rounding can differ from the batch's.
+``mean`` and ``cusum`` matched exactly on such streams.
 
 The monitor consumes one downsampled sample at a time, aligned so that the
 first sample is step 1 of an episode. After a warm-up of h_max episodes it

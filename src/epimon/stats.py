@@ -302,16 +302,18 @@ def finish(
             return sums.sum(axis=1)
         return np.partition(sums, m - 1, axis=1)[:, :m].sum(axis=1)
     if name == "hotelling":
-        if not K:
+        # -delta' S^-1 delta per row as one matrix product (BLAS), with
+        # delta the count-scaled deviation of the per-offset sums.
+        if K:
+            offset, scale = params.count_scaling(K, tau)
+            delta = whole - offset
+            delta[:, :tau] += tail
+            delta *= scale
+            inv = params.sigma0_inv
+        else:
             delta = tail - params.mu0[:tau]
             inv = params.tail_inverse(tau)
-            return -np.einsum("ij,jk,ik->i", delta, inv, delta)
-        counts = np.full(T, float(K))
-        counts[:tau] += 1.0
-        sums = whole.copy()
-        sums[:, :tau] += tail
-        delta = (sums / counts - params.mu0) * np.sqrt(counts)
-        return -np.einsum("ij,jk,ik->i", delta, params.sigma0_inv, delta)
+        return -((delta @ inv) * delta).sum(axis=1)
     # C_t = max(0, C_{t-1} + a_t) in closed form: C_n = P_n - min(0, min P).
     # The tail continues the whole part's prefix one addition at a time,
     # so P and its minimum are bitwise those of one cumsum over the window.

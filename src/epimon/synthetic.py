@@ -35,7 +35,10 @@ class Scenario:
     offset by epsilon; ``partial`` lowers only ``offsets`` (1-based);
     ``scaled_uniform`` lowers every offset by epsilon/sqrt(K) -- the scaling
     regime in which detection power has a finite limit as horizons grow.
-    The covariance is never altered: degradation moves means only.
+    Fields the kind does not use must keep their defaults (``epsilon`` 0
+    for ``h0``, no ``offsets`` but for ``partial``, ``K`` 1 but for
+    ``scaled_uniform``). The covariance is never altered: degradation moves
+    means only.
     """
 
     params: EpisodeParams
@@ -57,6 +60,14 @@ class Scenario:
                 raise ValueError(f"offsets must be within [1, {self.params.T}]")
         if self.kind == "scaled_uniform" and self.K < 1:
             raise ValueError("scaled_uniform requires K >= 1")
+        # A field the kind ignores would generate a scenario other than the
+        # one written, so it is rejected.
+        if self.kind == "h0" and self.epsilon != 0:
+            raise ValueError("h0 scenario takes no epsilon")
+        if self.kind != "partial" and self.offsets:
+            raise ValueError(f"{self.kind} scenario takes no offsets")
+        if self.kind != "scaled_uniform" and self.K != 1:
+            raise ValueError(f"{self.kind} scenario takes no K")
 
     @property
     def mean(self) -> np.ndarray:

@@ -300,6 +300,27 @@ def test_simulate_rejects_unknown_scenario_key(workspace, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scenario", [
+    {"kind": "h0", "epsilon_sigma": 5},
+    {"kind": "uniform", "offsets": [1, 2], "epsilon_sigma": 1.0},
+], ids=["h0-epsilon", "uniform-offsets"])
+def test_simulate_rejects_fields_the_scenario_kind_ignores(
+    workspace, tmp_path, capsys, scenario
+):
+    # Ignored, either field would simulate another scenario and exit 0.
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "report.json"
+    code = main([
+        "simulate", "--bundle", str(workspace / "bundle.json"),
+        "--scenario", str(path), "--blocks", "2", "--seed", "1",
+        "--out", str(out),
+    ])
+    assert code == 2
+    assert "scenario takes no" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_detection_times_match_the_monitor(workspace, tmp_path):
     # simulate replays its blocks in batches; every detection time must be
     # the live monitor's on the same block. Five episodes per block (not

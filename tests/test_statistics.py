@@ -178,6 +178,41 @@ def test_hotelling_subepisode_window():
     assert em.statistic_value(HOTELLING, w) == pytest.approx(expected)
 
 
+def test_count_scaling_is_cached_read_only_and_per_offset():
+    params = make_params(T=7, seed=31)
+    for K, tau in [(1, 1), (1, 7), (3, 4)]:
+        offset, scale = params.count_scaling(K, tau)
+        again = params.count_scaling(K, tau)
+        assert again[0] is offset and again[1] is scale
+        counts = np.where(np.arange(params.T) < tau, K + 1.0, float(K))
+        for vec, want in ((offset, counts * params.mu0), (scale, 1 / np.sqrt(counts))):
+            assert vec.shape == (params.T,)
+            assert not vec.flags.writeable
+            np.testing.assert_array_equal(vec, want)
+    with pytest.raises(ValueError):
+        params.count_scaling(0, 3)
+
+
+def test_batch_hotelling_agrees_with_one_row_values():
+    # A batch rounds through a matrix-matrix product and one window through
+    # a vector-matrix product, so they agree to rounding, not bitwise.
+    params = make_params(T=12, seed=33, condition=80)
+    episodes = em.generate_episodes(em.Scenario(params=params, kind="h0", seed=34), 60)
+    ev = BatchEvaluator(episodes, params)
+    rng = np.random.default_rng(35)
+    R = 4096
+    for K, tau in [(0, 5), (2, 5), (1, 12)]:
+        whole_idx = rng.integers(0, 60, size=(R, K))
+        tail_idx = rng.integers(0, 60, size=R)
+        batch = ev.values(HOTELLING, whole_idx, tail_idx, tau)
+        one_row = [
+            em.statistic_value(HOTELLING, window(np.concatenate(
+                [*episodes[whole_idx[r]], episodes[tail_idx[r], :tau]]), params))
+            for r in range(R)
+        ]
+        np.testing.assert_allclose(batch, one_row, rtol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # cusum
 # ---------------------------------------------------------------------------
@@ -424,6 +459,20 @@ def test_statistic_value_matches_dense_oracle(K):
                 got = em.statistic_value(kind, window(vals, params), store)
                 want = dense_oracle(kind, vals, params, store)
                 assert got == pytest.approx(want, rel=1e-10, abs=1e-12), (kind.spec, tau)
+
+
+@pytest.mark.parametrize("K", [0, 1, 4])
+def test_hotelling_matches_dense_oracle(K):
+    params = make_params(T=9, seed=63, condition=80)
+    rng = np.random.default_rng(64)
+    for tau in (1, params.T // 2, params.T):
+        n = K * params.T + tau
+        mu = np.tile(params.mu0, K + 1)[:n]
+        for _ in range(5):
+            vals = mu + 2 * rng.standard_normal(n)
+            got = em.statistic_value(HOTELLING, window(vals, params))
+            want = dense_oracle(HOTELLING, vals, params)
+            assert got == pytest.approx(want, rel=1e-10, abs=1e-12), tau
 
 
 def test_dense_oracle_hand_values():

@@ -67,6 +67,18 @@ def test_scenario_validation():
         em.Scenario(params=params, kind="bogus")
 
 
+@pytest.mark.parametrize("fields", [
+    {"kind": "h0", "epsilon": 5.0},
+    {"kind": "uniform", "epsilon": 1.0, "offsets": (1, 2)},
+    {"kind": "scaled_uniform", "epsilon": 1.0, "K": 4, "offsets": (1,)},
+    {"kind": "uniform", "epsilon": 0.1, "K": 7},
+    {"kind": "partial", "epsilon": 1.0, "offsets": (1,), "K": 2},
+], ids=["h0-epsilon", "uniform-offsets", "scaled-offsets", "uniform-K", "partial-K"])
+def test_scenario_rejects_fields_its_kind_ignores(fields):
+    with pytest.raises(ValueError, match="takes no"):
+        em.Scenario(params=make_params(T=3, seed=5), **fields)
+
+
 # ---------------------------------------------------------------------------
 # power gain
 # ---------------------------------------------------------------------------
