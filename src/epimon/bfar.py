@@ -9,18 +9,31 @@ reference data, replays every test-point after the warm-up prefix, and
 records the minimal p-value seen. The alpha0-quantile of those minima is the
 threshold.
 
-One batched replay, :func:`replay_pvalues`, gives the minimal p-value over
-statistics and horizons at every test-point of whole runs. :func:`bfar_min_p`
-takes each resampled run's minimum; :func:`detection_steps` takes each
-generated run's first test-point below the threshold, for :func:`far_verify`
-and ``epimon simulate``. Each replays at most min(B_outer, _BATCH_CHUNK // E)
-runs of E tested episodes at a time, so memory stays flat in the number of
-runs. The live :class:`~epimon.sequential.Monitor` computes the same
-p-values from the same store rows (:meth:`MonitorPlan.store_rows`).
+One batched replay serves every caller. It works in two steps, one
+horizon at a time. The values step evaluates each base statistic (a plan
+statistic or a mixed one's component, each once) for every window, as one
+:meth:`BatchEvaluator.offset_values` call over all F test offsets, shaped
+(F, runs, E). The lookup step finds those values in the sorted store rows
+of the plan's statistics, mixed kinds through
+:func:`~epimon.stats.mixed_values`, and keeps the minimal p-value over
+statistics and horizons. Every run reads the inner bootstrap distributions
+from one shared :class:`BootstrapStore`.
 
-Each (horizon, statistic) pair is one :meth:`BatchEvaluator.offset_values`
-call over all F test offsets, and every run reads the inner bootstrap
-distributions from one shared :class:`BootstrapStore`.
+:func:`replay_pvalues` looks up every test-point of whole runs;
+:func:`detection_steps` takes each generated run's first test-point below
+the threshold, for :func:`far_verify` and ``epimon simulate``.
+:func:`bfar_min_p` needs only each resampled run's minimum, so it first
+takes each base statistic's minimum over the run's E episodes at every
+(horizon, offset) and looks up E times fewer values. That is exact, ties
+included: a p-value is non-decreasing in the statistic value, and a mixed
+value (the minimum of its components' p-values) is non-decreasing in each
+component's value, so the smallest p-value over a run's test-points at one
+(horizon, offset, statistic) is the p-value of the run's smallest value.
+
+Each replays at most min(B_outer, _BATCH_CHUNK // E) runs of E tested
+episodes at a time, so memory stays flat in the number of runs. The live
+:class:`~epimon.sequential.Monitor` computes the same p-values from the
+same store rows (:meth:`MonitorPlan.store_rows`).
 """
 
 from __future__ import annotations
@@ -46,7 +59,9 @@ from .stats import (
     _BATCH_CHUNK,
     BatchEvaluator,
     StatisticKind,
+    base_statistics,
     bootstrap_pvalues,
+    mixed_values,
     parse_statistic,
 )
 
@@ -201,6 +216,28 @@ def replay_pvalues(
     time order, episode first, then offset: column c is (c + 1) * test_every
     steps after the warm-up, whose episodes the long horizons look back into.
     """
+    runs, E = streams.shape[0], streams.shape[1] - plan.h_max
+    min_p = _replay(evaluator, streams, plan, store, run_minimum=False)
+    return min_p.transpose(1, 2, 0).reshape(runs, E * min_p.shape[0])
+
+
+def _replay(
+    evaluator: BatchEvaluator,
+    streams: np.ndarray,
+    plan: MonitorPlan,
+    store: BootstrapStore,
+    run_minimum: bool,
+) -> np.ndarray:
+    """Minimal p-value over statistics and horizons of the runs ``streams``
+    (as in :func:`replay_pvalues`): (F, runs, E), one per offset, run and
+    tested episode, or with ``run_minimum`` (F, runs), the minimum over
+    each run's E episodes at each offset.
+
+    One horizon at a time, each base statistic is evaluated once for every
+    window (:meth:`BatchEvaluator.offset_values`), reduced to each run's
+    minimum when ``run_minimum`` is set, and then looked up: the store rows
+    of the plan's statistics, mixed kinds through :func:`mixed_values`.
+    """
     T = evaluator.params.T
     runs, E = streams.shape[0], streams.shape[1] - plan.h_max
     # Window at test-episode k, offset tau, horizon h = episodes
@@ -208,15 +245,26 @@ def replay_pvalues(
     windows = np.lib.stride_tricks.sliding_window_view(streams, plan.h_max + 1, axis=1)
     taus = plan.test_offsets(T)
     tail_idx = streams[:, plan.h_max :].reshape(-1)
-    min_p = np.ones((runs * E, len(taus)))
+    bases = base_statistics(plan.statistics)
+    min_p = np.ones((len(taus), runs) if run_minimum else (len(taus), runs, E))
     for h in plan.horizons:
         whole_idx = windows[:, :, plan.h_max - h : plan.h_max].reshape(-1, h)
+        values = {}
+        for spec, base in bases.items():
+            vals = evaluator.offset_values(base, whole_idx, tail_idx, taus)
+            vals = vals.reshape(len(taus), runs, E)
+            values[spec] = vals.min(axis=2) if run_minimum else vals
+        ns = [h * T + tau for tau in taus]
         for kind in plan.statistics:
-            values = evaluator.offset_values(kind, whole_idx, tail_idx, taus, store)
-            for j, (tau, vals) in enumerate(zip(taus, values)):
-                p = bootstrap_pvalues(store.values_for(kind, h * T + tau), vals)
-                np.minimum(min_p[:, j], p, out=min_p[:, j])
-    return min_p.reshape(runs, E * len(taus))
+            if kind.components:
+                comps = [values[c.spec] for c in kind.components]
+                vals = mixed_values(kind, ns, comps, store)
+            else:
+                vals = values[kind.spec]
+            for j, n in enumerate(ns):
+                p = bootstrap_pvalues(store.values_for(kind, n), vals[j])
+                np.minimum(min_p[j], p, out=min_p[j])
+    return min_p
 
 
 def bfar_min_p(
@@ -227,14 +275,26 @@ def bfar_min_p(
 ) -> np.ndarray:
     """Minimal p-value of each simulated sequential run (unsorted, by rep):
     repetition b replays the h_tilde episodes after the warm-up of its
-    resampled stream (:func:`h0_stream_indices`)."""
+    resampled stream (:func:`h0_stream_indices`).
+
+    The result is ``replay_pvalues(...).min(axis=1)``, bit for bit, but
+    each base statistic's values are reduced to the run's minimum over its
+    h_tilde episodes, at each (horizon, offset), before any store row is
+    looked up, so h_tilde times fewer values are looked up. This is exact,
+    ties included: a p-value is non-decreasing in the statistic value, and
+    a mixed value, the minimum of its components' p-values, is
+    non-decreasing in each component's value; so the smallest p-value of a
+    run's test-points at one (horizon, offset, statistic) is the p-value of
+    its smallest value.
+    """
     evaluator = BatchEvaluator(ref.episodes, params)
     min_p = np.empty(plan.B_outer)
     chunk = plan.replay_runs(plan.h_tilde)
     for lo in range(0, plan.B_outer, chunk):
         reps = range(lo, min(lo + chunk, plan.B_outer))
         streams = np.array([h0_stream_indices(plan, ref.num_episodes, b) for b in reps])
-        min_p[lo : reps.stop] = replay_pvalues(evaluator, streams, plan, store).min(1)
+        run_p = _replay(evaluator, streams, plan, store, run_minimum=True)
+        min_p[lo : reps.stop] = run_p.min(axis=0)
     return min_p
 
 
@@ -245,7 +305,10 @@ def bfar_tune(
 
     Raises :class:`ResolutionError` when the threshold lands on the inner
     bootstrap's resolution floor 1/(B_inner+1): such a monitor could never
-    reject, so either increase B or reduce significance requirements.
+    reject, so either increase B or reduce significance requirements. Its
+    message gives the share of BFAR runs whose minimum sits at the floor
+    and the number of tests per h_tilde, h_tilde x F x horizons x
+    statistics, which B_inner has to outgrow.
     """
     T = params.T
     if ref.episode_length != T:
@@ -264,10 +327,17 @@ def bfar_tune(
     )
     floor = 1.0 / (plan.B_inner + 1)
     if threshold <= floor:
+        at_floor = np.count_nonzero(distribution <= floor) / plan.B_outer
+        F = len(plan.test_offsets(T))
+        H, S = len(plan.horizons), len(plan.statistics)
         raise ResolutionError(
             f"tuned p-value threshold {threshold:.3g} hit the bootstrap "
             f"resolution floor 1/(B_inner+1) = {floor:.3g}; the monitor could "
-            "never reject. Either increase B or reduce significance "
+            f"never reject. {at_floor:.1%} of the {plan.B_outer} BFAR runs "
+            f"have their minimal p-value at the floor, over "
+            f"{plan.h_tilde * F * H * S} tests per h_tilde (h_tilde "
+            f"{plan.h_tilde} x {F} test-points per episode x {H} horizons x "
+            f"{S} statistics). Either increase B or reduce significance "
             "requirements."
         )
     return TunedMonitor(
@@ -340,11 +410,13 @@ def load_bundle(path) -> TunedMonitor:
     at load with :class:`ValueError` rather than at the first test-point
     that needs it: the bundle, its params and the store must have the
     format versions this code writes, the plan must have no unknown keys,
-    ``p_threshold`` must be a number in (0, 1] (:class:`InvalidDataError`
-    otherwise), ``store_file`` must be a bare file name, and the store must
-    have the plan's B_inner and seed. The store must also hold every row
-    that the monitor reads (:meth:`MonitorPlan.store_rows`): a missing
-    entry raises :class:`NotTunedError` naming its spec and length.
+    ``p_threshold`` must be a number in (0, 1] and ``min_p_distribution``
+    a list of B_outer non-decreasing numbers in [1/(B_inner+1), 1]
+    (:class:`InvalidDataError` otherwise), ``store_file`` must be a bare
+    file name, and the store must have the plan's B_inner and seed. The
+    store must also hold every row that the monitor reads
+    (:meth:`MonitorPlan.store_rows`): a missing entry raises
+    :class:`NotTunedError` naming its spec and length.
     """
     with open(path) as fh:
         data = json.load(fh)
@@ -374,8 +446,7 @@ def load_bundle(path) -> TunedMonitor:
     if store.seed != plan.seed:
         raise ValueError(f"store has seed={store.seed}, plan has seed={plan.seed}")
     plan.store_rows(store, params.T)  # every row the monitor will read
-    distribution = np.asarray(data["min_p_distribution"], dtype=float)
-    distribution.setflags(write=False)
+    distribution = _min_p_distribution(data["min_p_distribution"], plan)
     return TunedMonitor(
         plan=plan,
         p_threshold=float(threshold),
@@ -383,3 +454,34 @@ def load_bundle(path) -> TunedMonitor:
         min_p_distribution=distribution,
     )
 
+
+def _min_p_distribution(values, plan: MonitorPlan) -> np.ndarray:
+    """Read-only array of a bundle's ``min_p_distribution``: B_outer sorted
+    minimal p-values, each in [1/(B_inner+1), 1]; :class:`InvalidDataError`
+    otherwise."""
+    try:
+        distribution = np.array(values)  # no dtype: strings, bools stay apart
+    except ValueError:  # a ragged nested list
+        distribution = None
+    if (
+        distribution is None
+        or distribution.ndim != 1
+        or distribution.dtype.kind not in "if"
+    ):
+        raise InvalidDataError("min_p_distribution must be a list of numbers")
+    distribution = distribution.astype(float)
+    if distribution.size != plan.B_outer:
+        raise InvalidDataError(
+            f"min_p_distribution holds {distribution.size} values, "
+            f"expected B_outer={plan.B_outer}"
+        )
+    floor = 1.0 / (plan.B_inner + 1)
+    if not np.all((distribution >= floor) & (distribution <= 1.0)):  # also for NaN
+        raise InvalidDataError(
+            f"min_p_distribution has values outside [1/(B_inner+1), 1] = "
+            f"[{floor:.3g}, 1]"
+        )
+    if np.any(distribution[1:] < distribution[:-1]):
+        raise InvalidDataError("min_p_distribution is not sorted")
+    distribution.setflags(write=False)
+    return distribution

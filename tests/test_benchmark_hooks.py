@@ -9,7 +9,10 @@ and import the benchmark relies on, without running the benchmark.
 import importlib.util
 from pathlib import Path
 
+import epimon as em
 from epimon import bfar, cli, sequential, stats
+
+from conftest import make_params, make_reference
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -41,3 +44,27 @@ def test_names_the_benchmark_imports_exist():
     assert callable(cli.main)
     assert callable(bfar.load_bundle)
     assert callable(sequential.Monitor)
+
+
+def test_bfar_tune_reaches_the_replay_through_module_globals(monkeypatch):
+    # The tracer's bfar.replay and bfar.stream_indices spans wrap these
+    # globals; a call that bypassed them would read as zero time spent.
+    calls = {"bfar_min_p": 0, "h0_stream_indices": 0}
+
+    def counting(name):
+        original = getattr(bfar, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(bfar, name, counting(name))
+    params = make_params(T=4, seed=51)
+    ref = make_reference(params, 30, seed=52)
+    plan = em.MonitorPlan(statistics=(em.StatisticKind.udt(),), horizons=(1,),
+                          h_tilde=2, alpha0=0.2, B_inner=100, B_outer=20, seed=53)
+    bfar.bfar_tune(ref, params, plan)
+    assert calls == {"bfar_min_p": 1, "h0_stream_indices": 20}

@@ -121,6 +121,13 @@ def test_min_p_distribution_within_bounds():
     assert tuned.p_threshold > floor
 
 
+def _store(ref, params, plan):
+    """The bootstrap store that ``bfar_tune`` builds for ``plan``."""
+    store = em.BootstrapStore(params, plan.B_inner, plan.seed)
+    store.ensure(ref, plan.statistics, plan.window_lengths(params.T))
+    return store
+
+
 def test_resolution_guard_raises():
     # Tiny inner bootstrap + many test-points: the minimal p hits the floor in
     # most repetitions, the threshold lands on 1/(B_inner+1), and tuning must
@@ -129,8 +136,19 @@ def test_resolution_guard_raises():
     ref = make_reference(params, 100, seed=36)
     plan = make_plan(statistics=(UDT,), horizons=(1, 2), h_tilde=4,
                      B_inner=9, B_outer=100, alpha0=0.05)
-    with pytest.raises(ResolutionError, match="increase B or reduce significance"):
+    with pytest.raises(
+        ResolutionError, match="increase B or reduce significance"
+    ) as err:
         em.bfar_tune(ref, params, plan)
+    # The message says how far below the floor tuning is: the share of runs
+    # at the floor, and the h_tilde x F x horizons x statistics tests.
+    store = _store(ref, params, plan)
+    min_p = em.bfar_min_p(ref, params, plan, store)
+    at_floor = np.count_nonzero(min_p == 1 / (plan.B_inner + 1)) / plan.B_outer
+    assert 0.05 < at_floor <= 1.0
+    message = str(err.value)
+    assert f"{at_floor:.1%} of the 100 BFAR runs have their minimal p-value" in message
+    assert "over 32 tests per h_tilde (h_tilde 4 x 4 test-points" in message
 
 
 def test_reference_params_length_mismatch():
@@ -217,3 +235,76 @@ def test_far_verify_rejects_streams_of_the_wrong_length(mean_monitor):
         with pytest.raises(ValueError, match=f"not {n} finite samples"):
             em.far_verify(tuned, bad, runs=3)
     assert 0.0 <= em.far_verify(tuned, gen, runs=3) <= 1.0
+
+
+def _replay_min_p(ref, params, plan, store):
+    """``replay_pvalues(...).min(axis=1)`` over bfar_min_p's streams, in its
+    chunks of ``plan.replay_runs(h_tilde)`` runs."""
+    evaluator = em.BatchEvaluator(ref.episodes, params)
+    streams = np.array([
+        em.h0_stream_indices(plan, ref.num_episodes, b)
+        for b in range(plan.B_outer)
+    ])
+    chunk = plan.replay_runs(plan.h_tilde)
+    return np.concatenate([
+        em.replay_pvalues(evaluator, streams[lo : lo + chunk], plan, store)
+        for lo in range(0, plan.B_outer, chunk)
+    ])
+
+
+@pytest.mark.parametrize(
+    "specs",
+    [("mean",), ("udt",), ("pdt:0.5",), ("hotelling",), ("cusum:0.5",),
+     ("mdt",), ("udt", "mixed:mean+udt")],
+    ids=",".join,
+)
+@pytest.mark.parametrize("h_tilde, B_outer", [(1, 90), (3, 1400)])
+def test_bfar_min_p_is_the_minimum_of_every_test_point(specs, h_tilde, B_outer):
+    # Six reference episodes: the resampled streams repeat them, so a run's
+    # windows tie one another and the store's bootstrap windows. At h_tilde 3
+    # the 1400 runs are one chunk of 1365 and one of 35.
+    params = make_params(T=4, seed=41, condition=10)
+    ref = make_reference(params, 6, seed=42)
+    plan = make_plan(statistics=tuple(em.parse_statistic(s) for s in specs),
+                     horizons=(1, 2), h_tilde=h_tilde, B_inner=200,
+                     B_outer=B_outer, alpha0=0.1, test_every=2)
+    assert B_outer % plan.replay_runs(h_tilde) != 0 or h_tilde == 1
+    store = _store(ref, params, plan)
+    min_p = em.bfar_min_p(ref, params, plan, store)
+    every = _replay_min_p(ref, params, plan, store)
+    assert every.shape == (B_outer, h_tilde * 2)
+    assert np.array_equal(min_p, every.min(axis=1))
+    if h_tilde > 1:  # some run's minimum at an offset ties across episodes
+        by_offset = every.reshape(B_outer, h_tilde, -1)
+        ties = (by_offset == by_offset.min(axis=1, keepdims=True)).sum(axis=1)
+        assert np.any(ties > 1)
+
+
+def test_replay_evaluates_each_base_statistic_once_per_horizon_and_chunk(
+    monkeypatch,
+):
+    # udt is a plan statistic and a component of the mixed one: the replay
+    # evaluates it once per horizon and chunk, not once for each use.
+    params = make_params(T=4, seed=43)
+    ref = make_reference(params, 40, seed=44)
+    plan = make_plan(statistics=(UDT, em.parse_statistic("mixed:mean+udt")),
+                     horizons=(1, 2), h_tilde=3, B_inner=200, B_outer=1400,
+                     alpha0=0.1)
+    store = _store(ref, params, plan)
+    calls = []
+    offset_values = em.BatchEvaluator.offset_values
+
+    def counting(self, kind, *args, **kwargs):
+        calls.append(kind.spec)
+        return offset_values(self, kind, *args, **kwargs)
+
+    monkeypatch.setattr(em.BatchEvaluator, "offset_values", counting)
+    em.bfar_min_p(ref, params, plan, store)
+    chunks = -(-plan.B_outer // plan.replay_runs(plan.h_tilde))
+    assert chunks == 2
+    assert sorted(calls) == ["mean"] * 4 + ["udt"] * 4
+    calls.clear()
+    evaluator = em.BatchEvaluator(ref.episodes, params)
+    streams = np.array([em.h0_stream_indices(plan, 40, b) for b in range(5)])
+    em.replay_pvalues(evaluator, streams, plan, store)
+    assert sorted(calls) == ["mean"] * 2 + ["udt"] * 2

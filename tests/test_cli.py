@@ -11,7 +11,7 @@ import pytest
 import epimon as em
 from epimon import cli
 from epimon.cli import main
-from epimon.errors import NotTunedError
+from epimon.errors import InvalidDataError, NotTunedError
 from epimon.rng import substream
 
 from conftest import make_params, run_cli
@@ -492,6 +492,39 @@ def test_load_bundle_rejects_p_threshold_outside_unit_interval(
 
     assert _monitor_with_tampered_bundle(workspace, tmp_path, edit) == 2
     assert "p_threshold must be a finite number in (0, 1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit_distribution",
+    [
+        lambda d: [float("nan"), *d[1:]],
+        lambda d: d[:-1],
+        lambda d: d + [1.0],
+        lambda d: [d],
+        lambda d: [[p] for p in d],
+        lambda d: [d[0], [d[1]], *d[2:]],
+        lambda d: [0.0, *d[1:]],
+        lambda d: [*d[:-1], 1.5],
+        lambda d: [str(p) for p in d],
+        lambda d: [d[-1], *d[1:-1], d[0]],
+        lambda d: None,
+    ],
+    ids=["nan", "short", "long", "nested", "column", "ragged", "below-floor",
+         "above-one", "strings", "unsorted", "null"],
+)
+def test_load_bundle_rejects_malformed_min_p_distribution(
+    workspace, tmp_path, capsys, edit_distribution
+):
+    # A valid distribution is B_outer sorted numbers in [1/(B_inner+1), 1].
+    def edit(bundle, store):
+        distribution = bundle["min_p_distribution"]
+        assert distribution[0] < distribution[-1]
+        bundle["min_p_distribution"] = edit_distribution(distribution)
+
+    assert _monitor_with_tampered_bundle(workspace, tmp_path, edit) == 2
+    assert "error: min_p_distribution " in capsys.readouterr().err
+    with pytest.raises(InvalidDataError, match="min_p_distribution"):
+        em.load_bundle(tmp_path / "bundle.json")
 
 
 def test_load_bundle_rejects_unknown_plan_key(workspace, tmp_path, capsys):
