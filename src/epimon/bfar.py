@@ -13,11 +13,11 @@ One batched replay serves every caller. It works in two steps, one
 horizon at a time. The values step evaluates each base statistic (a plan
 statistic or a mixed one's component, each once) for every window, as one
 :meth:`BatchEvaluator.offset_values` call over all F test offsets, shaped
-(F, runs, E). The lookup step finds those values in the sorted store rows
-of the plan's statistics, mixed kinds through
-:func:`~epimon.stats.mixed_values`, and keeps the minimal p-value over
-statistics and horizons. Every run reads the inner bootstrap distributions
-from one shared :class:`BootstrapStore`.
+(F, runs, E). The lookup step finds those values in one table of sorted
+store rows, :meth:`MonitorPlan.store_rows`, resolved once per call before
+any evaluation, so a store that lacks a row fails first. Mixed kinds go
+through :func:`~epimon.stats.mixed_values`, the one copy of their rule; the
+step keeps the minimal p-value over statistics and horizons.
 
 :func:`replay_pvalues` looks up every test-point of whole runs;
 :func:`detection_steps` takes each generated run's first test-point below
@@ -33,7 +33,7 @@ component's value, so the smallest p-value over a run's test-points at one
 Each replays at most min(B_outer, _BATCH_CHUNK // E) runs of E tested
 episodes at a time, so memory stays flat in the number of runs. The live
 :class:`~epimon.sequential.Monitor` computes the same p-values from the
-same store rows (:meth:`MonitorPlan.store_rows`).
+same table, which :func:`load_bundle` also resolves to check the store.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from .episodic import (
     EpisodeParams,
     ReferenceDataset,
     check_format_version,
+    json_int,
     params_from_dict,
     params_to_dict,
 )
@@ -161,20 +162,21 @@ class MonitorPlan:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MonitorPlan":
-        """Plan from its JSON object; ``test_every`` may be omitted, any key
-        that is not a field raises :class:`ValueError`."""
+        """Plan from its JSON object; ``test_every`` may be omitted. Any key
+        that is not a field, and an integer field (each horizon too) that
+        is not a JSON integer, raises :class:`ValueError`."""
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"plan has unknown keys: {', '.join(unknown)}")
         return cls(
             statistics=tuple(parse_statistic(s) for s in data["statistics"]),
-            horizons=tuple(int(h) for h in data["horizons"]),
-            h_tilde=int(data["h_tilde"]),
+            horizons=tuple(json_int(h, "plan horizons") for h in data["horizons"]),
+            h_tilde=json_int(data["h_tilde"], "plan h_tilde"),
             alpha0=float(data["alpha0"]),
-            B_inner=int(data["B_inner"]),
-            B_outer=int(data["B_outer"]),
-            seed=int(data["seed"]),
-            test_every=int(data.get("test_every", 1)),
+            B_inner=json_int(data["B_inner"], "plan B_inner"),
+            B_outer=json_int(data["B_outer"], "plan B_outer"),
+            seed=json_int(data["seed"], "plan seed"),
+            test_every=json_int(data.get("test_every", 1), "plan test_every"),
         )
 
 
@@ -217,7 +219,8 @@ def replay_pvalues(
     steps after the warm-up, whose episodes the long horizons look back into.
     """
     runs, E = streams.shape[0], streams.shape[1] - plan.h_max
-    min_p = _replay(evaluator, streams, plan, store, run_minimum=False)
+    tests = plan.store_rows(store, evaluator.params.T)
+    min_p = _replay(evaluator, streams, plan, tests, run_minimum=False)
     return min_p.transpose(1, 2, 0).reshape(runs, E * min_p.shape[0])
 
 
@@ -225,7 +228,7 @@ def _replay(
     evaluator: BatchEvaluator,
     streams: np.ndarray,
     plan: MonitorPlan,
-    store: BootstrapStore,
+    tests: dict,
     run_minimum: bool,
 ) -> np.ndarray:
     """Minimal p-value over statistics and horizons of the runs ``streams``
@@ -235,8 +238,9 @@ def _replay(
 
     One horizon at a time, each base statistic is evaluated once for every
     window (:meth:`BatchEvaluator.offset_values`), reduced to each run's
-    minimum when ``run_minimum`` is set, and then looked up: the store rows
-    of the plan's statistics, mixed kinds through :func:`mixed_values`.
+    minimum when ``run_minimum`` is set, and then looked up in ``tests``,
+    the plan's :meth:`MonitorPlan.store_rows`, mixed kinds through
+    :func:`mixed_values`.
     """
     T = evaluator.params.T
     runs, E = streams.shape[0], streams.shape[1] - plan.h_max
@@ -254,16 +258,11 @@ def _replay(
             vals = evaluator.offset_values(base, whole_idx, tail_idx, taus)
             vals = vals.reshape(len(taus), runs, E)
             values[spec] = vals.min(axis=2) if run_minimum else vals
-        ns = [h * T + tau for tau in taus]
-        for kind in plan.statistics:
-            if kind.components:
-                comps = [values[c.spec] for c in kind.components]
-                vals = mixed_values(kind, ns, comps, store)
-            else:
-                vals = values[kind.spec]
-            for j, n in enumerate(ns):
-                p = bootstrap_pvalues(store.values_for(kind, n), vals[j])
-                np.minimum(min_p[j], p, out=min_p[j])
+        for j, tau in enumerate(taus):
+            at = {spec: vals[j] for spec, vals in values.items()}
+            for _, spec, rows, components in tests[h, tau]:
+                y = mixed_values(components, at) if components else at[spec]
+                np.minimum(min_p[j], bootstrap_pvalues(rows, y), out=min_p[j])
     return min_p
 
 
@@ -288,12 +287,13 @@ def bfar_min_p(
     its smallest value.
     """
     evaluator = BatchEvaluator(ref.episodes, params)
+    tests = plan.store_rows(store, params.T)
     min_p = np.empty(plan.B_outer)
     chunk = plan.replay_runs(plan.h_tilde)
     for lo in range(0, plan.B_outer, chunk):
         reps = range(lo, min(lo + chunk, plan.B_outer))
         streams = np.array([h0_stream_indices(plan, ref.num_episodes, b) for b in reps])
-        run_p = _replay(evaluator, streams, plan, store, run_minimum=True)
+        run_p = _replay(evaluator, streams, plan, tests, run_minimum=True)
         min_p[lo : reps.stop] = run_p.min(axis=0)
     return min_p
 

@@ -32,6 +32,7 @@ from .episodic import (
     ReferenceDataset,
     downsample,
     estimate_params,
+    json_int,
     load_params_json,
     load_reference_csv,
     params_to_dict,
@@ -72,11 +73,6 @@ def cmd_estimate(args) -> int:
             f"episodes have {ref.episode_length} samples, "
             f"expected --episode-length {args.episode_length}"
         )
-    if args.episode_length % args.downsample != 0:
-        raise ValueError(
-            f"--downsample {args.downsample} does not divide "
-            f"--episode-length {args.episode_length}"
-        )
     ref = ReferenceDataset.from_raw(ref.episodes, args.downsample)
     params = estimate_params(ref)
     _write_atomic(args.out, _dump_json(params_to_dict(params)))
@@ -99,7 +95,7 @@ def cmd_tune(args) -> int:
     with open(args.plan) as fh:
         plan = MonitorPlan.from_dict(json.load(fh))
     tuned = bfar_tune(ref, params, plan)
-    store_file = args.store_out or args.out + ".store.json"
+    store_file = args.out + ".store.json"
     _write_atomic(store_file, _dump_json(tuned.store.to_dict()))
     bundle = bundle_to_dict(tuned, os.path.basename(store_file))
     _write_atomic(args.out, _dump_json(bundle))
@@ -172,8 +168,8 @@ def _load_scenario(path: str, params) -> Scenario:
         params=params,
         kind=kind,
         epsilon=epsilon_sigma * params.mean_step_std,
-        offsets=tuple(int(o) for o in data.get("offsets", ())),
-        K=int(data.get("K", 1)),
+        offsets=tuple(json_int(o, "scenario offsets") for o in data.get("offsets", ())),
+        K=json_int(data.get("K", 1), "scenario K"),
     )
 
 
@@ -263,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", required=True, help="params JSON from estimate")
     p.add_argument("--plan", required=True, help="monitor plan JSON")
     p.add_argument("--header", action="store_true", help="skip one header line")
-    p.add_argument("--out", required=True, help="output monitor bundle JSON")
-    p.add_argument("--store-out", help="output store JSON (default <out>.store.json)")
+    p.add_argument("--out", required=True,
+                   help="output monitor bundle JSON (store: <out>.store.json)")
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("monitor", help="run the online monitor over a stream")

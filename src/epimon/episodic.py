@@ -74,20 +74,21 @@ def decompose_index(t: int, T: int) -> IndexDecomposition:
 
 
 def downsample(values: np.ndarray, factor: int) -> np.ndarray:
-    """Replace each consecutive block of ``factor`` samples by its mean."""
+    """Replace each consecutive block of ``factor`` samples along the last
+    axis by its mean: one rule for a raw stream and for reference rows."""
     factor = int(factor)
     if factor < 1:
         raise ValueError(f"downsample factor must be positive, got {factor}")
     values = np.asarray(values, dtype=float)
-    if values.ndim != 1:
-        raise ValueError("downsample expects a 1-D sample vector")
-    if values.size % factor != 0:
+    if values.ndim < 1:
+        raise ValueError("downsample expects samples along a last axis")
+    if values.shape[-1] % factor != 0:
         raise ValueError(
-            f"downsample factor {factor} does not divide length {values.size}"
+            f"downsample factor {factor} does not divide length {values.shape[-1]}"
         )
     if factor == 1:
         return values.copy()
-    return values.reshape(-1, factor).mean(axis=1)
+    return values.reshape(*values.shape[:-1], -1, factor).mean(axis=-1)
 
 
 class EpisodeParams:
@@ -302,15 +303,7 @@ class ReferenceDataset:
         raw = np.asarray(raw, dtype=float)
         if raw.ndim != 2:
             raise ValueError("raw episodes must be a 2-D matrix")
-        d = int(downsample_factor)
-        if d < 1:
-            raise ValueError("downsample_factor must be positive")
-        if raw.shape[1] % d != 0:
-            raise ValueError(
-                f"downsample factor {d} does not divide episode length {raw.shape[1]}"
-            )
-        episodes = raw if d == 1 else raw.reshape(raw.shape[0], -1, d).mean(axis=2)
-        return cls(episodes=episodes, downsample_factor=d)
+        return cls(downsample(raw, downsample_factor), int(downsample_factor))
 
 
 def estimate_params(ref: ReferenceDataset) -> EpisodeParams:
@@ -419,6 +412,14 @@ def check_format_version(
             f"{what} file has format_version {found!r}, "
             f"this version reads {expected}{hint}"
         )
+
+
+def json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer, else :class:`ValueError` naming
+    ``what``: a float is not truncated, and a bool is not an integer."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def params_from_dict(data: dict) -> EpisodeParams:

@@ -216,9 +216,9 @@ class BootstrapStore:
         One index table is drawn, at the longest length, and every entry
         slices it. Lengths with the same number K of whole episodes are
         built together: each distinct base statistic (a kind of the list or
-        a mixed kind's component) is evaluated once per K, its entries are
-        put, and each mixed kind's entries are then its components' minimal
-        p-values against them.
+        a mixed kind's component) is evaluated once per K and its entries
+        are put; each mixed kind's entries are then
+        :func:`~epimon.stats.mixed_values` against those component rows.
         """
         lengths = sorted({int(n) for n in lengths})
         if not lengths:
@@ -226,7 +226,9 @@ class BootstrapStore:
         T = self.params.T
         idx = resample_indices(ref.num_episodes, lengths[-1], T, self.B, self.seed)
         evaluator = BatchEvaluator(ref.episodes, self.params)
+        kinds = list(kinds)  # read twice, so a generator must not run dry
         bases = base_statistics(kinds)
+        mixed = [kind for kind in kinds if kind.components]
         offsets: dict[int, list[int]] = {}
         for n in lengths:
             dec = decompose_index(n, T)
@@ -240,12 +242,11 @@ class BootstrapStore:
             for spec, rows in values.items():
                 for n, row in zip(ns, rows):
                     self.entries[(spec, n)] = _sorted(row)
-            for kind in kinds:
-                if kind.components:
-                    comps = [values[c.spec] for c in kind.components]
-                    rows = mixed_values(kind, ns, comps, self)
-                    for n, row in zip(ns, rows):
-                        self.entries[(kind.spec, n)] = _sorted(row)
+            for i, n in enumerate(ns):
+                at = {spec: vals[i] for spec, vals in values.items()}
+                for kind in mixed:
+                    comps = [(c.spec, self.entries[c.spec, n]) for c in kind.components]
+                    self.entries[(kind.spec, n)] = _sorted(mixed_values(comps, at))
 
     def to_dict(self) -> dict:
         entries = [

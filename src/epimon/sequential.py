@@ -1,7 +1,8 @@
 """Online sequential monitor: the live path (``epimon monitor``, library use).
 Simulated whole runs use :func:`epimon.bfar.replay_pvalues`, whose p-values
 are tested equal to the monitor's at every test-point of generated streams;
-both read the store rows of :meth:`epimon.bfar.MonitorPlan.store_rows`.
+both read the store rows of :meth:`epimon.bfar.MonitorPlan.store_rows` and
+take mixed values from :func:`epimon.stats.mixed_values`.
 A stream that repeats reference episodes verbatim, as the BFAR replay's
 resampled runs do, can have windows that tie a stored value exactly; there
 a live p-value can differ from the replay's by a few ranks, because a value
@@ -53,6 +54,7 @@ from .stats import (
     bootstrap_pvalues,
     episode_piece,
     finish,
+    mixed_values,
     statistic_value,  # noqa: F401 -- perfbench's tracer patches this global
     whole_part,
 )
@@ -200,10 +202,7 @@ class Monitor:
                     y = finish(base, params, wholes[spec], tails[base.name], h, tau)[0]
                 values[spec] = y
             for kind, spec, rows, components in self._tests[h, tau]:
-                if components:  # mixed: the minimum component p-value
-                    y = min(bootstrap_pvalues(r, values[c]) for c, r in components)
-                else:
-                    y = values[spec]
+                y = mixed_values(components, values) if components else values[spec]
                 p = float(bootstrap_pvalues(rows, y))
                 evaluations.append(TestEvaluation(kind, h, p))
                 if best is None or p < best.p:

@@ -30,6 +30,9 @@ caller runs these parts: :class:`BatchEvaluator` caches the pieces of the
 reference rows for the bootstrap store and the BFAR replay,
 :func:`statistic_value` is a batch of one window, and the live monitor
 keeps a ring of the pieces of its last episodes and their whole parts.
+
+The mixed rule, the minimum of the components' p-values, is written once:
+:func:`mixed_values`, over store rows its caller resolved, never a store.
 """
 
 from __future__ import annotations
@@ -325,24 +328,17 @@ def finish(
     return -(prefix[:, -1] - np.minimum(0.0, low))
 
 
-def mixed_values(
-    kind: StatisticKind, lengths, component_values, store
-) -> np.ndarray:
-    """A mixed statistic from its components' values on the same windows.
-
-    ``component_values[j][i]`` holds component j's values (one per window,
-    or a single value) at length ``lengths[i]``; entry i of the result is
-    their minimum p-value against the store's distributions at that length.
-    """
-    if store is None:
-        raise NotTunedError("mixed statistic requires a bootstrap store")
-    return np.array([
-        np.minimum.reduce([
-            bootstrap_pvalues(store.values_for(comp, n), vals[i])
-            for comp, vals in zip(kind.components, component_values)
-        ])
-        for i, n in enumerate(lengths)
-    ])
+def mixed_values(components, values):
+    """The mixed rule: the minimum over a mixed kind's components of their
+    bootstrap p-values. ``components`` holds the (spec, sorted store row)
+    pair of each component at one window length, and ``values[spec]`` its
+    value (a float) or values (an array) on the windows. Floats give a
+    Python float through ``min``, arrays ``np.minimum.reduce``, the same
+    split :func:`bootstrap_pvalues` makes."""
+    pvalues = [bootstrap_pvalues(rows, values[spec]) for spec, rows in components]
+    if isinstance(pvalues[0], float):
+        return min(pvalues)
+    return np.minimum.reduce(pvalues)
 
 
 def bootstrap_pvalues(sorted_values: np.ndarray, values):
@@ -433,12 +429,16 @@ class BatchEvaluator:
             raise ValueError(f"tau must be in [1, {T}]")
         R, K = whole_idx.shape
         if kind.name == "mixed":
-            component_values = [
-                self.offset_values(comp, whole_idx, tail_idx, taus, store)
-                for comp in kind.components
-            ]
-            lengths = [K * T + tau for tau in taus]
-            return mixed_values(kind, lengths, component_values, store)
+            if store is None:
+                raise NotTunedError("mixed statistic requires a bootstrap store")
+            comps = kind.components
+            values = {c.spec: self.offset_values(c, whole_idx, tail_idx, taus)
+                      for c in comps}
+            out = np.empty((len(taus), R))
+            for i, tau in enumerate(taus):
+                rows = [(c.spec, store.values_for(c, K * T + tau)) for c in comps]
+                out[i] = mixed_values(rows, {spec: v[i] for spec, v in values.items()})
+            return out
         name = kind.name
         piece = self._piece(name, T) if K else None
         tails = [self._piece(name, tau) for tau in taus]

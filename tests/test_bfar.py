@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import epimon as em
-from epimon.errors import ResolutionError
+from epimon.errors import NotTunedError, ResolutionError
 
 from conftest import make_params, make_reference
 
@@ -38,6 +38,19 @@ def test_plan_validation():
         make_plan(alpha0=0.001, B_outer=10)  # alpha0 * B_outer < 1
     with pytest.raises(ValueError):
         make_plan(statistics=())
+
+
+@pytest.mark.parametrize("key, value", [
+    ("horizons", [1.9, 3]), ("h_tilde", True), ("B_inner", 100.5),
+    ("B_outer", 200.0), ("seed", 42.7), ("test_every", 1.5),
+])
+def test_plan_from_dict_rejects_non_integer_fields(key, value):
+    # int() would truncate each of these to a plan other than the one written.
+    data = make_plan().to_dict()
+    assert em.MonitorPlan.from_dict(data) == make_plan()
+    data[key] = value
+    with pytest.raises(ValueError, match=f"plan {key} must be an integer"):
+        em.MonitorPlan.from_dict(data)
 
 
 def test_window_lengths_enumeration():
@@ -308,3 +321,31 @@ def test_replay_evaluates_each_base_statistic_once_per_horizon_and_chunk(
     streams = np.array([em.h0_stream_indices(plan, 40, b) for b in range(5)])
     em.replay_pvalues(evaluator, streams, plan, store)
     assert sorted(calls) == ["mean"] * 2 + ["udt"] * 2
+
+
+def test_replay_rejects_a_missing_component_row_before_evaluating(monkeypatch):
+    # Both replays resolve every store row of the plan first, so a store
+    # that lacks one fails before any statistic is evaluated.
+    params = make_params(T=4, seed=45)
+    ref = make_reference(params, 40, seed=46)
+    plan = make_plan(statistics=(em.parse_statistic("mixed:mean+udt"),),
+                     horizons=(1, 2), h_tilde=2, B_inner=100, B_outer=20,
+                     alpha0=0.1)
+    store = _store(ref, params, plan)
+    n = plan.window_lengths(params.T)[-1]
+    del store.entries["udt", n]
+    calls = []
+    offset_values = em.BatchEvaluator.offset_values
+
+    def counting(self, kind, *args, **kwargs):
+        calls.append(kind.spec)
+        return offset_values(self, kind, *args, **kwargs)
+
+    monkeypatch.setattr(em.BatchEvaluator, "offset_values", counting)
+    with pytest.raises(NotTunedError, match=f"'udt' at length {n}"):
+        em.bfar_min_p(ref, params, plan, store)
+    evaluator = em.BatchEvaluator(ref.episodes, params)
+    streams = np.array([em.h0_stream_indices(plan, 40, b) for b in range(3)])
+    with pytest.raises(NotTunedError, match=f"'udt' at length {n}"):
+        em.replay_pvalues(evaluator, streams, plan, store)
+    assert calls == []

@@ -93,6 +93,15 @@ def test_estimate_rejects_nondivisible_downsample(workspace, tmp_path):
     assert not out.exists()  # no partial output
 
 
+def test_estimate_rejects_a_zero_downsample(workspace, tmp_path, capsys):
+    out = tmp_path / "nope.json"
+    code = main(["estimate", str(workspace / "reference.csv"),
+                 "--episode-length", "12", "--downsample", "0", "--out", str(out)])
+    assert code == 2
+    assert "downsample factor must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_tune_rerun_byte_identical(workspace, tmp_path):
     out = tmp_path / "bundle.json"
     for _ in range(2):
@@ -141,6 +150,34 @@ def test_tune_rejects_unknown_plan_key(workspace, tmp_path, capsys):
                  "--out", str(tmp_path / "bundle.json")])
     assert code == 2
     assert "plan has unknown keys: test_evry" in capsys.readouterr().err
+    assert not (tmp_path / "bundle.json").exists()
+
+
+def test_tune_rejects_a_store_out_flag(workspace, tmp_path):
+    # The store is always <out>.store.json, the name the bundle records.
+    with pytest.raises(SystemExit) as exc:
+        main(["tune", str(workspace / "reference.csv"),
+              "--params", str(workspace / "params.json"),
+              "--plan", str(workspace / "plan.json"),
+              "--out", str(tmp_path / "bundle.json"),
+              "--store-out", str(tmp_path / "store.json")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "bundle.json").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("horizons", [1.9, 3]), ("h_tilde", True), ("B_inner", 800.5),
+])
+def test_tune_rejects_non_integer_plan_fields(workspace, tmp_path, capsys, key, value):
+    plan = json.loads((workspace / "plan.json").read_text())
+    plan[key] = value
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    code = main(["tune", str(workspace / "reference.csv"),
+                 "--params", str(workspace / "params.json"),
+                 "--plan", str(tmp_path / "plan.json"),
+                 "--out", str(tmp_path / "bundle.json")])
+    assert code == 2
+    assert f"plan {key} must be an integer" in capsys.readouterr().err
     assert not (tmp_path / "bundle.json").exists()
 
 
@@ -318,6 +355,28 @@ def test_simulate_rejects_fields_the_scenario_kind_ignores(
     ])
     assert code == 2
     assert "scenario takes no" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario, field", [
+    ({"kind": "scaled_uniform", "epsilon_sigma": 1.0, "K": 2.5}, "K"),
+    ({"kind": "scaled_uniform", "epsilon_sigma": 1.0, "K": True}, "K"),
+    ({"kind": "partial", "epsilon_sigma": 1.0, "offsets": [1.5, 3]}, "offsets"),
+], ids=["K-float", "K-bool", "offsets-float"])
+def test_simulate_rejects_non_integer_scenario_fields(
+    workspace, tmp_path, capsys, scenario, field
+):
+    # int() would truncate each to a scenario other than the one written.
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "report.json"
+    code = main([
+        "simulate", "--bundle", str(workspace / "bundle.json"),
+        "--scenario", str(path), "--blocks", "2", "--seed", "1",
+        "--out", str(out),
+    ])
+    assert code == 2
+    assert f"scenario {field} must be an integer" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -69,6 +69,18 @@ def test_downsample_rejects_nondivisor():
         em.downsample([1, 2, 3], 2)
 
 
+def test_downsample_averages_each_row_along_the_last_axis():
+    raw = np.random.default_rng(4).normal(size=(5, 24))
+    rows = em.downsample(raw, 8)
+    assert rows.shape == (5, 3)
+    for row, out in zip(raw, rows):
+        assert np.array_equal(em.downsample(row, 8), out)
+    ref = em.ReferenceDataset.from_raw(raw, 8)
+    assert np.array_equal(ref.episodes, rows) and ref.downsample_factor == 8
+    with pytest.raises(ValueError):
+        em.downsample(3.0, 1)
+
+
 # ---------------------------------------------------------------------------
 # estimate_params
 # ---------------------------------------------------------------------------

@@ -225,8 +225,13 @@ def _fill_ensure_twice(store, ref):
     store.ensure(ref, STORE_KINDS, [23, 5])
 
 
+def _fill_ensure_from_generators(store, ref):
+    store.ensure(ref, (k for k in STORE_KINDS), (n for n in STORE_LENGTHS))
+
+
 @pytest.mark.parametrize(
-    "fill", [_fill_ensure_ascending, _fill_ensure_descending, _fill_ensure_twice]
+    "fill", [_fill_ensure_ascending, _fill_ensure_descending, _fill_ensure_twice,
+             _fill_ensure_from_generators]
 )
 def test_store_entries_equal_standalone_bootstrap(fill):
     params = make_params(T=4, seed=14)
@@ -234,6 +239,8 @@ def test_store_entries_equal_standalone_bootstrap(fill):
     B, seed = 64, 21
     store = em.BootstrapStore(params, B=B, seed=seed)
     fill(store, ref)
+    planned = {(kind.spec, n) for kind in STORE_KINDS for n in STORE_LENGTHS}
+    assert planned <= store.entries.keys()
     oracle = _oracle_entries(ref, params, store.entries, B, seed)
     assert store.entries.keys() == oracle.keys()
     for key, entry in store.entries.items():

@@ -5,7 +5,13 @@ import pytest
 
 import epimon as em
 from epimon.errors import DegenerateVarianceError, InvalidDataError, NotTunedError
-from epimon.stats import _BATCH_CHUNK, BatchEvaluator, ceil_fraction, episode_piece
+from epimon.stats import (
+    _BATCH_CHUNK,
+    BatchEvaluator,
+    ceil_fraction,
+    episode_piece,
+    mixed_values,
+)
 
 from conftest import make_params, make_reference
 
@@ -318,6 +324,21 @@ def test_mixed_takes_min_component_pvalue():
         y = em.statistic_value(comp, w2)
         ps.append((1 + np.searchsorted(dist, y, side="right")) / 201)
     assert em.statistic_value(kind, w2, store) == pytest.approx(min(ps))
+
+
+def test_mixed_values_of_floats_equal_those_of_length_one_arrays():
+    # The monitor passes Python floats, the replay and the store arrays;
+    # both must be the same mixed rule, bit for bit.
+    rng = np.random.default_rng(3)
+    rows = [(spec, np.sort(rng.normal(size=50))) for spec in ("mean", "udt")]
+    ties = [row[::7] for _, row in rows]  # values equal to stored ones
+    ys = np.concatenate([rng.normal(size=40), *ties, [-9.0, 9.0]])
+    for a, b in zip(ys, ys[::-1]):
+        from_floats = mixed_values(rows, {"mean": float(a), "udt": float(b)})
+        from_arrays = mixed_values(rows, {"mean": np.array([a]), "udt": np.array([b])})
+        assert type(from_floats) is float
+        assert from_floats == from_arrays[0]
+        assert from_floats.hex() == float(from_arrays[0]).hex()
 
 
 def test_mixed_h0_distribution_subuniform_and_recalibrated():
