@@ -199,10 +199,13 @@ class TunedMonitor:
         return replace(self, p_threshold=float(p_threshold))
 
 
-def h0_stream_indices(plan: MonitorPlan, num_episodes: int, b: int) -> np.ndarray:
-    """Episode-row indices of outer repetition b's simulated stream."""
-    rng = substream(plan.seed, "bfar", b)
-    return rng.integers(0, num_episodes, size=plan.h_max + plan.h_tilde)
+def h0_stream_indices(plan: MonitorPlan, num_episodes: int) -> np.ndarray:
+    """Episode-row indices of every outer repetition's simulated stream:
+    (B_outer, h_max + h_tilde), row b for repetition b, drawn row by row
+    from the one (plan.seed, "bfar") substream, so the first rows do not
+    change when B_outer grows."""
+    size = (plan.B_outer, plan.h_max + plan.h_tilde)
+    return substream(plan.seed, "bfar").integers(0, num_episodes, size=size)
 
 
 def replay_pvalues(
@@ -273,8 +276,9 @@ def bfar_min_p(
     store: BootstrapStore,
 ) -> np.ndarray:
     """Minimal p-value of each simulated sequential run (unsorted, by rep):
-    repetition b replays the h_tilde episodes after the warm-up of its
-    resampled stream (:func:`h0_stream_indices`).
+    repetition b replays the h_tilde episodes after the warm-up of row b of
+    :func:`h0_stream_indices`. The table is drawn once, before any run is
+    replayed, and replayed ``plan.replay_runs(h_tilde)`` rows at a time.
 
     The result is ``replay_pvalues(...).min(axis=1)``, bit for bit, but
     each base statistic's values are reduced to the run's minimum over its
@@ -288,13 +292,13 @@ def bfar_min_p(
     """
     evaluator = BatchEvaluator(ref.episodes, params)
     tests = plan.store_rows(store, params.T)
+    streams = h0_stream_indices(plan, ref.num_episodes)
     min_p = np.empty(plan.B_outer)
     chunk = plan.replay_runs(plan.h_tilde)
     for lo in range(0, plan.B_outer, chunk):
-        reps = range(lo, min(lo + chunk, plan.B_outer))
-        streams = np.array([h0_stream_indices(plan, ref.num_episodes, b) for b in reps])
-        run_p = _replay(evaluator, streams, plan, tests, run_minimum=True)
-        min_p[lo : reps.stop] = run_p.min(axis=0)
+        runs = streams[lo : lo + chunk]
+        run_p = _replay(evaluator, runs, plan, tests, run_minimum=True)
+        min_p[lo : lo + chunk] = run_p.min(axis=0)
     return min_p
 
 

@@ -180,8 +180,8 @@ def cmd_simulate(args) -> int:
     scenario = _load_scenario(args.scenario, params)
 
     def blocks():  # h_max H0 warm-up episodes, then the scenario's
-        for block in range(args.blocks):
-            seed = int(substream(args.seed, "block", block).integers(0, 2**63 - 1))
+        seeds = substream(args.seed, "block").integers(0, 2**63 - 1, size=args.blocks)
+        for seed in map(int, seeds):
             warmup = Scenario(params=params, kind="h0", seed=seed)
             tested = replace(scenario, seed=seed)
             yield np.concatenate([

@@ -425,12 +425,12 @@ def json_int(value, what: str) -> int:
 def params_from_dict(data: dict) -> EpisodeParams:
     check_format_version(data, PARAMS_FORMAT_VERSION, "params")
     mu0 = np.asarray(data["mu0"], dtype=float)
-    if mu0.size != int(data["T"]):
+    if mu0.size != json_int(data["T"], "params T"):
         raise InvalidDataError("params file: mu0 length does not match T")
     return EpisodeParams(
         mu0,
         np.asarray(data["sigma0"], dtype=float),
-        downsample_factor=int(data["d"]),
+        downsample_factor=json_int(data["d"], "params d"),
         regularized=bool(data.get("regularized", False)),
         ridge=float(data.get("lambda", 0.0)),
     )

@@ -15,8 +15,9 @@ max(1, ceil(alpha*B)), which keeps the realized false-alarm rate conservative.
 The quantile rule is authoritative for `reject`; on ties it can disagree with
 "p < alpha" by one rank (ties never reject).
 
-Resample indices for repetition b derive from the (seed, "boot", b)
-substream -- independent of the statistic kind and window length -- so every
+Resample indices come from one table drawn from the (seed, "boot")
+substream, one row per repetition, drawn before any window is evaluated
+and independent of the statistic kind and window length, so every
 statistic sees the same synthetic windows and windows of different lengths
 are nested within a repetition. This makes the whole decision invariant to
 monotone reparameterizations of a statistic, makes statistics that differ by
@@ -28,8 +29,10 @@ A :class:`BootstrapStore` is filled one way, by
 draws one (B, K_max+1) index table, at the longest of ``lengths``, and
 slices its leading K+1 columns for every (statistic, length) entry.
 Slicing is exact, not an approximation: ``Generator.integers`` produces its
-output values in order from the stream, so the first K+1 values of a longer
-draw are the values a draw of length K+1 returns.
+output values in order from the stream, and the table is drawn one episode
+position at a time (all B repetitions' first episode, then all their
+second, ...), so the first (K+1)*B values of a longer draw are the values
+a draw at K+1 returns.
 
 Store file format (version 2). The store is a JSON object with
 ``format_version``, ``B``, ``seed`` and ``entries``; each entry has the
@@ -52,6 +55,7 @@ from .episodic import (
     ReferenceDataset,
     check_format_version,
     decompose_index,
+    json_int,
 )
 from .errors import NotTunedError
 from .rng import substream
@@ -95,27 +99,26 @@ def resample_indices(
     """(B, K+1) episode-row indices for the synthetic windows of length n.
 
     Column layout: K whole episodes then the tail episode (cropped to tau0 by
-    the caller). Repetition b draws the leading K+1 values of the
-    (seed, "boot", b) substream, so windows of different lengths within the
-    same repetition are nested -- shorter windows are prefixes of longer ones,
-    the same way a monitor's windows grow along one stream. This couples the
-    extreme tails of the stored distributions across window lengths, which
-    keeps the family-wise probability of hitting the 1/(B+1) p-value floor
-    governed by the number of horizons rather than the number of distinct
-    lengths.
+    the caller). The table is the transpose of one (K+1, B) draw from the
+    (seed, "boot") substream: row b is repetition b, and the draw fills one
+    episode position for all B repetitions before the next. So the table at
+    K+1 is the first (K+1)*B values of any longer draw, and windows of
+    different lengths within the same repetition are nested -- shorter
+    windows are prefixes of longer ones, the same way a monitor's windows
+    grow along one stream. This couples the extreme tails of the stored
+    distributions across window lengths, which keeps the family-wise
+    probability of hitting the 1/(B+1) p-value floor governed by the number
+    of horizons rather than the number of distinct lengths.
 
     Because the draw at length n is a prefix of the draw at any longer
     length, the columns ``[:, :k+1]`` of one table drawn at the longest
     length equal this function's result at every shorter length with K = k;
-    :meth:`BootstrapStore.ensure` relies on that to build each of its B
-    generators once per call rather than once per entry.
+    :meth:`BootstrapStore.ensure` relies on that to draw one table per call
+    rather than one per entry.
     """
     dec = decompose_index(n, T)
-    idx = np.empty((B, dec.k + 1), dtype=np.intp)
-    for b in range(B):
-        rng = substream(seed, "boot", b)
-        idx[b] = rng.integers(0, num_episodes, size=dec.k + 1)
-    return idx
+    rng = substream(seed, "boot")
+    return rng.integers(0, num_episodes, size=(dec.k + 1, B)).T
 
 
 def bootstrap_distribution(
@@ -182,8 +185,9 @@ class BootstrapStore:
     :meth:`to_dict` writes store format version 2 (see the module
     docstring): ``format_version``, ``B``, ``seed`` and ``entries[].kind/n``
     as JSON, each entry's ``values`` as base64 of its sorted little-endian
-    float64 bytes. :meth:`from_dict` rejects any other version and any
-    entry that does not decode to B finite, non-decreasing values.
+    float64 bytes. :meth:`from_dict` rejects any other version, a ``B``,
+    ``seed`` or entry ``n`` that is not a JSON integer, and any entry that
+    does not decode to B finite, non-decreasing values.
     """
 
     def __init__(
@@ -266,13 +270,14 @@ class BootstrapStore:
             data, STORE_FORMAT_VERSION, "store",
             "; re-run `epimon tune` to rebuild it",
         )
-        B = int(data["B"])
+        B = json_int(data["B"], "store B")
+        seed = json_int(data["seed"], "store seed")
         entries: dict[tuple[str, int], np.ndarray] = {}
         for item in data["entries"]:
             kind = parse_statistic(item["kind"])  # validates the spelling
-            key = (kind.spec, int(item["n"]))
+            key = (kind.spec, json_int(item["n"], "store entry n"))
             entries[key] = _decode_values(item["values"], B, key)
-        return cls(params, B, int(data["seed"]), entries=entries)
+        return cls(params, B, seed, entries=entries)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:

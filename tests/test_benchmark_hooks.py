@@ -67,4 +67,4 @@ def test_bfar_tune_reaches_the_replay_through_module_globals(monkeypatch):
     plan = em.MonitorPlan(statistics=(em.StatisticKind.udt(),), horizons=(1,),
                           h_tilde=2, alpha0=0.2, B_inner=100, B_outer=20, seed=53)
     bfar.bfar_tune(ref, params, plan)
-    assert calls == {"bfar_min_p": 1, "h0_stream_indices": 20}
+    assert calls == {"bfar_min_p": 1, "h0_stream_indices": 1}

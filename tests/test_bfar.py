@@ -1,5 +1,7 @@
 """BFAR tuning: threshold calibration, determinism, monotonicity, guard."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -250,14 +252,29 @@ def test_far_verify_rejects_streams_of_the_wrong_length(mean_monitor):
     assert 0.0 <= em.far_verify(tuned, gen, runs=3) <= 1.0
 
 
+@pytest.mark.parametrize("num_episodes", [1, 7, 2**33])
+def test_h0_stream_indices_is_one_table_with_a_row_per_repetition(num_episodes):
+    plan = make_plan(horizons=(1, 3), h_tilde=4, B_outer=30, alpha0=0.1)
+    table = em.h0_stream_indices(plan, num_episodes)
+    assert table.shape == (30, 3 + 4)
+    assert table.min() >= 0 and table.max() < num_episodes
+
+
+def test_h0_stream_indices_rows_do_not_depend_on_b_outer():
+    # Growing B_outer appends rows: the runs already simulated stay the same.
+    plan = make_plan(horizons=(1, 3), h_tilde=4, B_outer=30, alpha0=0.1)
+    table = em.h0_stream_indices(plan, 40)
+    for B_outer in (10, 29):
+        smaller = em.h0_stream_indices(replace(plan, B_outer=B_outer), 40)
+        assert np.array_equal(smaller, table[:B_outer]), B_outer
+    assert len({tuple(row) for row in table}) == 30
+
+
 def _replay_min_p(ref, params, plan, store):
     """``replay_pvalues(...).min(axis=1)`` over bfar_min_p's streams, in its
     chunks of ``plan.replay_runs(h_tilde)`` runs."""
     evaluator = em.BatchEvaluator(ref.episodes, params)
-    streams = np.array([
-        em.h0_stream_indices(plan, ref.num_episodes, b)
-        for b in range(plan.B_outer)
-    ])
+    streams = em.h0_stream_indices(plan, ref.num_episodes)
     chunk = plan.replay_runs(plan.h_tilde)
     return np.concatenate([
         em.replay_pvalues(evaluator, streams[lo : lo + chunk], plan, store)
@@ -318,7 +335,7 @@ def test_replay_evaluates_each_base_statistic_once_per_horizon_and_chunk(
     assert sorted(calls) == ["mean"] * 4 + ["udt"] * 4
     calls.clear()
     evaluator = em.BatchEvaluator(ref.episodes, params)
-    streams = np.array([em.h0_stream_indices(plan, 40, b) for b in range(5)])
+    streams = em.h0_stream_indices(plan, 40)[:5]
     em.replay_pvalues(evaluator, streams, plan, store)
     assert sorted(calls) == ["mean"] * 2 + ["udt"] * 2
 
@@ -345,7 +362,7 @@ def test_replay_rejects_a_missing_component_row_before_evaluating(monkeypatch):
     with pytest.raises(NotTunedError, match=f"'udt' at length {n}"):
         em.bfar_min_p(ref, params, plan, store)
     evaluator = em.BatchEvaluator(ref.episodes, params)
-    streams = np.array([em.h0_stream_indices(plan, 40, b) for b in range(3)])
+    streams = em.h0_stream_indices(plan, 40)[:3]
     with pytest.raises(NotTunedError, match=f"'udt' at length {n}"):
         em.replay_pvalues(evaluator, streams, plan, store)
     assert calls == []

@@ -181,6 +181,20 @@ def test_tune_rejects_non_integer_plan_fields(workspace, tmp_path, capsys, key, 
     assert not (tmp_path / "bundle.json").exists()
 
 
+@pytest.mark.parametrize("key", ["T", "d"])
+def test_tune_rejects_non_integer_params_fields(workspace, tmp_path, capsys, key):
+    params = json.loads((workspace / "params.json").read_text())
+    params[key] = float(params[key])
+    (tmp_path / "params.json").write_text(json.dumps(params))
+    code = main(["tune", str(workspace / "reference.csv"),
+                 "--params", str(tmp_path / "params.json"),
+                 "--plan", str(workspace / "plan.json"),
+                 "--out", str(tmp_path / "bundle.json")])
+    assert code == 2
+    assert f"params {key} must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "bundle.json").exists()
+
+
 def _stream_text(params_raw, scenario_kind, episodes, seed, epsilon=0.0):
     sc = em.Scenario(params=params_raw, kind=scenario_kind, epsilon=epsilon, seed=seed)
     samples = em.generate_episodes(sc, episodes).ravel()
@@ -397,8 +411,8 @@ def test_simulate_detection_times_match_the_monitor(workspace, tmp_path):
     params, plan = tuned.params, tuned.plan
     assert blocks > plan.B_outer
     expected = []
-    for block in range(blocks):
-        block_seed = int(substream(seed, "block", block).integers(0, 2**63 - 1))
+    block_seeds = substream(seed, "block").integers(0, 2**63 - 1, size=blocks)
+    for block_seed in map(int, block_seeds):
         drop = em.Scenario(params=params, kind="uniform", seed=block_seed,
                            epsilon=0.4 * params.mean_step_std)
         samples = np.concatenate([
@@ -418,6 +432,32 @@ def test_simulate_detection_times_match_the_monitor(workspace, tmp_path):
     assert report["episodes_per_block"] == episodes
     assert 0 < len(expected) < blocks
     assert report["detection_curve"]["steps_after_onset"] == sorted(expected)
+
+
+def test_simulate_block_seeds_do_not_depend_on_the_block_count(
+    workspace, tmp_path, monkeypatch
+):
+    # The block seeds are one table drawn from the (seed, "block") stream:
+    # more blocks append seeds, they do not change the first ones.
+    seeds = []
+    generate_episodes = cli.generate_episodes
+
+    def recording(scenario, count, stream=0):
+        if stream == 0:  # each block's warm-up
+            seeds.append(scenario.seed)
+        return generate_episodes(scenario, count, stream=stream)
+
+    monkeypatch.setattr(cli, "generate_episodes", recording)
+    scenario = tmp_path / "h0.json"
+    scenario.write_text(json.dumps({"kind": "h0"}))
+    for blocks in (5, 10):
+        assert main([
+            "simulate", "--bundle", str(workspace / "bundle.json"),
+            "--scenario", str(scenario), "--blocks", str(blocks),
+            "--seed", "9", "--out", str(tmp_path / f"report{blocks}.json"),
+        ]) == 0
+    assert len(seeds) == 15 and len(set(seeds[5:])) == 10
+    assert seeds[:5] == seeds[5:10]
 
 
 def test_power_report(workspace, tmp_path):
@@ -485,6 +525,23 @@ def test_load_bundle_rejects_store_with_other_seed(workspace, tmp_path, capsys):
 
     assert _monitor_with_tampered_bundle(workspace, tmp_path, edit) == 2
     assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where, key", [
+    ("store", "B"), ("store", "seed"), ("entry", "n"), ("params", "T"),
+    ("params", "d"),
+])
+def test_load_bundle_rejects_non_integer_fields(
+    workspace, tmp_path, capsys, where, key
+):
+    def edit(bundle, store):
+        target = {"store": store, "entry": store["entries"][0],
+                  "params": bundle["params"]}[where]
+        target[key] = float(target[key])
+
+    assert _monitor_with_tampered_bundle(workspace, tmp_path, edit) == 2
+    what = {"store": "store ", "entry": "store entry ", "params": "params "}[where]
+    assert f"{what}{key} must be an integer" in capsys.readouterr().err
 
 
 def test_load_bundle_rejects_store_missing_a_length(workspace, tmp_path, capsys):

@@ -229,6 +229,17 @@ def test_params_json_roundtrip(tmp_path, small_params):
     assert loaded.downsample_factor == small_params.downsample_factor
 
 
+@pytest.mark.parametrize("key, value", [
+    ("T", lambda T: float(T)), ("d", lambda d: d + 0.7), ("d", lambda d: True),
+], ids=["float-T", "fraction-d", "bool-d"])
+def test_params_from_dict_rejects_non_integer_fields(small_params, key, value):
+    # int() would truncate "d": 2.7 to 2, a model other than the one written.
+    data = em.params_to_dict(small_params)
+    data[key] = value(data[key])
+    with pytest.raises(ValueError, match=f"params {key} must be an integer"):
+        em.params_from_dict(data)
+
+
 def test_reference_csv_reader(tmp_path):
     path = tmp_path / "ref.csv"
     path.write_text("h1,h2\n1.0,2.0\n3.0,4.0\n")

@@ -19,7 +19,12 @@ Moved so far: the ``mdt`` plan's ``bundle.json.store.json`` and ``store
 entries`` when the ``hotelling`` quadratic became one matrix product
 ``((delta @ S) * delta).sum(axis=1)`` in place of a three-operand
 ``np.einsum``, which rounds some stored values differently in the last bit;
-its bundle, report and monitor output kept their hashes.
+its bundle, report and monitor output kept their hashes. Every hash of
+both plans but ``params.json``, which uses no randomness, when each random
+table (the bootstrap's resample indices, BFAR's simulated streams and
+``simulate``'s block seeds) became one draw from one substream per table,
+``("boot",)``, ``("bfar",)`` and ``("block",)``, in place of one substream
+per repetition: the same distributions, different draws.
 """
 
 import contextlib
@@ -67,38 +72,38 @@ GOLDEN = {
         "b205624550704bc0248ca2faa857a585bfdc1b6e0786bad988c4dca2a7a53860"
     ),
     "bundle.json": (
-        "681afc80b83d2591f6a433af83f47d31e411ffb4b71050d68e91dd6bd1151ccb"
+        "a12a6b496a9a057d84c2d08cde2a1d1bd5adbb0e99e55bde4584087393e3fd83"
     ),
     "bundle.json.store.json": (
-        "5355d2c14b54c4d4a7cb673e6557671241f08748114cfc5ebc8bbd902020a80a"
+        "d7ca041bde2409ec507397a6d47992f09abebc0f5aa8f39b71af3fe5a7b4e381"
     ),
     "report.json": (
-        "3fd650a01472ac44bb0ca5e5838e1389187550ade777986dbe5ed9830ae8091c"
+        "e8a60e9931decb8c799f908cbbb07a5faf8f9c32b87110b8f3eb2506932ac35a"
     ),
     "monitor.ndjson": (
-        "01541324dabcb56a88900bc51ee807662520e5c77cf79322994f2107f6e888b6"
+        "6f71920d965a52b1c12530f8282ad1b4224f99659ff412cc9f4edc91c9366594"
     ),
     "store entries": (
-        "996584938ed23141970e5573d3bdf0891488f82e008779ffefb775266bcc8216"
+        "21a30eeabe8afcbbee0aa425f704a93025a90bbc2e0f39d495c2e033706dd443"
     ),
 }
 
 GOLDEN_MDT_CUSUM = {
     "params.json": GOLDEN["params.json"],
     "bundle.json": (
-        "bd2300fce674e1561c6cfc727524cea5b1bbff80fd15615c2bd1b64616ea5fee"
+        "a4fff43913a7930b5e6ce14ce885c15f076b250c2c8ab6298dc357741c7dc388"
     ),
     "bundle.json.store.json": (
-        "6f57387f465a54dda111a6199c6531a8a5576f5278ef00137b61e14083381268"
+        "d215c267a195a104ba99f938dfb57a13f72524152bc76c67d758ea40b727a4a9"
     ),
     "report.json": (
-        "af60888e72334037f91cfefe320de5af1015c38005fb4b946bf056f247f75a8c"
+        "0e617f65ef016a6e2ac968d4182d5b90e944d18a86d811e52e61f482adb358f6"
     ),
     "monitor.ndjson": (
-        "4bd0a9321fc78d79e378d112b450fa0e7b4c815c69e01460439062ab0b2ea321"
+        "90d0be93eef3acb2335cde205ffe0b546367933505357c6056c44ed1ecdef94b"
     ),
     "store entries": (
-        "92d008bde5b45c30b4c68274ae8703aaf0a8fa2c14277c6b8e64d013720d8066"
+        "6be7beab5e67413a34a4fdaf838259142f9f4f2ef0ac7a59b0f23f824ab19880"
     ),
 }
 

@@ -257,6 +257,23 @@ def test_resample_indices_are_prefixes_of_longer_draws(num_episodes):
         assert np.array_equal(short, longest[:, : short.shape[1]]), n
 
 
+@pytest.mark.parametrize("field, value", [
+    ("B", lambda B: float(B)), ("seed", lambda seed: seed + 0.9),
+    ("n", lambda n: n + 0.8), ("n", lambda n: True),
+], ids=["float-B", "fraction-seed", "fraction-n", "bool-n"])
+def test_store_from_dict_rejects_non_integer_fields(field, value):
+    # int() would truncate each: "B": 50.0 to 50, "n": 5.8 to length 5.
+    params = make_params(T=4, seed=20)
+    store = em.BootstrapStore(params, B=50, seed=3)
+    store.ensure(make_reference(params, 15, seed=21), [MEAN], [5])
+    data = json.loads(json.dumps(store.to_dict()))
+    target = data["entries"][0] if field == "n" else data
+    target[field] = value(target[field])
+    what = "store entry n" if field == "n" else f"store {field}"
+    with pytest.raises(ValueError, match=f"{what} must be an integer"):
+        em.BootstrapStore.from_dict(data, params)
+
+
 def test_store_builds_each_generator_once_per_plan(monkeypatch):
     params = make_params(T=4, seed=16)
     ref = make_reference(params, 25, seed=17)
@@ -280,7 +297,7 @@ def test_store_builds_each_generator_once_per_plan(monkeypatch):
     monkeypatch.setattr(individual, "substream", counting_substream)
     store = em.BootstrapStore(params, plan.B_inner, plan.seed)
     store.ensure(ref, plan.statistics, plan.window_lengths(params.T))
-    assert len(calls) == plan.B_inner
+    assert calls == [(plan.seed, "boot")]
     assert len(store.entries) == 5 * len(plan.window_lengths(params.T))
 
 

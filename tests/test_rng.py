@@ -15,6 +15,18 @@ def listed_words_generator(seed, *scope):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
 
 
+def test_table_scopes_draw_different_values():
+    # The bootstrap, BFAR and simulate tables each have their own stream.
+    for seed in (0, 5, 2**63 - 1):
+        boot, bfar, block = (
+            substream(seed, scope).integers(0, 1000, size=64)
+            for scope in ("boot", "bfar", "block")
+        )
+        assert not np.array_equal(boot, bfar)
+        assert not np.array_equal(boot, block)
+        assert not np.array_equal(bfar, block)
+
+
 def test_substream_matches_listed_seed_words():
     scopes = [
         (seed, name, index)

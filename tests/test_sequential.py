@@ -179,8 +179,7 @@ def test_reference_streams_decide_like_tuning_simulation(tuned, ref):
     params = tuned.params
     min_p = em.bfar_min_p(ref, params, plan, tuned.store)
     fired_flags = []
-    for b in range(40):
-        rows = em.h0_stream_indices(plan, ref.num_episodes, b)
+    for rows in em.h0_stream_indices(plan, ref.num_episodes)[:40]:
         detection, _ = feed(em.Monitor(tuned), ref.episodes[rows].ravel())
         fired_flags.append(detection is not None)
     expected = (min_p[:40] < tuned.p_threshold).tolist()
