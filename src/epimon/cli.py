@@ -22,7 +22,6 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import replace
 
 import numpy as np
 
@@ -30,7 +29,6 @@ from . import __version__
 from .bfar import MonitorPlan, bfar_tune, bundle_to_dict, detection_steps, load_bundle
 from .episodic import (
     ReferenceDataset,
-    downsample,
     estimate_params,
     json_int,
     load_params_json,
@@ -38,9 +36,15 @@ from .episodic import (
     params_to_dict,
 )
 from .errors import EpimonError
-from .rng import substream
+from .rng import substream  # noqa: F401 -- perfbench's tracer patches this global
 from .sequential import Monitor
-from .synthetic import Scenario, asymptotic_power, generate_episodes, power_gain
+from .synthetic import (
+    Scenario,
+    asymptotic_power,
+    generate_episodes,  # noqa: F401 -- perfbench's tracer patches this global
+    generate_runs,
+    power_gain,
+)
 
 REPORT_FORMAT_VERSION = 1
 
@@ -119,7 +123,8 @@ def cmd_monitor(args) -> int:
     tuned = load_bundle(args.bundle)
     monitor = Monitor(tuned)
     d = tuned.params.downsample_factor
-    block: list[float] = []
+    block = np.empty(d)  # one block of raw samples, averaged like downsample
+    filled = 0
     detected = False
     for lineno, line in _iter_stream_lines(args.stream):
         text = line.strip()
@@ -131,11 +136,15 @@ def cmd_monitor(args) -> int:
             raise EpimonError(f"line {lineno}: not a number: {text!r}")
         if not math.isfinite(value):
             raise EpimonError(f"line {lineno}: non-finite sample")
-        block.append(value)
-        if len(block) < d:
-            continue
-        sample = float(downsample(block, d)[0])  # ReferenceDataset's arithmetic
-        block.clear()
+        if d == 1:
+            sample = value
+        else:
+            block[filled] = value
+            filled += 1
+            if filled < d:
+                continue
+            sample = float(np.add.reduce(block)) / d
+            filled = 0
         record = monitor.step(sample)
         if monitor.last_test_point == monitor.t:
             event = {
@@ -156,7 +165,7 @@ def cmd_monitor(args) -> int:
     return EXIT_DETECTION if detected else EXIT_OK
 
 
-def _load_scenario(path: str, params) -> Scenario:
+def _load_scenario(path: str, params, seed: int) -> Scenario:
     with open(path) as fh:
         data = json.load(fh)
     unknown = sorted(set(data) - {"kind", "epsilon_sigma", "offsets", "K"})
@@ -170,6 +179,7 @@ def _load_scenario(path: str, params) -> Scenario:
         epsilon=epsilon_sigma * params.mean_step_std,
         offsets=tuple(json_int(o, "scenario offsets") for o in data.get("offsets", ())),
         K=json_int(data.get("K", 1), "scenario K"),
+        seed=seed,
     )
 
 
@@ -177,19 +187,12 @@ def cmd_simulate(args) -> int:
     tuned = load_bundle(args.bundle)
     params, plan = tuned.params, tuned.plan
     episodes_per_block = args.episodes or plan.h_tilde
-    scenario = _load_scenario(args.scenario, params)
-
-    def blocks():  # h_max H0 warm-up episodes, then the scenario's
-        seeds = substream(args.seed, "block").integers(0, 2**63 - 1, size=args.blocks)
-        for seed in map(int, seeds):
-            warmup = Scenario(params=params, kind="h0", seed=seed)
-            tested = replace(scenario, seed=seed)
-            yield np.concatenate([
-                generate_episodes(warmup, plan.h_max, stream=0),
-                generate_episodes(tested, episodes_per_block, stream=1),
-            ]).ravel()
-
-    steps = detection_steps(tuned, blocks(), episodes_per_block)
+    scenario = _load_scenario(args.scenario, params, args.seed)
+    runs = generate_runs(  # h_max H0 warm-up episodes, then the scenario's
+        scenario, plan.h_max, episodes_per_block, args.blocks,
+        chunk=plan.replay_runs(episodes_per_block),
+    )
+    steps = detection_steps(tuned, runs, episodes_per_block)
     times = sorted(steps[steps > 0].tolist())
     out = {
         "format_version": REPORT_FORMAT_VERSION,

@@ -4,11 +4,12 @@ Every randomized routine in the package draws from a generator derived from
 (seed, *scope) where scope is a tuple of strings/ints naming the consumer
 (e.g. ("boot",) for the bootstrap's index table, whose draws serve every
 window length, ("bfar",) for BFAR's table of simulated streams, or
-("block",) for ``epimon simulate``'s block seeds). Streams are independent
-for distinct scopes and bit-reproducible across runs and platforms. A
-consumer with many repetitions draws them as the rows or columns of one
-table from its one generator, before any of them is evaluated, so results
-do not depend on the order in which repetitions are evaluated.
+("simulate",) for the standard normals behind every block of ``epimon
+simulate``). Streams are independent for distinct scopes and
+bit-reproducible across runs and platforms. A consumer with many
+repetitions draws them as the rows or columns of one table from its one
+generator, in repetition order, so results do not depend on the order in
+which repetitions are evaluated.
 """
 
 from __future__ import annotations

@@ -1,7 +1,11 @@
 """Synthetic episodic signals and closed-form oracles.
 
-Generates multivariate-normal episodic signals with controlled (mu0, sigma0),
-injects degradation scenarios, and evaluates the closed forms that the
+Generates multivariate-normal episodic signals with controlled (mu0, sigma0)
+and injects degradation scenarios: ``generate_episodes`` draws one block of
+episodes from its own (seed, "episodes", stream) generator, and
+``generate_runs`` draws every monitoring run of ``epimon simulate`` (H0
+warm-up, then the scenario's episodes) from one (seed, "simulate") stream, a
+chunk of runs at a time. It also evaluates the closed forms that the
 statistics are built on:
 
 * asymptotic detection power of the covariance-weighted mean vs the plain
@@ -16,6 +20,7 @@ statistics are built on:
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,6 +99,37 @@ def generate_episodes(scenario: Scenario, count: int, stream: int = 0) -> np.nda
     rng = substream(scenario.seed, "episodes", stream)
     z = rng.standard_normal((count, scenario.params.T))
     return scenario.mean + z @ scenario.params.cholesky_lower.T
+
+
+def generate_runs(
+    scenario: Scenario, warmup: int, episodes: int, runs: int, chunk: int
+) -> Iterator[np.ndarray]:
+    """Yield ``runs`` monitoring runs, each ``warmup`` H0 episodes then
+    ``episodes`` of the scenario's, flattened to (warmup + episodes) * T
+    samples.
+
+    Every run comes from the one (scenario.seed, "simulate") stream, drawn
+    ``chunk`` runs at a time in run order. ``standard_normal`` fills in
+    order and a stacked matmul evaluates one run at a time, so run i's
+    samples do not depend on ``runs`` or ``chunk``; ``chunk`` only bounds
+    the memory held.
+    """
+    if warmup < 0:
+        raise ValueError("warmup must be non-negative")
+    if episodes < 1 or runs < 1 or chunk < 1:
+        raise ValueError("episodes, runs and chunk must be positive")
+    params = scenario.params
+    means = np.concatenate([
+        np.broadcast_to(params.mu0, (warmup, params.T)),
+        np.broadcast_to(scenario.mean, (episodes, params.T)),
+    ])
+    rng = substream(scenario.seed, "simulate")
+    for start in range(0, runs, chunk):
+        count = min(chunk, runs - start)
+        z = rng.standard_normal((count, warmup + episodes, params.T))
+        samples = z @ params.cholesky_lower.T
+        samples += means
+        yield from samples.reshape(count, -1)
 
 
 def random_spd(

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import epimon as em
-from epimon import cli
+from epimon import bfar, cli
 from epimon.cli import main
 from epimon.errors import InvalidDataError, NotTunedError
 from epimon.rng import substream
@@ -256,12 +256,9 @@ def test_monitor_rearm_continues(workspace, raw_params, tmp_path):
     assert res.returncode == 3
 
 
-@pytest.mark.parametrize("d", [8, 25])
-def test_monitor_downsamples_like_the_reference(tmp_path, monkeypatch, d):
-    # Live samples are the block means ReferenceDataset.from_raw makes of
-    # the same raw rows, bitwise: from 8 samples on, numpy's pairwise mean
-    # and a running sum differ in the last bit.
-    raw = np.random.default_rng(d).normal(1.5, 2.0, size=(50, 4 * d))
+def _monitored_samples(tmp_path, monkeypatch, raw, d):
+    """The samples ``main(["monitor", ...])`` passes to ``Monitor.step`` for
+    the raw stream ``raw`` at downsample factor ``d``."""
     stream = tmp_path / "raw.txt"
     stream.write_text("".join(f"{float(x)!r}\n" for x in raw.ravel()))
     samples = []
@@ -280,9 +277,29 @@ def test_monitor_downsamples_like_the_reference(tmp_path, monkeypatch, d):
     monkeypatch.setattr(cli, "load_bundle", lambda path: tuned)
     monkeypatch.setattr(cli, "Monitor", Recorder)
     assert main(["monitor", str(stream), "--bundle", "bundle.json"]) == 0
+    return samples
+
+
+@pytest.mark.parametrize("d", [8, 25])
+def test_monitor_downsamples_like_the_reference(tmp_path, monkeypatch, d):
+    # Live samples are the block means ReferenceDataset.from_raw makes of
+    # the same raw rows, bitwise: from 8 samples on, numpy's pairwise mean
+    # and a running sum differ in the last bit.
+    raw = np.random.default_rng(d).normal(1.5, 2.0, size=(50, 4 * d))
+    samples = _monitored_samples(tmp_path, monkeypatch, raw, d)
     expected = em.ReferenceDataset.from_raw(raw, d).episodes.ravel()
     assert len(samples) == expected.size
     assert np.array_equal(samples, expected)
+
+
+@pytest.mark.parametrize("d", [1, 4, 25])
+def test_monitor_block_means_equal_downsample(tmp_path, monkeypatch, d):
+    # The monitor averages each block in a reused buffer, not through
+    # downsample; 2 000 blocks spanning six decades must agree bitwise.
+    rng = np.random.default_rng(100 + d)
+    raw = rng.normal(1.5, 2.0, size=(2000, d)) * 10.0 ** rng.uniform(-3, 3, (2000, 1))
+    samples = _monitored_samples(tmp_path, monkeypatch, raw, d)
+    assert np.array_equal(samples, em.downsample(raw.ravel(), d))
 
 
 def test_simulate_report(workspace, tmp_path):
@@ -409,21 +426,20 @@ def test_simulate_detection_times_match_the_monitor(workspace, tmp_path):
     ]) == 0
     tuned = em.load_bundle(workspace / "bundle.json")
     params, plan = tuned.params, tuned.plan
-    assert blocks > plan.B_outer
+    assert blocks > plan.replay_runs(episodes)
+    # Block i is row i of one table from the (seed, "simulate") stream: h_max
+    # H0 warm-up episodes, then the scenario's.
+    drop = em.Scenario(params=params, kind="uniform",
+                       epsilon=0.4 * params.mean_step_std)
+    means = np.concatenate([np.tile(params.mu0, (plan.h_max, 1)),
+                            np.tile(drop.mean, (episodes, 1))])
+    table = substream(seed, "simulate").standard_normal(
+        (blocks, plan.h_max + episodes, params.T)
+    )
     expected = []
-    block_seeds = substream(seed, "block").integers(0, 2**63 - 1, size=blocks)
-    for block_seed in map(int, block_seeds):
-        drop = em.Scenario(params=params, kind="uniform", seed=block_seed,
-                           epsilon=0.4 * params.mean_step_std)
-        samples = np.concatenate([
-            em.generate_episodes(
-                em.Scenario(params=params, kind="h0", seed=block_seed),
-                plan.h_max, stream=0,
-            ).ravel(),
-            em.generate_episodes(drop, episodes, stream=1).ravel(),
-        ])
+    for z in table:
         monitor = em.Monitor(tuned)
-        for sample in samples:
+        for sample in (z @ params.cholesky_lower.T + means).ravel():
             record = monitor.step(sample)
             if record is not None:
                 expected.append(record.t - plan.h_max * params.T)
@@ -434,30 +450,41 @@ def test_simulate_detection_times_match_the_monitor(workspace, tmp_path):
     assert report["detection_curve"]["steps_after_onset"] == sorted(expected)
 
 
-def test_simulate_block_seeds_do_not_depend_on_the_block_count(
+def test_simulate_blocks_do_not_depend_on_the_block_count(
     workspace, tmp_path, monkeypatch
 ):
-    # The block seeds are one table drawn from the (seed, "block") stream:
-    # more blocks append seeds, they do not change the first ones.
-    seeds = []
-    generate_episodes = cli.generate_episodes
+    # Every block is drawn from the one (seed, "simulate") stream in block
+    # order, a replay chunk at a time: more blocks append blocks, and a
+    # smaller chunk splits the draw, without changing the first blocks' bits.
+    calls = []  # (replay chunk, blocks) of each simulate call
+    detection_steps = cli.detection_steps
 
-    def recording(scenario, count, stream=0):
-        if stream == 0:  # each block's warm-up
-            seeds.append(scenario.seed)
-        return generate_episodes(scenario, count, stream=stream)
+    def recording(tuned, blocks, episodes_per_run):
+        blocks = [block.copy() for block in blocks]
+        calls.append((tuned.plan.replay_runs(episodes_per_run), blocks))
+        return detection_steps(tuned, blocks, episodes_per_run)
 
-    monkeypatch.setattr(cli, "generate_episodes", recording)
-    scenario = tmp_path / "h0.json"
-    scenario.write_text(json.dumps({"kind": "h0"}))
-    for blocks in (5, 10):
+    monkeypatch.setattr(cli, "detection_steps", recording)
+    scenario = tmp_path / "drop.json"
+    scenario.write_text(json.dumps({"kind": "uniform", "epsilon_sigma": 0.4}))
+
+    def simulate(blocks):
         assert main([
             "simulate", "--bundle", str(workspace / "bundle.json"),
             "--scenario", str(scenario), "--blocks", str(blocks),
-            "--seed", "9", "--out", str(tmp_path / f"report{blocks}.json"),
+            "--seed", "9", "--out", str(tmp_path / "report.json"),
         ]) == 0
-    assert len(seeds) == 15 and len(set(seeds[5:])) == 10
-    assert seeds[:5] == seeds[5:10]
+
+    simulate(5)
+    simulate(10)
+    monkeypatch.setattr(bfar, "_BATCH_CHUNK", 6)  # chunks of 6 // h_tilde runs
+    simulate(10)
+    (chunk5, five), (chunk10, ten), (small_chunk, split) = calls
+    assert chunk5 >= 5 and chunk10 >= 10 and small_chunk < 10
+    assert len(five) == 5 and len(ten) == len(split) == 10
+    assert all(np.array_equal(a, b) for a, b in zip(five, ten))
+    assert all(np.array_equal(a, b) for a, b in zip(ten, split))
+    assert len({block.tobytes() for block in ten}) == 10
 
 
 def test_power_report(workspace, tmp_path):

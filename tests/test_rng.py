@@ -18,20 +18,20 @@ def listed_words_generator(seed, *scope):
 def test_table_scopes_draw_different_values():
     # The bootstrap, BFAR and simulate tables each have their own stream.
     for seed in (0, 5, 2**63 - 1):
-        boot, bfar, block = (
+        boot, bfar, simulate = (
             substream(seed, scope).integers(0, 1000, size=64)
-            for scope in ("boot", "bfar", "block")
+            for scope in ("boot", "bfar", "simulate")
         )
         assert not np.array_equal(boot, bfar)
-        assert not np.array_equal(boot, block)
-        assert not np.array_equal(bfar, block)
+        assert not np.array_equal(boot, simulate)
+        assert not np.array_equal(bfar, simulate)
 
 
 def test_substream_matches_listed_seed_words():
     scopes = [
         (seed, name, index)
         for seed in (0, 13, 2**31 - 1, 2**63 - 1)
-        for name in ("boot", "bfar", "block", "episodes")
+        for name in ("boot", "bfar", "simulate", "episodes")
         for index in (*range(30), 2**20 + 7, 10**12)
     ]
     assert len(scopes) >= 500

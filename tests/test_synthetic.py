@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import epimon as em
+from epimon.synthetic import generate_runs
 
 from conftest import make_params
 
@@ -37,6 +38,30 @@ def test_generator_partial_shift_preserves_covariance():
     S = params.sigma0
     cov_sd = np.sqrt((np.outer(np.diag(S), np.diag(S)) + S**2) / (draws - 1))
     assert np.all(np.abs(np.cov(eps, rowvar=False) - S) <= 5 * cov_sd)
+
+
+def test_generated_runs_put_each_mean_on_its_rows():
+    # Warm-up rows follow mu0 and tested rows the partial scenario's mean;
+    # both keep sigma0. Six-sample episodes, 2 + 3 rows per run, chunks of 7.
+    params = make_params(T=6, seed=4, condition=10)
+    sc = em.Scenario(params=params, kind="partial", offsets=(2, 5),
+                     epsilon=params.mean_step_std, seed=8)
+    warmup, episodes, runs = 2, 3, 3000
+    table = np.array(list(generate_runs(sc, warmup, episodes, runs, chunk=7)))
+    assert table.shape == (runs, (warmup + episodes) * params.T)
+    rows = table.reshape(runs, warmup + episodes, params.T)
+    S = params.sigma0
+    # The drop spans dozens of standard errors, so swapped means would fail.
+    assert np.all(sc.mean[[1, 4]] < params.mu0[[1, 4]] - 20 * np.sqrt(
+        np.diag(S)[[1, 4]] / (runs * warmup)))
+    for part, mean in ((rows[:, :warmup], params.mu0),
+                       (rows[:, warmup:], sc.mean)):
+        part = part.reshape(-1, params.T)
+        n = len(part)
+        se = np.sqrt(np.diag(S) / n)
+        assert np.all(np.abs(part.mean(axis=0) - mean) <= 4 * se)
+        cov_sd = np.sqrt((np.outer(np.diag(S), np.diag(S)) + S**2) / (n - 1))
+        assert np.all(np.abs(np.cov(part, rowvar=False) - S) <= 5 * cov_sd)
 
 
 def test_generator_scaled_uniform_shift():
