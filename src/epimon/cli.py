@@ -29,6 +29,7 @@ from . import __version__
 from .bfar import MonitorPlan, bfar_tune, bundle_to_dict, detection_steps, load_bundle
 from .episodic import (
     ReferenceDataset,
+    downsample,
     estimate_params,
     json_int,
     load_params_json,
@@ -123,8 +124,7 @@ def cmd_monitor(args) -> int:
     tuned = load_bundle(args.bundle)
     monitor = Monitor(tuned)
     d = tuned.params.downsample_factor
-    block = np.empty(d)  # one block of raw samples, averaged like downsample
-    filled = 0
+    block: list[float] = []
     detected = False
     for lineno, line in _iter_stream_lines(args.stream):
         text = line.strip()
@@ -136,15 +136,11 @@ def cmd_monitor(args) -> int:
             raise EpimonError(f"line {lineno}: not a number: {text!r}")
         if not math.isfinite(value):
             raise EpimonError(f"line {lineno}: non-finite sample")
-        if d == 1:
-            sample = value
-        else:
-            block[filled] = value
-            filled += 1
-            if filled < d:
-                continue
-            sample = float(np.add.reduce(block)) / d
-            filled = 0
+        block.append(value)
+        if len(block) < d:
+            continue
+        sample = float(downsample(block, d)[0])  # ReferenceDataset's arithmetic
+        block.clear()
         record = monitor.step(sample)
         if monitor.last_test_point == monitor.t:
             event = {
@@ -188,10 +184,8 @@ def cmd_simulate(args) -> int:
     params, plan = tuned.params, tuned.plan
     episodes_per_block = args.episodes or plan.h_tilde
     scenario = _load_scenario(args.scenario, params, args.seed)
-    runs = generate_runs(  # h_max H0 warm-up episodes, then the scenario's
-        scenario, plan.h_max, episodes_per_block, args.blocks,
-        chunk=plan.replay_runs(episodes_per_block),
-    )
+    # h_max H0 warm-up episodes, then the scenario's
+    runs = generate_runs(scenario, plan.h_max, episodes_per_block, args.blocks)
     steps = detection_steps(tuned, runs, episodes_per_block)
     times = sorted(steps[steps > 0].tolist())
     out = {

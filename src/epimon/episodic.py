@@ -77,10 +77,8 @@ def downsample(values: np.ndarray, factor: int) -> np.ndarray:
     """Replace each consecutive block of ``factor`` samples along the last
     axis by its mean: one rule for a raw stream and for reference rows.
 
-    ``ReferenceDataset.from_raw`` calls it on reference rows. ``epimon
-    monitor`` (``cli.cmd_monitor``) repeats its arithmetic one block at a
-    time, ``float(np.add.reduce(block)) / factor``, which gives the same
-    bits without a call per block; a test pins the two together."""
+    ``ReferenceDataset.from_raw`` calls it on reference rows, and ``epimon
+    monitor`` (``cli.cmd_monitor``) on each block of the raw stream."""
     factor = int(factor)
     if factor < 1:
         raise ValueError(f"downsample factor must be positive, got {factor}")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import epimon as em
-from epimon import bfar, cli
+from epimon import bfar, cli, synthetic
 from epimon.cli import main
 from epimon.errors import InvalidDataError, NotTunedError
 from epimon.rng import substream
@@ -256,9 +256,14 @@ def test_monitor_rearm_continues(workspace, raw_params, tmp_path):
     assert res.returncode == 3
 
 
-def _monitored_samples(tmp_path, monkeypatch, raw, d):
-    """The samples ``main(["monitor", ...])`` passes to ``Monitor.step`` for
-    the raw stream ``raw`` at downsample factor ``d``."""
+@pytest.mark.parametrize("d", [1, 4, 8, 25])
+def test_monitor_downsamples_like_the_reference(tmp_path, monkeypatch, d):
+    # Live samples are the block means ReferenceDataset.from_raw makes of
+    # the same raw rows, bitwise, over six decades of magnitude: from 8
+    # samples on, numpy's pairwise mean and a running sum differ in the
+    # last bit.
+    rng = np.random.default_rng(d)
+    raw = rng.normal(1.5, 2.0, size=(50, 4 * d)) * 10.0 ** rng.uniform(-3, 3, (50, 1))
     stream = tmp_path / "raw.txt"
     stream.write_text("".join(f"{float(x)!r}\n" for x in raw.ravel()))
     samples = []
@@ -277,29 +282,9 @@ def _monitored_samples(tmp_path, monkeypatch, raw, d):
     monkeypatch.setattr(cli, "load_bundle", lambda path: tuned)
     monkeypatch.setattr(cli, "Monitor", Recorder)
     assert main(["monitor", str(stream), "--bundle", "bundle.json"]) == 0
-    return samples
-
-
-@pytest.mark.parametrize("d", [8, 25])
-def test_monitor_downsamples_like_the_reference(tmp_path, monkeypatch, d):
-    # Live samples are the block means ReferenceDataset.from_raw makes of
-    # the same raw rows, bitwise: from 8 samples on, numpy's pairwise mean
-    # and a running sum differ in the last bit.
-    raw = np.random.default_rng(d).normal(1.5, 2.0, size=(50, 4 * d))
-    samples = _monitored_samples(tmp_path, monkeypatch, raw, d)
     expected = em.ReferenceDataset.from_raw(raw, d).episodes.ravel()
     assert len(samples) == expected.size
     assert np.array_equal(samples, expected)
-
-
-@pytest.mark.parametrize("d", [1, 4, 25])
-def test_monitor_block_means_equal_downsample(tmp_path, monkeypatch, d):
-    # The monitor averages each block in a reused buffer, not through
-    # downsample; 2 000 blocks spanning six decades must agree bitwise.
-    rng = np.random.default_rng(100 + d)
-    raw = rng.normal(1.5, 2.0, size=(2000, d)) * 10.0 ** rng.uniform(-3, 3, (2000, 1))
-    samples = _monitored_samples(tmp_path, monkeypatch, raw, d)
-    assert np.array_equal(samples, em.downsample(raw.ravel(), d))
 
 
 def test_simulate_report(workspace, tmp_path):
@@ -454,8 +439,9 @@ def test_simulate_blocks_do_not_depend_on_the_block_count(
     workspace, tmp_path, monkeypatch
 ):
     # Every block is drawn from the one (seed, "simulate") stream in block
-    # order, a replay chunk at a time: more blocks append blocks, and a
-    # smaller chunk splits the draw, without changing the first blocks' bits.
+    # order: more blocks append blocks, and smaller draws or a smaller replay
+    # chunk (the runs detection_steps reads at a time) do not change the
+    # first blocks' bits.
     calls = []  # (replay chunk, blocks) of each simulate call
     detection_steps = cli.detection_steps
 
@@ -478,6 +464,7 @@ def test_simulate_blocks_do_not_depend_on_the_block_count(
     simulate(5)
     simulate(10)
     monkeypatch.setattr(bfar, "_BATCH_CHUNK", 6)  # chunks of 6 // h_tilde runs
+    monkeypatch.setattr(synthetic, "_DRAW_SAMPLES", 1)  # one block per draw
     simulate(10)
     (chunk5, five), (chunk10, ten), (small_chunk, split) = calls
     assert chunk5 >= 5 and chunk10 >= 10 and small_chunk < 10

@@ -42,12 +42,12 @@ def test_generator_partial_shift_preserves_covariance():
 
 def test_generated_runs_put_each_mean_on_its_rows():
     # Warm-up rows follow mu0 and tested rows the partial scenario's mean;
-    # both keep sigma0. Six-sample episodes, 2 + 3 rows per run, chunks of 7.
+    # both keep sigma0. Six-sample episodes, 2 + 3 rows per run.
     params = make_params(T=6, seed=4, condition=10)
     sc = em.Scenario(params=params, kind="partial", offsets=(2, 5),
                      epsilon=params.mean_step_std, seed=8)
     warmup, episodes, runs = 2, 3, 3000
-    table = np.array(list(generate_runs(sc, warmup, episodes, runs, chunk=7)))
+    table = np.array(list(generate_runs(sc, warmup, episodes, runs)))
     assert table.shape == (runs, (warmup + episodes) * params.T)
     rows = table.reshape(runs, warmup + episodes, params.T)
     S = params.sigma0
