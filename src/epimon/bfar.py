@@ -364,17 +364,31 @@ def detection_steps(tuned: TunedMonitor, runs, episodes_per_run: int) -> np.ndar
     chunk = plan.replay_runs(episodes_per_run)
     runs = iter(runs)
     steps = np.zeros(0, dtype=int)
-    while samples := [np.asarray(run, float) for run in itertools.islice(runs, chunk)]:
-        for i, stream in enumerate(samples, start=steps.size):
-            if stream.shape != (n,) or not np.isfinite(stream).all():
-                raise ValueError(f"stream {i} is not {n} finite samples")
-        evaluator = BatchEvaluator(np.reshape(samples, (-1, params.T)), params)
+    while samples := list(itertools.islice(runs, chunk)):
+        block = _stacked_runs(samples, n, steps.size)
+        evaluator = BatchEvaluator(block.reshape(-1, params.T), params)
         streams = np.arange(len(samples) * length).reshape(-1, length)
         p = replay_pvalues(evaluator, streams, plan, tuned.store)
         below = p < tuned.p_threshold
         first = (below.argmax(axis=1) + 1) * plan.test_every
         steps = np.concatenate([steps, np.where(below.any(axis=1), first, 0)])
     return steps
+
+
+def _stacked_runs(runs: list, n: int, first: int) -> np.ndarray:
+    """The runs as one (len(runs), n) float array, checked in one pass; on
+    a bad chunk, the error names its first run that is not n finite
+    samples, counting from ``first``."""
+    try:
+        block = np.array(runs, dtype=float)
+    except ValueError:  # runs of different shapes, or not numbers
+        block = None
+    if block is None or block.shape != (len(runs), n) or not np.isfinite(block).all():
+        for i, run in enumerate(runs):
+            run = np.asarray(run, float)
+            if run.shape != (n,) or not np.isfinite(run).all():
+                raise ValueError(f"stream {first + i} is not {n} finite samples")
+    return block
 
 
 def far_verify(tuned: TunedMonitor, h0_generator, runs: int) -> float:

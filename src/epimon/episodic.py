@@ -165,7 +165,7 @@ class EpisodeParams:
         self._tail_inv: dict[int, np.ndarray] = {T: inv}
         self._tail_weights: dict[int, np.ndarray] = {T: _readonly(inv.sum(axis=0))}
         self._window_weights: dict[int, np.ndarray] = {}
-        self._count_scaling: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._count_scaling: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         self._step_std: np.ndarray | None = None
 
     @property
@@ -221,22 +221,26 @@ class EpisodeParams:
             self._tail_weights[tau] = cached
         return cached
 
-    def count_scaling(self, K: int, tau: int) -> tuple[np.ndarray, np.ndarray]:
+    def count_scaling(
+        self, K: int | tuple[int, ...], tau: int
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Per-offset count scaling of a window of K >= 1 whole episodes plus
         a tau-step tail, where offset j occurs c_j = K + [j < tau] times:
         the (T,) vectors ``c * mu0`` and ``1 / sqrt(c)`` (cached, read-only),
         so the scaled mean deviation of per-offset sums s is
-        ``(s - c * mu0) / sqrt(c)``."""
-        key = (int(K), int(tau))
+        ``(s - c * mu0) / sqrt(c)``. For a tuple of H window counts K, the
+        (H, T) stacks of those vectors, one row per K, cached per tuple."""
+        key = (K if isinstance(K, tuple) else int(K), int(tau))
         cached = self._count_scaling.get(key)
         if cached is None:
             K, tau = key
-            if K < 1 or not 1 <= tau <= self.T:
+            if np.min(K) < 1 or not 1 <= tau <= self.T:
                 raise ValueError(
                     f"need K >= 1 and tau in [1, {self.T}], got K={K}, tau={tau}"
                 )
-            counts = np.full(self.T, float(K))
-            counts[:tau] += 1.0
+            counts = np.zeros(np.shape(K) + (self.T,))
+            counts += np.expand_dims(K, -1)
+            counts[..., :tau] += 1.0
             cached = (_readonly(counts * self.mu0), _readonly(1.0 / np.sqrt(counts)))
             self._count_scaling[key] = cached
         return cached

@@ -6,10 +6,11 @@ take mixed values from :func:`epimon.stats.mixed_values`.
 A stream that repeats reference episodes verbatim, as the BFAR replay's
 resampled runs do, can have windows that tie a stored value exactly; there
 a live p-value can differ from the replay's by a few ranks, because a value
-can differ in its last bit: ``udt`` differences running sums, and the
-monitor takes ``udt`` and ``pdt`` pieces and ``hotelling``'s quadratic
-from one-row matrix products, whose rounding can differ from the batch's.
-``mean`` and ``cusum`` matched exactly on such streams.
+can differ in its last bit: ``udt`` differences running sums, the monitor
+takes ``udt`` and ``pdt`` pieces from one-row matrix products, and
+``hotelling``'s quadratic from one H-row product over the monitor's H
+horizons, whose rounding can differ from the batch's. ``mean`` and
+``cusum`` matched exactly on such streams.
 
 The monitor consumes one downsampled sample at a time, aligned so that the
 first sample is step 1 of an episode. After a warm-up of h_max episodes it
@@ -25,17 +26,19 @@ the BFAR replay use (see :mod:`epimon.stats`): for each statistic family of
 the plan, mixed components included, it keeps a ring of the pieces of the
 last h_max completed episodes. When an episode completes it rolls the rings
 and builds each statistic's whole part of the last h episodes for every
-horizon h. A test-point then only builds each tail piece once and finishes
-each (statistic, horizon), so its cost does not grow with h*T; the sorted
-store rows of every test are looked up once, at construction. ``udt``
-keeps a running sum of its episode pieces instead, which is udt's finish in
-Python floats: O(1) per horizon, where a numpy batch of one would cost more
-than the whole test; it keeps the last h_max + 1 sums only, so memory does
-not grow with the stream. Routing ``udt`` through the rings was measured
-and rejected: at test_every 1 the extra whole-part sums at each episode
-completion raised the per-test-point latency of the benchmark's ``udt_c1``
-workload by 59% at p99 and 19% at p50 (4 alternating runs against the
-running sum, 2-vCPU host).
+horizon h, stacked into one row per horizon. A test-point then only builds
+each tail piece once and finishes each statistic over all its horizons in
+one :func:`~epimon.stats.finish` call, so its cost grows neither with h*T
+nor with a numpy call per horizon; the sorted store rows of every test are
+looked up once, at construction. ``udt`` keeps a running sum of its
+episode pieces instead, which is udt's finish in Python floats: O(1) per
+horizon, where a numpy batch would cost more than the whole test; it keeps
+the last h_max + 1 sums only, so memory does not grow with the stream.
+Routing ``udt`` through the rings was measured and rejected: at
+test_every 1 the extra whole-part sums at each episode completion raised
+the per-test-point latency of the benchmark's ``udt_c1`` workload by 59%
+at p99 and 19% at p50 (4 alternating runs against the running sum, 2-vCPU
+host).
 """
 
 from __future__ import annotations
@@ -109,9 +112,9 @@ class Monitor:
             if base.name != "udt"
         }
         # Whole parts of the last h episodes by spec (a cusum's depends on
-        # its reference value), one dict per horizon, rebuilt when an
-        # episode completes.
-        self._wholes = [{} for _ in self._horizons]
+        # its reference value), stacked with one row per horizon h, rebuilt
+        # when an episode completes.
+        self._wholes: dict[str, np.ndarray] = {}
         self._tests = plan.store_rows(tuned.store, T)  # checks test_every | T
         self._partial = np.empty(T)
         self._partial_len = 0
@@ -172,11 +175,12 @@ class Monitor:
         for name, ring in self._rings.items():
             ring[:-1] = ring[1:]
             ring[-1] = episode_piece(name, episode, params)[0]
-        for h, wholes in zip(self._horizons, self._wholes):
-            for spec, base in self._bases:
-                if base.name != "udt":
-                    pieces = self._rings[base.name][np.newaxis, -h:]
-                    wholes[spec] = whole_part(base, pieces)
+        for spec, base in self._bases:
+            if base.name != "udt":
+                ring = self._rings[base.name]
+                self._wholes[spec] = np.concatenate([
+                    whole_part(base, ring[np.newaxis, -h:]) for h in self._horizons
+                ])
         if self._wants_udt:
             piece = float(params.full_weights @ self._partial)
             self._udt_cum.append(self._udt_cum[-1] + piece)
@@ -189,17 +193,24 @@ class Monitor:
         tails = {}
         for name in self._rings:
             tails[name] = episode_piece(name, partial[np.newaxis], params)
+        # Each ring family's values at every horizon, in horizon order.
+        columns = {}
+        for spec, base in self._bases:
+            if base.name != "udt":
+                whole = self._wholes[spec]
+                y = finish(base, params, whole, tails[base.name], self._horizons, tau)
+                columns[spec] = y.tolist()
         if self._wants_udt:
             udt_tail = float(params.tail_weights(tau) @ partial)
         evaluations = []
         best = None
-        for h, wholes in zip(self._horizons, self._wholes):
+        for i, h in enumerate(self._horizons):
             values = {}
             for spec, base in self._bases:
                 if base.name == "udt":
                     y = self._udt_cum[-1] - self._udt_cum[-1 - h] + udt_tail
                 else:
-                    y = finish(base, params, wholes[spec], tails[base.name], h, tau)[0]
+                    y = columns[spec][i]
                 values[spec] = y
             for kind, spec, rows, components in self._tests[h, tau]:
                 y = mixed_values(components, values) if components else values[spec]

@@ -281,22 +281,27 @@ def finish(
     params: EpisodeParams,
     whole: np.ndarray | None,
     tail: np.ndarray,
-    K: int,
+    K: int | tuple[int, ...],
     tau: int,
 ) -> np.ndarray:
     """Values of R windows of K whole episodes plus a tau-step tail, from
     their :func:`whole_part` (None when K == 0; left unchanged) and the
-    tail :func:`episode_piece` of each window."""
+    tail :func:`episode_piece` of each window. When ``whole`` is given, K
+    may also be a tuple of one count per row of ``whole``, and a one-row
+    tail then serves every row: the live monitor finishes the stacked
+    whole parts of all its horizons in one call."""
     T = params.T
     name = kind.name
     if name == "mean":
-        return (tail + whole if K else tail) / (K * T + tau)
+        if whole is None:
+            return tail / tau
+        return (tail + whole) / (np.multiply(K, T) + tau)
     if name == "udt":
-        return tail + whole if K else tail
+        return tail if whole is None else tail + whole
     if name == "pdt":
-        present = T if K else tau
+        present = T if whole is not None else tau
         m = min(ceil_fraction(kind.p * T), present)
-        if K:
+        if whole is not None:
             sums = whole.copy()
             sums[:, :tau] += tail
         else:
@@ -307,7 +312,7 @@ def finish(
     if name == "hotelling":
         # -delta' S^-1 delta per row as one matrix product (BLAS), with
         # delta the count-scaled deviation of the per-offset sums.
-        if K:
+        if whole is not None:
             offset, scale = params.count_scaling(K, tau)
             delta = whole - offset
             delta[:, :tau] += tail
@@ -320,11 +325,15 @@ def finish(
     # C_t = max(0, C_{t-1} + a_t) in closed form: C_n = P_n - min(0, min P).
     # The tail continues the whole part's prefix one addition at a time,
     # so P and its minimum are bitwise those of one cumsum over the window.
-    drift = tail - kind.k_ref
-    if K:
+    # The drift gets a fresh row per window, since cumsum writes into it.
+    rows = tail.shape[0] if whole is None else whole.shape[0]
+    drift = np.subtract(tail, kind.k_ref, out=np.empty((rows, tau)))
+    if whole is not None:
         drift[:, 0] += whole[:, 0]
     prefix = np.cumsum(drift, axis=1, out=drift)
-    low = np.minimum(prefix.min(axis=1), whole[:, 1]) if K else prefix.min(axis=1)
+    low = prefix.min(axis=1)
+    if whole is not None:
+        low = np.minimum(low, whole[:, 1])
     return -(prefix[:, -1] - np.minimum(0.0, low))
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import epimon as em
+from epimon.bfar import detection_steps
 from epimon.errors import NotTunedError, ResolutionError
 
 from conftest import make_params, make_reference
@@ -250,6 +251,28 @@ def test_far_verify_rejects_streams_of_the_wrong_length(mean_monitor):
         with pytest.raises(ValueError, match=f"not {n} finite samples"):
             em.far_verify(tuned, bad, runs=3)
     assert 0.0 <= em.far_verify(tuned, gen, runs=3) <= 1.0
+
+
+def test_detection_steps_names_the_first_bad_stream(mean_monitor):
+    # Each chunk of runs is stacked and checked at once; the error still
+    # names the first stream that is not n finite samples, whichever way it
+    # is bad, counting across chunks.
+    tuned, gen = mean_monitor
+    plan = tuned.plan
+    n = (plan.h_max + plan.h_tilde) * tuned.params.T
+    chunk = plan.replay_runs(plan.h_tilde)
+    nan, short = np.full(n, np.nan), np.zeros(n - 1)
+    good = [gen(i) for i in range(chunk)]
+    for runs, bad in (
+        ([good[0], nan, short], 1),
+        ([good[0], short, nan], 1),
+        ([good[0], good[1], nan], 2),
+        ([short, short], 0),
+        (good + [good[0], nan], chunk + 1),
+    ):
+        message = f"^stream {bad} is not {n} finite samples$"
+        with pytest.raises(ValueError, match=message):
+            detection_steps(tuned, runs, plan.h_tilde)
 
 
 @pytest.mark.parametrize("num_episodes", [1, 7, 2**33])

@@ -27,9 +27,14 @@ table (the bootstrap's resample indices, BFAR's simulated streams and
 per repetition: the same distributions, different draws. Both plans'
 ``report.json`` when ``simulate`` drew every block's episodes from one
 ``("simulate",)`` table in place of two generators per block seeded from the
-``("block",)`` table; every other hash kept its value. Under the new draws
-both plans detect all four blocks at steps 2, 2, 4 and 6, so their two
-report hashes are equal.
+``("block",)`` table; every other hash kept its value. Under those draws
+both plans detected all four blocks at steps 2, 2, 4 and 6, so their two
+report hashes were equal. Both plans' ``report.json`` again when the
+simulated drop went from ``epsilon_sigma`` 1.0 to 0.5, so that the two
+reports tell the plans apart: the ``udt`` plan now detects three of the
+four blocks at steps 4, 8 and 8, the ``mdt`` plan at steps 2, 8 and 8.
+The live monitor finishing each statistic over all its horizons in one
+call moved no hash.
 """
 
 import contextlib
@@ -64,6 +69,10 @@ PLAN_MDT_CUSUM = {
     "statistics": ["mdt", "cusum:0.5"],
 }
 
+# A drop small enough that the two plans detect different blocks at
+# different steps, so each report pins its own plan's statistics.
+SIMULATE_EPSILON_SIGMA = 0.5
+
 FILES = (
     "params.json",
     "bundle.json",
@@ -83,7 +92,7 @@ GOLDEN = {
         "d7ca041bde2409ec507397a6d47992f09abebc0f5aa8f39b71af3fe5a7b4e381"
     ),
     "report.json": (
-        "3e580268c550709d409e2b5eb1f7b9d2177bea539e9b6f4c5be07b22431cec5d"
+        "61b9c7e9d9d97e4d9296f5e538336aa8d90165592a74ca06a512a6e00367079d"
     ),
     "monitor.ndjson": (
         "6f71920d965a52b1c12530f8282ad1b4224f99659ff412cc9f4edc91c9366594"
@@ -102,7 +111,7 @@ GOLDEN_MDT_CUSUM = {
         "d215c267a195a104ba99f938dfb57a13f72524152bc76c67d758ea40b727a4a9"
     ),
     "report.json": (
-        "3e580268c550709d409e2b5eb1f7b9d2177bea539e9b6f4c5be07b22431cec5d"
+        "85399f32b33d30d255b6f86c42c2af9a789e123ea5737120965e93a68f1cac2b"
     ),
     "monitor.ndjson": (
         "90d0be93eef3acb2335cde205ffe0b546367933505357c6056c44ed1ecdef94b"
@@ -142,7 +151,7 @@ def _pipeline_digests(tmp_path, plan):
     csv = DATA / "golden_reference.csv"
     (tmp_path / "plan.json").write_text(json.dumps(plan))
     (tmp_path / "scenario.json").write_text(
-        json.dumps({"kind": "uniform", "epsilon_sigma": 1.0})
+        json.dumps({"kind": "uniform", "epsilon_sigma": SIMULATE_EPSILON_SIGMA})
     )
     (tmp_path / "stream.txt").write_text(_stream_text())
 
@@ -176,6 +185,11 @@ def test_pipeline_outputs_match_golden_hashes(tmp_path):
 
 def test_mdt_cusum_pipeline_outputs_match_golden_hashes(tmp_path):
     assert _pipeline_digests(tmp_path, PLAN_MDT_CUSUM) == (3, GOLDEN_MDT_CUSUM)
+
+
+def test_the_two_plans_simulate_reports_differ():
+    # Equal report hashes would pin nothing one plan's does not already.
+    assert GOLDEN["report.json"] != GOLDEN_MDT_CUSUM["report.json"]
 
 
 if __name__ == "__main__":

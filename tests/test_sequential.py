@@ -329,6 +329,24 @@ def test_shared_rings_match_the_replay_across_a_reset():
     assert checked == 2 * (6 * 3 + 9) + 2 * (3 * 3 + 4)
 
 
+def _mixed_cusum_udt_monitor():
+    """A monitor of mdt, two cusums and udt, horizons 1 and 3, and a stream
+    of six H0 episodes for it."""
+    params = make_params(T=4, seed=95, condition=20)
+    ref = make_reference(params, 60, seed=96)
+    plan = em.MonitorPlan(
+        statistics=(em.parse_statistic("mdt"), em.StatisticKind.cusum(0.5),
+                    em.StatisticKind.cusum(1.0), UDT),
+        horizons=(1, 3), h_tilde=2, alpha0=0.5, B_inner=100, B_outer=2, seed=97,
+    )
+    store = em.BootstrapStore(params, plan.B_inner, plan.seed)
+    store.ensure(ref, plan.statistics, plan.window_lengths(params.T))
+    monitor = em.Monitor(em.TunedMonitor(plan, 0.0, store, np.zeros(1)))
+    stream = em.generate_episodes(
+        em.Scenario(params=params, kind="h0", seed=98), 6).ravel()
+    return monitor, stream
+
+
 def test_whole_parts_are_built_only_when_an_episode_completes(monkeypatch):
     calls = []
     real = sequential.whole_part
@@ -338,22 +356,11 @@ def test_whole_parts_are_built_only_when_an_episode_completes(monkeypatch):
         return real(kind, pieces)
 
     monkeypatch.setattr(sequential, "whole_part", counting)
-    params = make_params(T=4, seed=95, condition=20)
-    T = params.T
-    ref = make_reference(params, 60, seed=96)
-    plan = em.MonitorPlan(
-        statistics=(em.parse_statistic("mdt"), em.StatisticKind.cusum(0.5),
-                    em.StatisticKind.cusum(1.0), UDT),
-        horizons=(1, 3), h_tilde=2, alpha0=0.5, B_inner=100, B_outer=2, seed=97,
-    )
-    store = em.BootstrapStore(params, plan.B_inner, plan.seed)
-    store.ensure(ref, plan.statistics, plan.window_lengths(T))
-    monitor = em.Monitor(em.TunedMonitor(plan, 0.0, store, np.zeros(1)))
+    monitor, stream = _mixed_cusum_udt_monitor()
+    T, plan = monitor.params.T, monitor.plan
     assert calls == []
     # mean, hotelling, pdt and the two cusums, for each horizon
     per_episode = 5 * len(plan.horizons)
-    stream = em.generate_episodes(
-        em.Scenario(params=params, kind="h0", seed=98), 6).ravel()
     test_points = 0
     for t, sample in enumerate(stream, start=1):
         before = len(calls)
@@ -362,6 +369,33 @@ def test_whole_parts_are_built_only_when_an_episode_completes(monkeypatch):
         assert len(calls) - before == (per_episode if t % T == 0 else 0), t
     assert test_points == 3 * T
     assert len(calls) == 6 * per_episode
+
+
+def test_each_test_point_finishes_each_family_once_over_all_horizons(monkeypatch):
+    calls = []
+    real = sequential.finish
+
+    def counting(kind, params, whole, tail, K, tau):
+        calls.append((kind.spec, K))
+        return real(kind, params, whole, tail, K, tau)
+
+    monkeypatch.setattr(sequential, "finish", counting)
+    monitor, stream = _mixed_cusum_udt_monitor()
+    horizons = monitor.plan.horizons
+    # mean, hotelling, pdt and the two cusums, each once with every
+    # horizon; udt keeps its running sum
+    per_test_point = sorted((spec, horizons) for spec in (
+        "mean", "hotelling", "pdt:0.9", "cusum:0.5", "cusum:1"))
+    test_points = 0
+    for t, sample in enumerate(stream, start=1):
+        before = len(calls)
+        monitor.step(sample)
+        if monitor.last_test_point == t:
+            test_points += 1
+            assert sorted(calls[before:]) == per_test_point, t
+        else:
+            assert len(calls) == before, t
+    assert test_points == 3 * monitor.params.T
 
 
 def test_monitor_rejects_a_store_missing_an_entry():

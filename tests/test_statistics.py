@@ -10,7 +10,9 @@ from epimon.stats import (
     BatchEvaluator,
     ceil_fraction,
     episode_piece,
+    finish,
     mixed_values,
+    whole_part,
 )
 
 from conftest import make_params, make_reference
@@ -195,8 +197,45 @@ def test_count_scaling_is_cached_read_only_and_per_offset():
             assert vec.shape == (params.T,)
             assert not vec.flags.writeable
             np.testing.assert_array_equal(vec, want)
-    with pytest.raises(ValueError):
-        params.count_scaling(0, 3)
+    # A tuple of K gives the per-K vectors stacked, bit for bit.
+    for Ks, tau in [((1,), 7), ((2, 5, 9), 3), ((4, 1), 1)]:
+        stacked = params.count_scaling(Ks, tau)
+        assert params.count_scaling(Ks, tau) is stacked
+        for i, vec in enumerate(stacked):
+            want = np.stack([params.count_scaling(K, tau)[i] for K in Ks])
+            assert not vec.flags.writeable
+            assert vec.shape == want.shape and vec.tobytes() == want.tobytes()
+    for K in (0, (0,), (3, 0), (2, -1, 4)):
+        with pytest.raises(ValueError):
+            params.count_scaling(K, 3)
+
+
+@pytest.mark.parametrize("spec", ["mean", "udt", "pdt:0.6", "cusum:0.5", "hotelling"])
+@pytest.mark.parametrize("tau", [1, 4, 7])
+def test_finish_over_stacked_horizons_matches_one_row_calls(spec, tau):
+    # The live monitor stacks the whole parts of its horizons and finishes
+    # them with one tail in one call; each row must be the one-row call.
+    kind = em.parse_statistic(spec)
+    params = make_params(T=7, seed=36, condition=60)
+    rows = em.generate_episodes(em.Scenario(params=params, kind="h0", seed=37), 12)
+    pieces = episode_piece(kind.name, rows[:-1], params)[np.newaxis]
+    tail = episode_piece(kind.name, rows[-1:, :tau], params)
+    horizons = (1, 2, 5, 11)
+    wholes = [whole_part(kind, pieces[:, -h:]) for h in horizons]
+    stacked = np.concatenate(wholes)
+    kept = stacked.tobytes(), tail.tobytes()
+    got = finish(kind, params, stacked, tail, horizons, tau)
+    want = np.concatenate([
+        finish(kind, params, whole, tail, h, tau) for whole, h in zip(wholes, horizons)
+    ])
+    assert (stacked.tobytes(), tail.tobytes()) == kept  # left unchanged
+    assert got.shape == (len(horizons),)
+    if kind.name == "hotelling":
+        # Its quadratic is one matrix product, and BLAS may round an
+        # (H, T) @ S product's row differently from a (1, T) @ S product.
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+    else:
+        assert got.tobytes() == want.tobytes()
 
 
 def test_batch_hotelling_agrees_with_one_row_values():
