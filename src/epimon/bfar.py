@@ -9,15 +9,19 @@ reference data, replays every test-point after the warm-up prefix, and
 records the minimal p-value seen. The alpha0-quantile of those minima is the
 threshold.
 
-One batched replay serves every caller. It works in two steps, one
-horizon at a time. The values step evaluates each base statistic (a plan
-statistic or a mixed one's component, each once) for every window, as one
-:meth:`BatchEvaluator.offset_values` call over all F test offsets, shaped
-(F, runs, E). The lookup step finds those values in one table of sorted
-store rows, :meth:`MonitorPlan.store_rows`, resolved once per call before
-any evaluation, so a store that lacks a row fails first. Mixed kinds go
-through :func:`~epimon.stats.mixed_values`, the one copy of their rule; the
-step keeps the minimal p-value over statistics and horizons.
+One batched replay serves every caller. It works in two steps. The values
+step evaluates each base statistic (a plan statistic or a mixed one's
+component, each once) at every window of the runs, as one
+:meth:`BatchEvaluator.offset_values` call over all H horizons and F test
+offsets, shaped (H, F, runs, E). That call gathers each run's episode
+pieces once, (runs, h_max + E, ...), and sums every horizon's windows
+from a sliding view of that one gather, so a run's episodes are not
+copied once per window that holds them; the sums are bitwise those of a
+gather per window. The lookup step finds those values in one table of
+sorted store rows, :meth:`MonitorPlan.store_rows`, resolved once per call
+before any evaluation, so a store that lacks a row fails first. Mixed
+kinds go through :func:`~epimon.stats.mixed_values`, the one copy of their
+rule; the step keeps the minimal p-value over statistics and horizons.
 
 :func:`replay_pvalues` looks up every test-point of whole runs;
 :func:`detection_steps` takes each generated run's first test-point below
@@ -239,30 +243,24 @@ def _replay(
     tested episode, or with ``run_minimum`` (F, runs), the minimum over
     each run's E episodes at each offset.
 
-    One horizon at a time, each base statistic is evaluated once for every
-    window (:meth:`BatchEvaluator.offset_values`), reduced to each run's
-    minimum when ``run_minimum`` is set, and then looked up in ``tests``,
-    the plan's :meth:`MonitorPlan.store_rows`, mixed kinds through
+    Each base statistic is evaluated once, for every horizon, offset and
+    tested episode (:meth:`BatchEvaluator.offset_values`, which gathers the
+    runs' episode pieces once and sums every horizon's windows from one
+    sliding view of them), reduced to each run's minimum when
+    ``run_minimum`` is set, and then looked up in ``tests``, the plan's
+    :meth:`MonitorPlan.store_rows`, mixed kinds through
     :func:`mixed_values`.
     """
-    T = evaluator.params.T
     runs, E = streams.shape[0], streams.shape[1] - plan.h_max
-    # Window at test-episode k, offset tau, horizon h = episodes
-    # [h_max+k-h, h_max+k) whole + episode h_max+k cropped to tau.
-    windows = np.lib.stride_tricks.sliding_window_view(streams, plan.h_max + 1, axis=1)
-    taus = plan.test_offsets(T)
-    tail_idx = streams[:, plan.h_max :].reshape(-1)
-    bases = base_statistics(plan.statistics)
+    taus = plan.test_offsets(evaluator.params.T)
+    values = {}
+    for spec, base in base_statistics(plan.statistics).items():
+        vals = evaluator.offset_values(base, streams, plan.horizons, taus)
+        values[spec] = vals.min(axis=3) if run_minimum else vals
     min_p = np.ones((len(taus), runs) if run_minimum else (len(taus), runs, E))
-    for h in plan.horizons:
-        whole_idx = windows[:, :, plan.h_max - h : plan.h_max].reshape(-1, h)
-        values = {}
-        for spec, base in bases.items():
-            vals = evaluator.offset_values(base, whole_idx, tail_idx, taus)
-            vals = vals.reshape(len(taus), runs, E)
-            values[spec] = vals.min(axis=2) if run_minimum else vals
+    for i, h in enumerate(plan.horizons):
         for j, tau in enumerate(taus):
-            at = {spec: vals[j] for spec, vals in values.items()}
+            at = {spec: vals[i, j] for spec, vals in values.items()}
             for _, spec, rows, components in tests[h, tau]:
                 y = mixed_values(components, at) if components else at[spec]
                 np.minimum(min_p[j], bootstrap_pvalues(rows, y), out=min_p[j])

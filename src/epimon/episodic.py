@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,6 +167,7 @@ class EpisodeParams:
         self._tail_weights: dict[int, np.ndarray] = {T: _readonly(inv.sum(axis=0))}
         self._window_weights: dict[int, np.ndarray] = {}
         self._count_scaling: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        self._window_length: dict[tuple, np.integer | np.ndarray] = {}
         self._step_std: np.ndarray | None = None
 
     @property
@@ -243,6 +245,21 @@ class EpisodeParams:
             counts[..., :tau] += 1.0
             cached = (_readonly(counts * self.mu0), _readonly(1.0 / np.sqrt(counts)))
             self._count_scaling[key] = cached
+        return cached
+
+    def window_length(
+        self, K: int | tuple[int, ...], tau: int
+    ) -> np.integer | np.ndarray:
+        """Length ``np.multiply(K, T) + tau`` of a window of K whole
+        episodes plus a tau-step tail (cached): a number, or for a tuple of
+        H window counts the read-only (H,) lengths, one per K."""
+        key = (K if isinstance(K, tuple) else int(K), int(tau))
+        cached = self._window_length.get(key)
+        if cached is None:
+            cached = np.multiply(key[0], self.T) + key[1]
+            if isinstance(cached, np.ndarray):
+                cached = _readonly(cached)
+            self._window_length[key] = cached
         return cached
 
 
@@ -365,33 +382,57 @@ def estimate_params(ref: ReferenceDataset) -> EpisodeParams:
 def load_reference_csv(
     path, downsample_factor: int = 1, skip_header: bool = False
 ) -> ReferenceDataset:
-    """Read a reference dataset: CSV, one episode per row, no header by default."""
+    """Read a reference dataset: CSV, one episode per row, no header by default.
+
+    One ``np.loadtxt`` call reads a well-formed file. It accepts a subset of
+    what ``float()`` does, with the same values, so anything it rejects, a
+    non-finite value or an empty result is read again line by line: that
+    read accepts every ``float()`` spelling (``1_0``, say) and skips blank
+    lines, and its errors name the line at fault.
+    """
+    with open(path, newline="") as fh:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # "no data"
+                raw = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None,
+                                 skiprows=int(skip_header))
+        except ValueError:
+            raw = None
+        if raw is None or raw.size == 0 or not np.isfinite(raw).all():
+            fh.seek(0)
+            raw = _read_csv_lines(fh, path, skip_header)
+    return ReferenceDataset.from_raw(raw, downsample_factor)
+
+
+def _read_csv_lines(fh, path, skip_header: bool) -> np.ndarray:
+    """The reference CSV in ``fh`` read one line at a time with ``float()``;
+    :class:`InvalidDataError` names the first line that does not parse, is
+    not finite or has a different number of values from the first."""
     rows: list[list[float]] = []
     expected: int | None = None
-    with open(path, newline="") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if lineno == 1 and skip_header:
-                continue
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                values = [float(tok) for tok in stripped.split(",")]
-            except ValueError as exc:
-                raise InvalidDataError(f"{path}: line {lineno}: {exc}") from exc
-            if not all(map(math.isfinite, values)):
-                raise InvalidDataError(f"{path}: line {lineno}: non-finite value")
-            if expected is None:
-                expected = len(values)
-            elif len(values) != expected:
-                raise InvalidDataError(
-                    f"{path}: line {lineno}: expected {expected} values, "
-                    f"got {len(values)}"
-                )
-            rows.append(values)
+    for lineno, line in enumerate(fh, start=1):
+        if lineno == 1 and skip_header:
+            continue
+        stripped = line.strip()
+        if not stripped:
+            continue
+        try:
+            values = [float(tok) for tok in stripped.split(",")]
+        except ValueError as exc:
+            raise InvalidDataError(f"{path}: line {lineno}: {exc}") from exc
+        if not all(map(math.isfinite, values)):
+            raise InvalidDataError(f"{path}: line {lineno}: non-finite value")
+        if expected is None:
+            expected = len(values)
+        elif len(values) != expected:
+            raise InvalidDataError(
+                f"{path}: line {lineno}: expected {expected} values, "
+                f"got {len(values)}"
+            )
+        rows.append(values)
     if not rows:
         raise InvalidDataError(f"{path}: no episodes found")
-    return ReferenceDataset.from_raw(np.asarray(rows), downsample_factor)
+    return np.asarray(rows)
 
 
 def params_to_dict(params: EpisodeParams) -> dict:

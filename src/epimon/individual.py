@@ -239,8 +239,9 @@ class BootstrapStore:
             offsets.setdefault(dec.k, []).append(dec.tau)
         for K, taus in offsets.items():
             ns = [K * T + tau for tau in taus]
+            runs = idx[:, : K + 1]  # one window each: K whole episodes, a tail
             values = {
-                spec: evaluator.offset_values(base, idx[:, :K], idx[:, K], taus)
+                spec: evaluator.offset_values(base, runs, (K,), taus)[0, :, :, 0]
                 for spec, base in bases.items()
             }
             for spec, rows in values.items():

@@ -264,16 +264,24 @@ def episode_piece(name: str, rows: np.ndarray, params: EpisodeParams) -> np.ndar
     return rows
 
 
-def whole_part(kind: StatisticKind, pieces: np.ndarray) -> np.ndarray:
-    """Whole-episode part of R windows from the (R, K, ...) pieces of their
-    K whole episodes, oldest first: the sum over the episodes, except for
-    ``cusum``, whose (R, 2) part is the last value and the minimum of the
-    drift prefix P_j = sum_{i<=j} (piece_i - k_ref) over the K*T steps."""
+def whole_part(kind: StatisticKind, pieces: np.ndarray, axis: int = 1) -> np.ndarray:
+    """Whole-episode part of windows from the pieces of their K whole
+    episodes, oldest first along ``axis``: the (R, K, ...) pieces of R
+    windows by default, or a batch's sliding view, (..., K) or (..., T, K),
+    with ``axis=-1``. The part is the sum over the episodes, except for
+    ``cusum``, whose part is the last value and the minimum of the drift
+    prefix P_j = sum_{i<=j} (piece_i - k_ref) over the K*T steps, on a new
+    last axis of length 2 in place of the (K, T) axes."""
     if kind.name == "cusum":
-        drift = pieces.reshape(pieces.shape[0], -1) - kind.k_ref
-        prefix = np.cumsum(drift, axis=1, out=drift)
-        return np.stack([prefix[:, -1], prefix.min(axis=1)], axis=1)
-    return pieces.sum(axis=1)
+        steps = pieces.swapaxes(axis, -2)  # (..., K, T)
+        drift = np.subtract(steps, kind.k_ref, out=np.empty(steps.shape))
+        prefix = drift.reshape(steps.shape[:-2] + (-1,))
+        np.cumsum(prefix, axis=-1, out=prefix)
+        part = np.empty(steps.shape[:-2] + (2,))
+        part[..., 0] = prefix[..., -1]
+        prefix.min(axis=-1, out=part[..., 1])
+        return part
+    return pieces.sum(axis=axis)
 
 
 def finish(
@@ -295,7 +303,7 @@ def finish(
     if name == "mean":
         if whole is None:
             return tail / tau
-        return (tail + whole) / (np.multiply(K, T) + tau)
+        return (tail + whole) / params.window_length(K, tau)
     if name == "udt":
         return tail if whole is None else tail + whole
     if name == "pdt":
@@ -365,23 +373,21 @@ def bootstrap_pvalues(sorted_values: np.ndarray, values):
 
 
 class BatchEvaluator:
-    """Vectorized statistic evaluation for windows built from episode rows.
+    """Vectorized statistic evaluation for windows read off runs of
+    episode rows.
 
-    A window is described by K whole-episode row indices plus one tail row
-    cropped to its first tau samples -- exactly the shape produced by the
-    bootstrap resampler and by the BFAR simulation. The
-    :func:`episode_piece` of every row is computed once per (family, m)
-    and cached, so evaluating B windows gathers K + 1 pieces per window, and
-    :func:`finish` turns the gathered pieces into values. The bootstrap
-    store, the BFAR replay, :func:`statistic_value` and the live monitor
-    all evaluate through these same pieces and finish.
-
-    :meth:`offset_values` evaluates one set of windows at several offsets
-    tau at once. The K whole episodes are the same at every offset, so their
-    :func:`whole_part` is built once per chunk of ``_BATCH_CHUNK`` windows;
-    each offset then finishes it with its own tail, leaving it unchanged,
-    so every row of the result is bitwise the one-offset :meth:`values`
-    call at that offset.
+    A run is one row of episode-row indices, a *stream*: the resampled runs
+    of the BFAR replay, the bootstrap store's index table, or the rows of
+    one window. A window of K whole episodes ending at column c of a run
+    holds the whole episodes of columns c-K .. c-1 and the tail of column c,
+    cropped to its first tau samples. The :func:`episode_piece` of every
+    row is computed once per (family, m) and cached; :meth:`offset_values`
+    gathers each chunk of runs' whole-episode pieces once, sums every
+    window's from a sliding view of that one gather (:func:`whole_part`) and
+    :func:`finish` turns them into values with each offset's tail. The
+    bootstrap store, the BFAR replay and :func:`statistic_value` all
+    evaluate through it; the live monitor keeps the same pieces in rings
+    and runs the same :func:`whole_part` and :func:`finish`.
     """
 
     def __init__(self, episodes: np.ndarray, params: EpisodeParams):
@@ -409,53 +415,92 @@ class BatchEvaluator:
         tau: int,
         store=None,
     ) -> np.ndarray:
-        """Statistic values for R windows of length K*T + tau: the
-        one-offset case of :meth:`offset_values`."""
-        return self.offset_values(kind, whole_idx, tail_idx, (tau,), store)[0]
+        """Statistic values of R windows of length K*T + tau: ``whole_idx``
+        is (R, K) row indices of the whole episodes (K may be 0) and
+        ``tail_idx`` (R,) the row index of the episode cropped to its first
+        tau samples. Each window is a run of K + 1 rows for
+        :meth:`offset_values`. ``store`` is only read by mixed statistics."""
+        whole_idx = np.asarray(whole_idx)
+        tail_idx = np.asarray(tail_idx)
+        if whole_idx.ndim != 2 or tail_idx.shape != whole_idx.shape[:1]:
+            raise ValueError("whole_idx must be (R, K) and tail_idx (R,)")
+        streams = np.concatenate([whole_idx, tail_idx[:, np.newaxis]], axis=1)
+        horizons = (whole_idx.shape[1],)
+        return self.offset_values(kind, streams, horizons, (tau,), store)[0, 0, :, 0]
 
     def offset_values(
         self,
         kind: StatisticKind,
-        whole_idx: np.ndarray,
-        tail_idx: np.ndarray,
+        streams: np.ndarray,
+        horizons,
         taus,
         store=None,
     ) -> np.ndarray:
-        """Statistic values of R windows at each offset: a (len(taus), R)
-        array whose row i holds the windows of length K*T + taus[i].
+        """Statistic values of every window of ``streams`` at each horizon
+        and offset: an (H, F, R, E) array for H ``horizons``, F ``taus`` and
+        the R runs of ``streams``, an (R, P + E) array of episode-row
+        indices with P = max(horizons). Entry (i, j, r, e) is the window of
+        horizons[i] whole episodes ending at column P + e of run r, its tail
+        cropped to taus[j] samples: the last E columns are tested, the first
+        P only looked back into. A horizon may be 0 (the tail alone).
 
-        ``whole_idx`` is (R, K) row indices of the whole episodes (K may be
-        0); ``tail_idx`` is (R,) row indices of the episode cropped to its
-        first tau samples. ``store`` is only read by mixed statistics.
+        Each chunk of at most ``_BATCH_CHUNK // E`` runs gathers the whole
+        pieces of its columns once, and each horizon's whole parts are the
+        sums of a sliding view of that gather; its windows are then finished
+        with each offset's tail, the whole parts left unchanged, so every
+        entry is bitwise a one-window, one-offset call. ``store`` is only
+        read by mixed statistics.
         """
-        whole_idx = np.asarray(whole_idx)
-        tail_idx = np.asarray(tail_idx)
-        if whole_idx.ndim != 2 or whole_idx.shape[0] != tail_idx.shape[0]:
-            raise ValueError("whole_idx must be (R, K) and tail_idx (R,)")
+        streams = np.asarray(streams)
+        horizons = [int(h) for h in horizons]
         taus = [int(tau) for tau in taus]
         T = self.params.T
+        if not horizons or min(horizons) < 0:
+            raise ValueError("horizons must be non-negative")
+        P = max(horizons)
+        if streams.ndim != 2 or streams.shape[1] <= P:
+            raise ValueError(f"streams must be (R, L) with L > {P}")
         if not taus or not all(1 <= tau <= T for tau in taus):
             raise ValueError(f"tau must be in [1, {T}]")
-        R, K = whole_idx.shape
+        R, E = streams.shape[0], streams.shape[1] - P
+        H, F = len(horizons), len(taus)
         if kind.name == "mixed":
             if store is None:
                 raise NotTunedError("mixed statistic requires a bootstrap store")
             comps = kind.components
-            values = {c.spec: self.offset_values(c, whole_idx, tail_idx, taus)
+            values = {c.spec: self.offset_values(c, streams, horizons, taus)
                       for c in comps}
-            out = np.empty((len(taus), R))
-            for i, tau in enumerate(taus):
-                rows = [(c.spec, store.values_for(c, K * T + tau)) for c in comps]
-                out[i] = mixed_values(rows, {spec: v[i] for spec, v in values.items()})
+            out = np.empty((H, F, R, E))
+            for i, h in enumerate(horizons):
+                for j, tau in enumerate(taus):
+                    rows = [(c.spec, store.values_for(c, h * T + tau)) for c in comps]
+                    at = {spec: v[i, j] for spec, v in values.items()}
+                    out[i, j] = mixed_values(rows, at)
             return out
         name = kind.name
-        piece = self._piece(name, T) if K else None
+        piece = self._piece(name, T) if P else None
         tails = [self._piece(name, tau) for tau in taus]
-        out = np.empty((len(taus), R))
-        for lo in range(0, R, _BATCH_CHUNK):
-            rows = slice(lo, min(lo + _BATCH_CHUNK, R))
-            whole = whole_part(kind, piece[whole_idx[rows]]) if K else None
-            for i, tau in enumerate(taus):
-                tail = tails[i][tail_idx[rows]]
-                out[i, rows] = finish(kind, self.params, whole, tail, K, tau)
+        out = np.empty((H, F, R, E))
+        chunk = max(1, _BATCH_CHUNK // E)
+        for lo in range(0, R, chunk):
+            runs = slice(lo, min(lo + chunk, R))
+            n = runs.stop - lo
+            tail_idx = streams[runs, P:].reshape(-1)
+            if P:
+                # windows[r, e, ..., :] are the P whole pieces before column
+                # P + e of run r, oldest first; horizon h takes the last h.
+                gathered = piece[streams[runs, :-1]]
+                windows = np.lib.stride_tricks.sliding_window_view(gathered, P, axis=1)
+            wholes = []
+            for h in horizons:
+                whole = None
+                if h:
+                    whole = whole_part(kind, windows[..., P - h :], axis=-1)
+                    whole = whole.reshape(n * E, *whole.shape[2:])
+                wholes.append(whole)
+            for j, tau in enumerate(taus):
+                tail = tails[j][tail_idx]
+                for i, (h, whole) in enumerate(zip(horizons, wholes)):
+                    y = finish(kind, self.params, whole, tail, h, tau)
+                    out[i, j, runs] = y.reshape(n, E)
         return out

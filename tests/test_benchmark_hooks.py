@@ -2,11 +2,14 @@
 
 A rename in ``epimon`` would break ``perfbench/run.py --trace 1`` (a hook
 point the tracer cannot find) or the benchmark's correctness check (an
-import), and neither runs in this suite. These tests name every hook point
-and import the benchmark relies on, without running the benchmark.
+import). These tests name every hook point and import the benchmark relies
+on, and run one untraced round of its cheapest workload.
 """
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import epimon as em
@@ -68,3 +71,16 @@ def test_bfar_tune_reaches_the_replay_through_module_globals(monkeypatch):
                           h_tilde=2, alpha0=0.2, B_inner=100, B_outer=20, seed=53)
     bfar.bfar_tune(ref, params, plan)
     assert calls == {"bfar_min_p": 1, "h0_stream_indices": 1}
+
+
+def test_one_benchmark_round_passes_its_correctness_checks():
+    # One round of the cheapest workload, as the benchmark is run: every
+    # CLI call and every output check of the round must pass.
+    result = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "sim_small",
+         "--seed", "0", "--seconds", "0", "--trace", "0"],
+        cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    last = json.loads(result.stdout.strip().splitlines()[-1])
+    assert last["correct"] is True and last["failed"] == 0, result.stdout

@@ -1,13 +1,23 @@
 """BFAR tuning: threshold calibration, determinism, monotonicity, guard."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import epimon as em
+from epimon import bfar, stats
 from epimon.bfar import detection_steps
 from epimon.errors import NotTunedError, ResolutionError
+from epimon.stats import (
+    base_statistics,
+    bootstrap_pvalues,
+    episode_piece,
+    finish,
+    mixed_values,
+    whole_part,
+)
 
 from conftest import make_params, make_reference
 
@@ -333,11 +343,10 @@ def test_bfar_min_p_is_the_minimum_of_every_test_point(specs, h_tilde, B_outer):
         assert np.any(ties > 1)
 
 
-def test_replay_evaluates_each_base_statistic_once_per_horizon_and_chunk(
-    monkeypatch,
-):
+def test_replay_evaluates_each_base_statistic_once_per_chunk(monkeypatch):
     # udt is a plan statistic and a component of the mixed one: the replay
-    # evaluates it once per horizon and chunk, not once for each use.
+    # evaluates it once per chunk, for every horizon in the one call, not
+    # once for each use or each horizon.
     params = make_params(T=4, seed=43)
     ref = make_reference(params, 40, seed=44)
     plan = make_plan(statistics=(UDT, em.parse_statistic("mixed:mean+udt")),
@@ -347,20 +356,103 @@ def test_replay_evaluates_each_base_statistic_once_per_horizon_and_chunk(
     calls = []
     offset_values = em.BatchEvaluator.offset_values
 
-    def counting(self, kind, *args, **kwargs):
-        calls.append(kind.spec)
-        return offset_values(self, kind, *args, **kwargs)
+    def counting(self, kind, streams, horizons, *args, **kwargs):
+        calls.append((kind.spec, tuple(horizons)))
+        return offset_values(self, kind, streams, horizons, *args, **kwargs)
 
     monkeypatch.setattr(em.BatchEvaluator, "offset_values", counting)
     em.bfar_min_p(ref, params, plan, store)
     chunks = -(-plan.B_outer // plan.replay_runs(plan.h_tilde))
     assert chunks == 2
-    assert sorted(calls) == ["mean"] * 4 + ["udt"] * 4
+    assert sorted(calls) == [("mean", (1, 2))] * 2 + [("udt", (1, 2))] * 2
     calls.clear()
     evaluator = em.BatchEvaluator(ref.episodes, params)
     streams = em.h0_stream_indices(plan, 40)[:5]
     em.replay_pvalues(evaluator, streams, plan, store)
-    assert sorted(calls) == ["mean"] * 2 + ["udt"] * 2
+    assert sorted(calls) == [("mean", (1, 2)), ("udt", (1, 2))]
+
+
+def _gathered_values(ref, params, base, streams, horizons, taus):
+    """Reference values, (H, F, runs, E) as ``offset_values`` returns
+    them, with a gather per window: every (horizon, tested episode) window
+    gathers its own whole pieces ``piece[whole_idx]``."""
+    P = max(horizons)
+    runs, E = streams.shape[0], streams.shape[1] - P
+    windows = np.lib.stride_tricks.sliding_window_view(streams, P + 1, axis=1)
+    piece = episode_piece(base.name, ref.episodes, params)
+    tails = [episode_piece(base.name, ref.episodes[:, :tau], params) for tau in taus]
+    tail_idx = streams[:, P:].reshape(-1)
+    out = np.empty((len(horizons), len(taus), runs, E))
+    for i, h in enumerate(horizons):
+        whole = whole_part(base, piece[windows[:, :, P - h : P].reshape(-1, h)])
+        for j, tau in enumerate(taus):
+            y = finish(base, params, whole, tails[j][tail_idx], h, tau)
+            out[i, j] = y.reshape(runs, E)
+    return out
+
+
+def _gathered_replay(values, plan, tests, taus, run_minimum):
+    """Reference replay: the lookups of ``bfar._replay`` over
+    ``values[spec]``, the (H, F, runs, E) values of each base statistic."""
+    values = {spec: v.min(axis=3) if run_minimum else v for spec, v in values.items()}
+    min_p = np.ones(next(iter(values.values())).shape[1:])
+    for i, h in enumerate(plan.horizons):
+        for j, tau in enumerate(taus):
+            at = {spec: vals[i, j] for spec, vals in values.items()}
+            for _, spec, rows, components in tests[h, tau]:
+                y = mixed_values(components, at) if components else at[spec]
+                np.minimum(min_p[j], bootstrap_pvalues(rows, y), out=min_p[j])
+    return min_p
+
+
+@pytest.mark.parametrize("run_minimum", [False, True])
+@pytest.mark.parametrize(
+    "spec", ["mean", "udt", "pdt:0.6", "hotelling", "cusum:0.5", "mdt"]
+)
+def test_replay_equals_a_gather_per_window(monkeypatch, spec, run_minimum):
+    # Horizons 1 and 11 (over 8 episodes, where a scalar piece's sum turns
+    # pairwise), an odd T, and chunks of 6 runs, so 17 runs end in a short
+    # chunk: the sliding-view sums are bitwise the per-window gather's,
+    # and so are the p-values looked up from them.
+    monkeypatch.setattr(stats, "_BATCH_CHUNK", 20)  # 20 // E = 6 runs a chunk
+    params = make_params(T=5, seed=47, condition=40)
+    ref = make_reference(params, 30, seed=48)
+    plan = make_plan(statistics=(em.parse_statistic(spec),), horizons=(1, 11),
+                     h_tilde=3, B_inner=150, B_outer=17, alpha0=0.1)
+    store = _store(ref, params, plan)
+    tests = plan.store_rows(store, params.T)
+    streams = em.h0_stream_indices(plan, ref.num_episodes)
+    taus = plan.test_offsets(params.T)
+    evaluator = em.BatchEvaluator(ref.episodes, params)
+    values = {}
+    for base_spec, base in base_statistics(plan.statistics).items():
+        got = evaluator.offset_values(base, streams, plan.horizons, taus)
+        values[base_spec] = _gathered_values(ref, params, base, streams, plan.horizons, taus)
+        assert got.tobytes() == values[base_spec].tobytes(), base_spec
+    got = bfar._replay(evaluator, streams, plan, tests, run_minimum)
+    want = _gathered_replay(values, plan, tests, taus, run_minimum)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_bfar_min_p_allocates_less_than_one_gather_per_window():
+    # mdt_te4's shape, scaled down: the per-window gather of one chunk,
+    # (runs * E, h_max, T) floats, was the replay's largest allocation.
+    params = make_params(T=24, seed=49, condition=40)
+    ref = make_reference(params, 60, seed=50)
+    plan = make_plan(statistics=(em.parse_statistic("mdt"),), horizons=(2, 24),
+                     h_tilde=4, B_inner=100, B_outer=256, alpha0=0.1, test_every=4)
+    store = _store(ref, params, plan)
+    runs = plan.replay_runs(plan.h_tilde)
+    assert runs == plan.B_outer
+    gather_bytes = runs * plan.h_tilde * plan.h_max * params.T * 8
+    tracemalloc.start()
+    try:
+        em.bfar_min_p(ref, params, plan, store)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < gather_bytes, (peak, gather_bytes)
 
 
 def test_replay_rejects_a_missing_component_row_before_evaluating(monkeypatch):

@@ -1,5 +1,7 @@
 """Model-layer tests: index decomposition, estimation, weights, downsampling."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -258,3 +260,56 @@ def test_reference_csv_reports_line_numbers(tmp_path):
     path.write_text("1.0,2.0\n3.0,nan\n")
     with pytest.raises(InvalidDataError, match="line 2"):
         em.load_reference_csv(path)
+
+
+def _float_per_token(text, skip_header=False):
+    lines = text.splitlines()[int(skip_header):]
+    return np.array([[float(tok) for tok in line.split(",")] for line in lines if line.strip()])
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_reference_csv_values_are_float_per_token(tmp_path, newline):
+    # The file is read in one numpy call; every value must be the one that
+    # float() gives its token, bit for bit, shortest spellings included.
+    rng = np.random.default_rng(90)
+    values = rng.standard_normal((50, 7)) * 10.0 ** rng.integers(-30, 30, size=(50, 7))
+    lines = [",".join(f"{x:.17g}" for x in values[0]), ",".join(repr(float(x)) for x in values[1])]
+    lines += [",".join(f"{x:.6g}" for x in row) for row in values[2:]]
+    text = newline.join(["a,b,c,d,e,f,g", *lines, ""])
+    path = tmp_path / "ref.csv"
+    path.write_bytes(text.encode())
+    ref = em.load_reference_csv(path, skip_header=True)
+    want = _float_per_token(text, skip_header=True)
+    assert ref.episodes.shape == want.shape
+    assert ref.episodes.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("text, rows", [
+    ("1_0,2\n3,4.5\n", [[10.0, 2.0], [3.0, 4.5]]),  # a float() spelling
+    ("1,2\n  \n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),  # a whitespace-only line
+    ("\n1,2\n\n3,4\n\n", [[1.0, 2.0], [3.0, 4.0]]),  # blank lines
+])
+def test_reference_csv_reads_what_float_accepts(tmp_path, text, rows):
+    path = tmp_path / "ref.csv"
+    path.write_text(text)
+    assert em.load_reference_csv(path).episodes.tolist() == rows
+
+
+@pytest.mark.parametrize("text, skip_header, message", [
+    ("1.0,2.0\n3.0,oops\n", False,
+     "line 2: could not convert string to float: 'oops'"),
+    ("1.0,2.0\n  \n3.0\n", False, "line 3: expected 2 values, got 1"),
+    ("1_0,2.0\n3.0,inf\n", False, "line 2: non-finite value"),
+    ("1.0,nan\n", False, "line 1: non-finite value"),
+    ("", False, "no episodes found"),
+    ("\n\n", False, "no episodes found"),
+    ("h1,h2\n", True, "no episodes found"),
+])
+def test_reference_csv_errors_name_the_line(tmp_path, text, skip_header, message):
+    path = tmp_path / "ref.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's "input contained no data"
+        with pytest.raises(InvalidDataError) as info:
+            em.load_reference_csv(path, skip_header=skip_header)
+    assert str(info.value) == f"{path}: {message}"

@@ -307,9 +307,9 @@ def test_store_evaluates_each_component_once_per_whole_episode_count(monkeypatch
     calls = []
     real_offset_values = em.BatchEvaluator.offset_values
 
-    def counting_offset_values(self, kind, whole_idx, tail_idx, taus, store=None):
-        calls.append((kind.spec, whole_idx.shape[1], tuple(taus)))
-        return real_offset_values(self, kind, whole_idx, tail_idx, taus, store)
+    def counting_offset_values(self, kind, streams, horizons, taus, store=None):
+        calls.append((kind.spec, tuple(horizons), streams.shape[1], tuple(taus)))
+        return real_offset_values(self, kind, streams, horizons, taus, store)
 
     monkeypatch.setattr(em.BatchEvaluator, "offset_values", counting_offset_values)
     plans = [
@@ -323,7 +323,7 @@ def test_store_evaluates_each_component_once_per_whole_episode_count(monkeypatch
         store = em.BootstrapStore(params, B=32, seed=6)
         store.ensure(ref, kinds, [6, 8, 14, 16])  # K = 1 and 3, offsets 2 and 4
         assert sorted(calls) == sorted(
-            (spec, K, (2, 4)) for spec in bases for K in (1, 3)
+            (spec, (K,), K + 1, (2, 4)) for spec in bases for K in (1, 3)
         ), specs
         mixed = [kind.spec for kind in kinds if kind.components]
         assert sorted(store.entries) == sorted(

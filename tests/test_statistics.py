@@ -210,6 +210,19 @@ def test_count_scaling_is_cached_read_only_and_per_offset():
             params.count_scaling(K, 3)
 
 
+def test_window_length_is_cached_and_read_only():
+    # mean's finish divides by the window lengths; the live monitor asks
+    # for the same (horizons, tau) at every test-point.
+    params = make_params(T=7, seed=31)
+    for K, tau in [(0, 3), (5, 7), ((1,), 2), ((3, 30), 4)]:
+        length = params.window_length(K, tau)
+        assert params.window_length(K, tau) is length
+        want = np.multiply(K, params.T) + tau
+        assert np.asarray(length).tobytes() == np.asarray(want).tobytes()
+        if isinstance(K, tuple):
+            assert length.shape == (len(K),) and not length.flags.writeable
+
+
 @pytest.mark.parametrize("spec", ["mean", "udt", "pdt:0.6", "cusum:0.5", "hotelling"])
 @pytest.mark.parametrize("tau", [1, 4, 7])
 def test_finish_over_stacked_horizons_matches_one_row_calls(spec, tau):
@@ -585,32 +598,38 @@ OFFSET_KINDS = [MEAN, UDT, em.StatisticKind.pdt(0.5), em.StatisticKind.pdt(1.0),
 @pytest.mark.parametrize("K", [0, 2])
 @pytest.mark.parametrize("kind", OFFSET_KINDS, ids=lambda k: k.spec)
 def test_offset_values_keep_offsets_independent(kind, K):
-    # More windows than one chunk, so the shared whole-episode part is built
-    # in two chunks; every offset of the episode is evaluated in one call.
+    # Runs of K + 3 rows test 3 windows each; more runs than one chunk, so
+    # the shared whole-episode parts are built in two chunks, and every
+    # offset of the episode is evaluated in one call. Each entry is the
+    # one-window, one-offset values call.
     params = make_params(T=6, seed=59, condition=80)
     ref = make_reference(params, 40, seed=3)
     store = em.BootstrapStore(params, B=100, seed=8)
     fresh = em.generate_episodes(em.Scenario(params=params, kind="h0", seed=61), 40)
     ev = BatchEvaluator(fresh, params)
     rng = np.random.default_rng(15)
-    R = _BATCH_CHUNK + 300
-    whole_idx = rng.integers(0, 40, size=(R, K))
-    tail_idx = rng.integers(0, 40, size=R)
+    E = 3
+    chunk = _BATCH_CHUNK // E
+    runs = chunk + 100
+    streams = rng.integers(0, 40, size=(runs, K + E))
     taus = range(1, params.T + 1)
     store.ensure(ref, [kind], [K * params.T + tau for tau in taus])
 
-    multi = ev.offset_values(kind, whole_idx, tail_idx, taus, store)
-    assert multi.shape == (len(taus), R)
-    assert np.array_equal(ev.offset_values(kind, whole_idx, tail_idx, taus, store), multi)
-    rows = sorted({0, _BATCH_CHUNK - 1, _BATCH_CHUNK, R - 1, *range(0, R, 397)})
-    for i, tau in enumerate(taus):
-        assert np.array_equal(multi[i], ev.values(kind, whole_idx, tail_idx, tau, store))
-        oracle = [
-            dense_oracle(kind, np.concatenate(
-                [*fresh[whole_idx[r]], fresh[tail_idx[r], :tau]]), params, store)
-            for r in rows
-        ]
-        np.testing.assert_allclose(multi[i, rows], oracle, rtol=1e-12)
+    multi = ev.offset_values(kind, streams, (K,), taus, store)
+    assert multi.shape == (1, len(taus), runs, E)
+    assert np.array_equal(ev.offset_values(kind, streams, (K,), taus, store), multi)
+    picks = sorted({0, chunk - 1, chunk, runs - 1, *range(0, runs, 131)})
+    for e in range(E):
+        whole_idx, tail_idx = streams[:, e : e + K], streams[:, K + e]
+        for i, tau in enumerate(taus):
+            one = ev.values(kind, whole_idx, tail_idx, tau, store)
+            assert np.array_equal(multi[0, i, :, e], one), (e, tau)
+            oracle = [
+                dense_oracle(kind, np.concatenate(
+                    [*fresh[whole_idx[r]], fresh[tail_idx[r], :tau]]), params, store)
+                for r in picks
+            ]
+            np.testing.assert_allclose(multi[0, i, picks, e], oracle, rtol=1e-12)
 
 
 def _concatenated_cusum(kind, params, episodes, whole_idx, tail_idx, tau):
@@ -633,21 +652,25 @@ def _concatenated_cusum(kind, params, episodes, whole_idx, tail_idx, tau):
 def test_cusum_offset_values_bitwise_match_one_cumsum_over_the_window(K):
     # The whole part keeps (last value, minimum) of the drift prefix and the
     # finish continues it over the tail; that must be bitwise one cumsum
-    # over the concatenated window, in both chunks of the batch.
+    # over the concatenated window, at each of a run's two tested episodes
+    # and in both chunks of the batch.
     params = make_params(T=7, seed=81, condition=60)
     episodes = em.generate_episodes(em.Scenario(params=params, kind="h0", seed=82), 50)
     ev = BatchEvaluator(episodes, params)
     rng = np.random.default_rng(83)
-    R = _BATCH_CHUNK + 150
-    whole_idx = rng.integers(0, 50, size=(R, K))
-    tail_idx = rng.integers(0, 50, size=R)
+    E = 2
+    runs = _BATCH_CHUNK // E + 75
+    streams = rng.integers(0, 50, size=(runs, K + E))
     taus = range(1, params.T + 1)
     for k_ref in (0.0, 0.5, 1.0):
         kind = em.StatisticKind.cusum(k_ref)
-        got = ev.offset_values(kind, whole_idx, tail_idx, taus)
-        for i, tau in enumerate(taus):
-            oracle = _concatenated_cusum(kind, params, episodes, whole_idx, tail_idx, tau)
-            assert np.array_equal(got[i], oracle), (k_ref, tau)
+        got = ev.offset_values(kind, streams, (K,), taus)
+        for e in range(E):
+            whole_idx, tail_idx = streams[:, e : e + K], streams[:, K + e]
+            for i, tau in enumerate(taus):
+                oracle = _concatenated_cusum(
+                    kind, params, episodes, whole_idx, tail_idx, tau)
+                assert np.array_equal(got[0, i, :, e], oracle), (k_ref, e, tau)
 
 
 def test_mean_piece_of_cropped_rows_is_their_row_sum():
