@@ -21,7 +21,9 @@ gather per window. The lookup step finds those values in one table of
 sorted store rows, :meth:`MonitorPlan.store_rows`, resolved once per call
 before any evaluation, so a store that lacks a row fails first. Mixed
 kinds go through :func:`~epimon.stats.mixed_values`, the one copy of their
-rule; the step keeps the minimal p-value over statistics and horizons.
+rule, against the rows of :meth:`BootstrapStore.component_rows`: the
+evaluator sees base statistics only. The step keeps the minimal p-value
+over statistics and horizons.
 
 :func:`replay_pvalues` looks up every test-point of whole runs;
 :func:`detection_steps` takes each generated run's first test-point below
@@ -54,6 +56,7 @@ from .episodic import (
     ReferenceDataset,
     check_format_version,
     json_int,
+    json_number,
     params_from_dict,
     params_to_dict,
 )
@@ -102,6 +105,10 @@ class MonitorPlan:
         object.__setattr__(self, "horizons", horizons)
         if not stats:
             raise ValueError("plan requires at least one statistic")
+        specs = [kind.spec for kind in stats]
+        twice = sorted({spec for spec in specs if specs.count(spec) > 1})
+        if twice:
+            raise ValueError(f"plan lists statistic {', '.join(twice)} twice")
         if not horizons or any(h < 1 for h in horizons):
             raise ValueError("horizons must be positive integers")
         if list(horizons) != sorted(set(horizons)):
@@ -139,13 +146,13 @@ class MonitorPlan:
 
     def store_rows(self, store: BootstrapStore, T: int) -> dict:
         """Sorted store rows of each test, per (horizon, offset): a list of
-        (kind, spec, rows, components) in plan order, where components holds
-        (spec, rows) of each component of a mixed kind and is empty for the
-        others. A missing entry raises :class:`NotTunedError`."""
+        (kind, spec, rows, components) in plan order, components being
+        :meth:`BootstrapStore.component_rows` (empty for a base statistic).
+        A missing entry raises :class:`NotTunedError`."""
         return {
             (h, tau): [
                 (kind, kind.spec, store.values_for(kind, h * T + tau),
-                 [(c.spec, store.values_for(c, h * T + tau)) for c in kind.components])
+                 store.component_rows(kind, h * T + tau))
                 for kind in self.statistics
             ]
             for h in self.horizons
@@ -167,8 +174,9 @@ class MonitorPlan:
     @classmethod
     def from_dict(cls, data: dict) -> "MonitorPlan":
         """Plan from its JSON object; ``test_every`` may be omitted. Any key
-        that is not a field, and an integer field (each horizon too) that
-        is not a JSON integer, raises :class:`ValueError`."""
+        that is not a field, an integer field (each horizon too) that is
+        not a JSON integer, and an ``alpha0`` that is not a finite JSON
+        number raise :class:`ValueError`."""
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"plan has unknown keys: {', '.join(unknown)}")
@@ -176,7 +184,7 @@ class MonitorPlan:
             statistics=tuple(parse_statistic(s) for s in data["statistics"]),
             horizons=tuple(json_int(h, "plan horizons") for h in data["horizons"]),
             h_tilde=json_int(data["h_tilde"], "plan h_tilde"),
-            alpha0=float(data["alpha0"]),
+            alpha0=json_number(data["alpha0"], "plan alpha0"),
             B_inner=json_int(data["B_inner"], "plan B_inner"),
             B_outer=json_int(data["B_outer"], "plan B_outer"),
             seed=json_int(data["seed"], "plan seed"),

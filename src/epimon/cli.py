@@ -32,6 +32,7 @@ from .episodic import (
     downsample,
     estimate_params,
     json_int,
+    json_number,
     load_params_json,
     load_reference_csv,
     params_to_dict,
@@ -168,7 +169,9 @@ def _load_scenario(path: str, params, seed: int) -> Scenario:
     if unknown:
         raise ValueError(f"scenario has unknown keys: {', '.join(unknown)}")
     kind = data["kind"]
-    epsilon_sigma = float(data.get("epsilon_sigma", 0.0))
+    epsilon_sigma = json_number(
+        data.get("epsilon_sigma", 0.0), "scenario epsilon_sigma"
+    )
     return Scenario(
         params=params,
         kind=kind,

@@ -26,6 +26,7 @@ This module provides:
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import warnings
@@ -470,6 +471,18 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def json_number(value, what: str) -> float:
+    """``value`` as a float if it is a finite JSON number, else
+    :class:`ValueError` naming ``what``: a bool or a string is not a
+    number, and NaN, infinities and integers beyond float range are not
+    finite."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        with contextlib.suppress(OverflowError):
+            if math.isfinite(value):
+                return float(value)
+    raise ValueError(f"{what} must be a finite number, got {value!r}")
+
+
 def params_from_dict(data: dict) -> EpisodeParams:
     check_format_version(data, PARAMS_FORMAT_VERSION, "params")
     mu0 = np.asarray(data["mu0"], dtype=float)
@@ -480,7 +493,7 @@ def params_from_dict(data: dict) -> EpisodeParams:
         np.asarray(data["sigma0"], dtype=float),
         downsample_factor=json_int(data["d"], "params d"),
         regularized=bool(data.get("regularized", False)),
-        ridge=float(data.get("lambda", 0.0)),
+        ridge=json_number(data.get("lambda", 0.0), "params lambda"),
     )
 
 

@@ -128,19 +128,16 @@ def bootstrap_distribution(
     n: int,
     B: int,
     seed: int,
-    store: "BootstrapStore | None" = None,
 ) -> np.ndarray:
-    """Sorted bootstrap distribution of ``kind`` at window length ``n``.
-
-    A mixed kind is evaluated against ``store``, which must already hold its
-    components' entries at length ``n``.
-    """
+    """Sorted bootstrap distribution of the base statistic ``kind`` at
+    window length ``n``; a mixed one's entries are built only by
+    :meth:`BootstrapStore.ensure`."""
     if B < 1 or n < 1:
         raise ValueError("B and n must be positive")
     evaluator = BatchEvaluator(ref.episodes, params)
     idx = resample_indices(ref.num_episodes, n, params.T, B, seed)
     dec = decompose_index(n, params.T)
-    return _sorted(evaluator.values(kind, idx[:, : dec.k], idx[:, dec.k], dec.tau, store))
+    return _sorted(evaluator.values(kind, idx[:, : dec.k], idx[:, dec.k], dec.tau))
 
 
 def _sorted(values: np.ndarray) -> np.ndarray:
@@ -186,8 +183,9 @@ class BootstrapStore:
     docstring): ``format_version``, ``B``, ``seed`` and ``entries[].kind/n``
     as JSON, each entry's ``values`` as base64 of its sorted little-endian
     float64 bytes. :meth:`from_dict` rejects any other version, a ``B``,
-    ``seed`` or entry ``n`` that is not a JSON integer, and any entry that
-    does not decode to B finite, non-decreasing values.
+    ``seed`` or entry ``n`` that is not a JSON integer, any entry that
+    does not decode to B finite, non-decreasing values, and two entries
+    that parse to one (spec, n) key.
     """
 
     def __init__(
@@ -213,6 +211,10 @@ class BootstrapStore:
             )
         return entry
 
+    def component_rows(self, kind: StatisticKind, n: int) -> list:
+        """(spec, sorted row) of each component of a mixed ``kind`` at n."""
+        return [(c.spec, self.values_for(c, n)) for c in kind.components]
+
     def ensure(self, ref: ReferenceDataset, kinds, lengths) -> None:
         """Build the entries of ``kinds``, and of every mixed kind's
         components, at each of ``lengths`` from the reference data ``ref``.
@@ -222,7 +224,7 @@ class BootstrapStore:
         built together: each distinct base statistic (a kind of the list or
         a mixed kind's component) is evaluated once per K and its entries
         are put; each mixed kind's entries are then
-        :func:`~epimon.stats.mixed_values` against those component rows.
+        :func:`~epimon.stats.mixed_values` against their component_rows.
         """
         lengths = sorted({int(n) for n in lengths})
         if not lengths:
@@ -250,8 +252,8 @@ class BootstrapStore:
             for i, n in enumerate(ns):
                 at = {spec: vals[i] for spec, vals in values.items()}
                 for kind in mixed:
-                    comps = [(c.spec, self.entries[c.spec, n]) for c in kind.components]
-                    self.entries[(kind.spec, n)] = _sorted(mixed_values(comps, at))
+                    rows = self.component_rows(kind, n)
+                    self.entries[(kind.spec, n)] = _sorted(mixed_values(rows, at))
 
     def to_dict(self) -> dict:
         entries = [
@@ -277,6 +279,8 @@ class BootstrapStore:
         for item in data["entries"]:
             kind = parse_statistic(item["kind"])  # validates the spelling
             key = (kind.spec, json_int(item["n"], "store entry n"))
+            if key in entries:
+                raise ValueError(f"store has two entries for {key}")
             entries[key] = _decode_values(item["values"], B, key)
         return cls(params, B, seed, entries=entries)
 

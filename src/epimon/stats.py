@@ -32,7 +32,9 @@ reference rows for the bootstrap store and the BFAR replay,
 keeps a ring of the pieces of its last episodes and their whole parts.
 
 The mixed rule, the minimum of the components' p-values, is written once:
-:func:`mixed_values`, over store rows its caller resolved, never a store.
+:func:`mixed_values`, taken only where store rows are resolved (the store
+build, the BFAR replay, the monitor and :func:`statistic_value`), each
+reading a mixed kind's rows from ``BootstrapStore.component_rows``.
 """
 
 from __future__ import annotations
@@ -222,19 +224,25 @@ def statistic_value(kind: StatisticKind, window: SignalWindow, store=None) -> fl
     """Evaluate one statistic on one window. Lower = more degraded.
 
     The window is a batch of one: its K whole episodes and its tail become
-    the rows of a :class:`BatchEvaluator`. ``store`` is only consulted for
-    mixed statistics, whose value is the minimum of the component p-values
-    against the store's per-length bootstrap distributions; a missing store
-    raises :class:`NotTunedError`.
+    the rows of a :class:`BatchEvaluator`, which evaluates a base statistic
+    or each component of a mixed one. A mixed value is then
+    :func:`mixed_values` against the component rows of ``store``
+    (:meth:`~epimon.individual.BootstrapStore.component_rows`); a mixed
+    kind without a store raises :class:`NotTunedError`.
     """
+    if kind.components and store is None:
+        raise NotTunedError("mixed statistic requires a bootstrap store")
     T = window.params.T
     dec = decompose_index(window.n, T)
     rows = np.zeros((dec.k + 1, T))
     rows.flat[: window.n] = window.values
     evaluator = BatchEvaluator(rows, window.params)
-    whole_idx = np.arange(dec.k)[np.newaxis]
-    values = evaluator.values(kind, whole_idx, np.array([dec.k]), dec.tau, store)
-    return float(values[0])
+    whole_idx, tail_idx = np.arange(dec.k)[np.newaxis], np.array([dec.k])
+    values = {b.spec: float(evaluator.values(b, whole_idx, tail_idx, dec.tau)[0])
+              for b in kind.components or (kind,)}
+    if kind.components:
+        return mixed_values(store.component_rows(kind, window.n), values)
+    return values[kind.spec]
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +395,8 @@ class BatchEvaluator:
     :func:`finish` turns them into values with each offset's tail. The
     bootstrap store, the BFAR replay and :func:`statistic_value` all
     evaluate through it; the live monitor keeps the same pieces in rings
-    and runs the same :func:`whole_part` and :func:`finish`.
+    and runs the same :func:`whole_part` and :func:`finish`. It evaluates
+    base statistics only, a pure function of (episodes, params).
     """
 
     def __init__(self, episodes: np.ndarray, params: EpisodeParams):
@@ -413,20 +422,19 @@ class BatchEvaluator:
         whole_idx: np.ndarray,
         tail_idx: np.ndarray,
         tau: int,
-        store=None,
     ) -> np.ndarray:
         """Statistic values of R windows of length K*T + tau: ``whole_idx``
         is (R, K) row indices of the whole episodes (K may be 0) and
         ``tail_idx`` (R,) the row index of the episode cropped to its first
         tau samples. Each window is a run of K + 1 rows for
-        :meth:`offset_values`. ``store`` is only read by mixed statistics."""
+        :meth:`offset_values`."""
         whole_idx = np.asarray(whole_idx)
         tail_idx = np.asarray(tail_idx)
         if whole_idx.ndim != 2 or tail_idx.shape != whole_idx.shape[:1]:
             raise ValueError("whole_idx must be (R, K) and tail_idx (R,)")
         streams = np.concatenate([whole_idx, tail_idx[:, np.newaxis]], axis=1)
         horizons = (whole_idx.shape[1],)
-        return self.offset_values(kind, streams, horizons, (tau,), store)[0, 0, :, 0]
+        return self.offset_values(kind, streams, horizons, (tau,))[0, 0, :, 0]
 
     def offset_values(
         self,
@@ -434,7 +442,6 @@ class BatchEvaluator:
         streams: np.ndarray,
         horizons,
         taus,
-        store=None,
     ) -> np.ndarray:
         """Statistic values of every window of ``streams`` at each horizon
         and offset: an (H, F, R, E) array for H ``horizons``, F ``taus`` and
@@ -448,8 +455,9 @@ class BatchEvaluator:
         pieces of its columns once, and each horizon's whole parts are the
         sums of a sliding view of that gather; its windows are then finished
         with each offset's tail, the whole parts left unchanged, so every
-        entry is bitwise a one-window, one-offset call. ``store`` is only
-        read by mixed statistics.
+        entry is bitwise a one-window, one-offset call. A mixed kind raises
+        :class:`ValueError`: evaluate its components and take
+        :func:`mixed_values` against their store rows.
         """
         streams = np.asarray(streams)
         horizons = [int(h) for h in horizons]
@@ -462,25 +470,13 @@ class BatchEvaluator:
             raise ValueError(f"streams must be (R, L) with L > {P}")
         if not taus or not all(1 <= tau <= T for tau in taus):
             raise ValueError(f"tau must be in [1, {T}]")
+        if kind.components:
+            raise ValueError(f"evaluate the components of the mixed {kind.spec}")
         R, E = streams.shape[0], streams.shape[1] - P
-        H, F = len(horizons), len(taus)
-        if kind.name == "mixed":
-            if store is None:
-                raise NotTunedError("mixed statistic requires a bootstrap store")
-            comps = kind.components
-            values = {c.spec: self.offset_values(c, streams, horizons, taus)
-                      for c in comps}
-            out = np.empty((H, F, R, E))
-            for i, h in enumerate(horizons):
-                for j, tau in enumerate(taus):
-                    rows = [(c.spec, store.values_for(c, h * T + tau)) for c in comps]
-                    at = {spec: v[i, j] for spec, v in values.items()}
-                    out[i, j] = mixed_values(rows, at)
-            return out
         name = kind.name
         piece = self._piece(name, T) if P else None
         tails = [self._piece(name, tau) for tau in taus]
-        out = np.empty((H, F, R, E))
+        out = np.empty((len(horizons), len(taus), R, E))
         chunk = max(1, _BATCH_CHUNK // E)
         for lo in range(0, R, chunk):
             runs = slice(lo, min(lo + chunk, R))

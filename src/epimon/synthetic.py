@@ -56,8 +56,10 @@ class Scenario:
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
+        if not (np.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ValueError(
+                f"epsilon must be finite and non-negative, got {self.epsilon}"
+            )
         if self.kind == "partial":
             if not self.offsets:
                 raise ValueError("partial scenario requires offsets")

@@ -49,6 +49,25 @@ def test_names_the_benchmark_imports_exist():
     assert callable(sequential.Monitor)
 
 
+def test_traced_mixed_statistic_value_counts_its_component_batches():
+    # The tracer's batch counter unpacks BatchEvaluator.values's positional
+    # (evaluator, kind, whole_idx, tail_idx, tau); a mixed statistic_value
+    # makes one such call per component, one row each.
+    params = make_params(T=4, seed=54)
+    ref = make_reference(params, 30, seed=55)
+    kind = em.parse_statistic("mdt")
+    store = em.BootstrapStore(params, B=50, seed=56)
+    store.ensure(ref, [kind], [6])
+    window = em.SignalWindow(ref.episodes.reshape(-1)[:6], params)
+    tracer = _load_spans().Tracer()
+    with tracer.installed():
+        stats.statistic_value(kind, window, store)
+    for component in ("mean", "hotelling", "pdt"):
+        assert tracer.total(f"stats.batch.{component}", 0) == 1, component
+    assert tracer.total("stats.batch.mixed", 0) == 0
+    assert tracer.counters["stats.batch_rows"] == 3
+
+
 def test_bfar_tune_reaches_the_replay_through_module_globals(monkeypatch):
     # The tracer's bfar.replay and bfar.stream_indices spans wrap these
     # globals; a call that bypassed them would read as zero time spent.

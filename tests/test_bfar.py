@@ -1,5 +1,6 @@
 """BFAR tuning: threshold calibration, determinism, monotonicity, guard."""
 
+import json
 import tracemalloc
 from dataclasses import replace
 
@@ -63,6 +64,26 @@ def test_plan_from_dict_rejects_non_integer_fields(key, value):
     assert em.MonitorPlan.from_dict(data) == make_plan()
     data[key] = value
     with pytest.raises(ValueError, match=f"plan {key} must be an integer"):
+        em.MonitorPlan.from_dict(data)
+
+
+@pytest.mark.parametrize("value", ["0.05", True, float("nan"), float("inf"), None])
+def test_plan_from_dict_rejects_non_numeric_alpha0(value):
+    # float() would read "0.05" as 0.05; NaN fails only the range check.
+    data = make_plan().to_dict()
+    data["alpha0"] = value
+    with pytest.raises(ValueError, match="plan alpha0 must be a finite number"):
+        em.MonitorPlan.from_dict(json.loads(json.dumps(data)))
+
+
+@pytest.mark.parametrize("specs", [
+    ["pdt:0.9", "pdt:0.90"], ["udt", "mdt", "UDT"],
+    ["mdt", "mixed:mean+hotelling+pdt:0.9"],
+])
+def test_plan_rejects_a_statistic_listed_twice(specs):
+    # Kept, the test would run and count twice per test-point.
+    data = {**make_plan().to_dict(), "statistics": specs}
+    with pytest.raises(ValueError, match="twice"):
         em.MonitorPlan.from_dict(data)
 
 

@@ -181,6 +181,24 @@ def test_tune_rejects_non_integer_plan_fields(workspace, tmp_path, capsys, key, 
     assert not (tmp_path / "bundle.json").exists()
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("alpha0", "0.1", "plan alpha0 must be a finite number"),
+    ("alpha0", float("nan"), "plan alpha0 must be a finite number"),
+    ("statistics", ["pdt:0.9", "pdt:0.90"], "plan lists statistic pdt:0.9 twice"),
+], ids=["alpha0-string", "alpha0-nan", "statistic-twice"])
+def test_tune_rejects_plan_values(workspace, tmp_path, capsys, key, value, message):
+    plan = json.loads((workspace / "plan.json").read_text())
+    plan[key] = value
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    code = main(["tune", str(workspace / "reference.csv"),
+                 "--params", str(workspace / "params.json"),
+                 "--plan", str(tmp_path / "plan.json"),
+                 "--out", str(tmp_path / "bundle.json")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "bundle.json").exists()
+
+
 @pytest.mark.parametrize("key", ["T", "d"])
 def test_tune_rejects_non_integer_params_fields(workspace, tmp_path, capsys, key):
     params = json.loads((workspace / "params.json").read_text())
@@ -396,6 +414,29 @@ def test_simulate_rejects_non_integer_scenario_fields(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "epsilon_sigma", [True, "0.5", float("nan"), float("inf")],
+    ids=["bool", "string", "nan", "infinity"],
+)
+def test_simulate_rejects_non_numeric_epsilon_sigma(
+    workspace, tmp_path, capsys, epsilon_sigma
+):
+    # float() would read true as a 1-sigma drop and "0.5" as 0.5; NaN would
+    # fail late, as streams of non-finite samples.
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"kind": "uniform", "epsilon_sigma": epsilon_sigma}))
+    out = tmp_path / "report.json"
+    code = main([
+        "simulate", "--bundle", str(workspace / "bundle.json"),
+        "--scenario", str(path), "--blocks", "2", "--seed", "1",
+        "--out", str(out),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "scenario epsilon_sigma must be a finite number" in err
+    assert not out.exists()
+
+
 def test_simulate_detection_times_match_the_monitor(workspace, tmp_path):
     # simulate replays its blocks in batches; every detection time must be
     # the live monitor's on the same block. Five episodes per block (not
@@ -556,6 +597,18 @@ def test_load_bundle_rejects_non_integer_fields(
     assert _monitor_with_tampered_bundle(workspace, tmp_path, edit) == 2
     what = {"store": "store ", "entry": "store entry ", "params": "params "}[where]
     assert f"{what}{key} must be an integer" in capsys.readouterr().err
+
+
+def test_load_bundle_rejects_two_store_entries_for_one_key(
+    workspace, tmp_path, capsys
+):
+    # " UDT" parses to udt; kept, it would replace the udt entry at its length.
+    def edit(bundle, store):
+        first = next(e for e in store["entries"] if e["kind"] == "udt")
+        store["entries"].append({**first, "kind": " UDT"})
+
+    assert _monitor_with_tampered_bundle(workspace, tmp_path, edit) == 2
+    assert "store has two entries for ('udt', " in capsys.readouterr().err
 
 
 def test_load_bundle_rejects_store_missing_a_length(workspace, tmp_path, capsys):

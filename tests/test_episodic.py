@@ -242,6 +242,13 @@ def test_params_from_dict_rejects_non_integer_fields(small_params, key, value):
         em.params_from_dict(data)
 
 
+@pytest.mark.parametrize("value", ["0.5", True, float("nan")])
+def test_params_from_dict_rejects_a_non_numeric_lambda(small_params, value):
+    data = {**em.params_to_dict(small_params), "lambda": value}
+    with pytest.raises(ValueError, match="params lambda must be a finite number"):
+        em.params_from_dict(data)
+
+
 def test_reference_csv_reader(tmp_path):
     path = tmp_path / "ref.csv"
     path.write_text("h1,h2\n1.0,2.0\n3.0,4.0\n")

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import epimon as em
 from epimon import individual
 from epimon.errors import NotTunedError
+from epimon.stats import mixed_values
 
 from conftest import make_params, make_reference
 
@@ -191,24 +192,28 @@ STORE_LENGTHS = [3, 4, 6, 8, 9, 12]  # T = 4: K = 0, 0, 1, 1, 2, 2
 
 
 def _oracle_entries(ref, params, keys, B, seed):
-    """Each distribution drawn on its own; mixed ones read a store of
-    component distributions that never touches a shared index table."""
-    plain = {
+    """Each distribution drawn on its own; a mixed one scores its own
+    resample table's component values against the component oracles."""
+    oracle = {
         (spec, n): em.bootstrap_distribution(
             ref, params, em.parse_statistic(spec), n, B, seed
         )
         for spec, n in keys
         if not spec.startswith("mixed")
     }
-    components = em.BootstrapStore(params, B, seed, entries=plain)
-    mixed = {
-        (spec, n): em.bootstrap_distribution(
-            ref, params, em.parse_statistic(spec), n, B, seed, store=components
-        )
-        for spec, n in keys
-        if spec.startswith("mixed")
-    }
-    return {**plain, **mixed}
+    components = em.BootstrapStore(params, B, seed, entries=oracle)
+    evaluator = em.BatchEvaluator(ref.episodes, params)
+    for spec, n in [key for key in keys if key[0].startswith("mixed")]:
+        kind = em.parse_statistic(spec)
+        idx = individual.resample_indices(ref.num_episodes, n, params.T, B, seed)
+        dec = em.decompose_index(n, params.T)
+        values = {
+            c.spec: evaluator.values(c, idx[:, : dec.k], idx[:, dec.k], dec.tau)
+            for c in kind.components
+        }
+        rows = components.component_rows(kind, n)
+        oracle[spec, n] = np.sort(mixed_values(rows, values))
+    return oracle
 
 
 def _fill_ensure_ascending(store, ref):
@@ -274,6 +279,17 @@ def test_store_from_dict_rejects_non_integer_fields(field, value):
         em.BootstrapStore.from_dict(data, params)
 
 
+def test_store_from_dict_rejects_two_entries_for_one_key():
+    # Each entry parses on its own; kept, the second would replace the first.
+    params = make_params(T=4, seed=20)
+    store = em.BootstrapStore(params, B=50, seed=3)
+    store.ensure(make_reference(params, 15, seed=21), [em.StatisticKind.pdt(0.9)], [5])
+    data = json.loads(json.dumps(store.to_dict()))
+    data["entries"].append({**data["entries"][0], "kind": "pdt:0.90"})
+    with pytest.raises(ValueError, match=r"two entries for \('pdt:0.9', 5\)"):
+        em.BootstrapStore.from_dict(data, params)
+
+
 def test_store_builds_each_generator_once_per_plan(monkeypatch):
     params = make_params(T=4, seed=16)
     ref = make_reference(params, 25, seed=17)
@@ -307,9 +323,9 @@ def test_store_evaluates_each_component_once_per_whole_episode_count(monkeypatch
     calls = []
     real_offset_values = em.BatchEvaluator.offset_values
 
-    def counting_offset_values(self, kind, streams, horizons, taus, store=None):
+    def counting_offset_values(self, kind, streams, horizons, taus):
         calls.append((kind.spec, tuple(horizons), streams.shape[1], tuple(taus)))
-        return real_offset_values(self, kind, streams, horizons, taus, store)
+        return real_offset_values(self, kind, streams, horizons, taus)
 
     monkeypatch.setattr(em.BatchEvaluator, "offset_values", counting_offset_values)
     plans = [

@@ -378,6 +378,41 @@ def test_mixed_takes_min_component_pvalue():
     assert em.statistic_value(kind, w2, store) == pytest.approx(min(ps))
 
 
+@pytest.mark.parametrize("K", [0, 2])
+@pytest.mark.parametrize("spec", ["mdt", "mixed:mean+udt"])
+def test_mixed_statistic_value_is_mixed_values_of_component_rows(spec, K):
+    # Windows from fresh episodes, and from the reference itself, whose
+    # component values tie with stored ones.
+    params = make_params(T=6, seed=59, condition=80)
+    ref = make_reference(params, 40, seed=3)
+    kind = em.parse_statistic(spec)
+    taus = (1, 3, 6)
+    store = em.BootstrapStore(params, B=150, seed=8)
+    store.ensure(ref, [kind], [K * params.T + tau for tau in taus])
+    fresh = em.generate_episodes(em.Scenario(params=params, seed=61), K + 1)
+    for episodes in (fresh, ref.episodes[: K + 1], ref.episodes[-K - 1 :]):
+        for tau in taus:
+            n = K * params.T + tau
+            w = window(episodes.reshape(-1)[:n], params)
+            values = {c.spec: em.statistic_value(c, w) for c in kind.components}
+            want = mixed_values(store.component_rows(kind, n), values)
+            got = em.statistic_value(kind, w, store)
+            assert got.hex() == want.hex(), (tau, got, want)
+
+
+def test_evaluator_and_bootstrap_distribution_reject_mixed_kinds():
+    params = make_params(T=4, seed=43)
+    ref = make_reference(params, 20, seed=1)
+    ev = BatchEvaluator(ref.episodes, params)
+    for kind in (em.parse_statistic("mdt"), em.MIXED_MEAN_PDT_PRESET):
+        with pytest.raises(ValueError, match="components of the mixed"):
+            ev.values(kind, np.zeros((2, 1), dtype=int), np.zeros(2, dtype=int), 2)
+        with pytest.raises(ValueError, match="components of the mixed"):
+            ev.offset_values(kind, np.zeros((2, 3), dtype=int), (0, 1), (2, 4))
+        with pytest.raises(ValueError, match="components of the mixed"):
+            em.bootstrap_distribution(ref, params, kind, n=6, B=10, seed=0)
+
+
 def test_mixed_values_of_floats_equal_those_of_length_one_arrays():
     # The monitor passes Python floats, the replay and the store arrays;
     # both must be the same mixed rule, bit for bit.
@@ -568,31 +603,27 @@ def test_dense_oracle_hand_values():
 
 @pytest.mark.parametrize("K,tau", [(0, 1), (0, 4), (1, 2), (2, 6), (3, 3)])
 def test_batch_matches_scalar(K, tau):
-    # Windows are assembled from a fresh episode matrix, distinct from the
-    # store's reference, so mixed p-values see no exact-tie artifacts.
+    # The evaluator takes base statistics only; statistic_value's mixed
+    # values are checked against the dense oracle above.
     params = make_params(T=6, seed=59, condition=80)
-    ref = make_reference(params, 40, seed=3)
-    store = em.BootstrapStore(params, B=150, seed=8)
-    store.ensure(ref, [em.StatisticKind.mixed(MEAN, UDT)], [K * params.T + tau])
     fresh = em.generate_episodes(em.Scenario(params=params, kind="h0", seed=61), 40)
     ev = BatchEvaluator(fresh, params)
     rng = np.random.default_rng(14)
     R = 25
     whole_idx = rng.integers(0, 40, size=(R, K))
     tail_idx = rng.integers(0, 40, size=R)
-    kinds = [MEAN, UDT, em.StatisticKind.pdt(0.6), HOTELLING, CUSUM,
-             em.StatisticKind.mixed(MEAN, UDT)]
+    kinds = [MEAN, UDT, em.StatisticKind.pdt(0.6), HOTELLING, CUSUM]
     for kind in kinds:
-        batch = ev.values(kind, whole_idx, tail_idx, tau, store)
+        batch = ev.values(kind, whole_idx, tail_idx, tau)
         for r in range(R):
             parts = [fresh[j] for j in whole_idx[r]]
             parts.append(fresh[tail_idx[r], :tau])
-            oracle = dense_oracle(kind, np.concatenate(parts), params, store)
+            oracle = dense_oracle(kind, np.concatenate(parts), params)
             assert batch[r] == pytest.approx(oracle, rel=1e-10, abs=1e-12), kind.spec
 
 
 OFFSET_KINDS = [MEAN, UDT, em.StatisticKind.pdt(0.5), em.StatisticKind.pdt(1.0),
-                HOTELLING, CUSUM, em.parse_statistic("mdt")]
+                HOTELLING, CUSUM]
 
 
 @pytest.mark.parametrize("K", [0, 2])
@@ -603,8 +634,6 @@ def test_offset_values_keep_offsets_independent(kind, K):
     # offset of the episode is evaluated in one call. Each entry is the
     # one-window, one-offset values call.
     params = make_params(T=6, seed=59, condition=80)
-    ref = make_reference(params, 40, seed=3)
-    store = em.BootstrapStore(params, B=100, seed=8)
     fresh = em.generate_episodes(em.Scenario(params=params, kind="h0", seed=61), 40)
     ev = BatchEvaluator(fresh, params)
     rng = np.random.default_rng(15)
@@ -613,20 +642,19 @@ def test_offset_values_keep_offsets_independent(kind, K):
     runs = chunk + 100
     streams = rng.integers(0, 40, size=(runs, K + E))
     taus = range(1, params.T + 1)
-    store.ensure(ref, [kind], [K * params.T + tau for tau in taus])
 
-    multi = ev.offset_values(kind, streams, (K,), taus, store)
+    multi = ev.offset_values(kind, streams, (K,), taus)
     assert multi.shape == (1, len(taus), runs, E)
-    assert np.array_equal(ev.offset_values(kind, streams, (K,), taus, store), multi)
+    assert np.array_equal(ev.offset_values(kind, streams, (K,), taus), multi)
     picks = sorted({0, chunk - 1, chunk, runs - 1, *range(0, runs, 131)})
     for e in range(E):
         whole_idx, tail_idx = streams[:, e : e + K], streams[:, K + e]
         for i, tau in enumerate(taus):
-            one = ev.values(kind, whole_idx, tail_idx, tau, store)
+            one = ev.values(kind, whole_idx, tail_idx, tau)
             assert np.array_equal(multi[0, i, :, e], one), (e, tau)
             oracle = [
                 dense_oracle(kind, np.concatenate(
-                    [*fresh[whole_idx[r]], fresh[tail_idx[r], :tau]]), params, store)
+                    [*fresh[whole_idx[r]], fresh[tail_idx[r], :tau]]), params)
                 for r in picks
             ]
             np.testing.assert_allclose(multi[0, i, picks, e], oracle, rtol=1e-12)

@@ -88,6 +88,9 @@ def test_scenario_validation():
         em.Scenario(params=params, kind="partial", epsilon=1.0, offsets=(4,))
     with pytest.raises(ValueError):
         em.Scenario(params=params, kind="uniform", epsilon=-1.0)
+    for epsilon in (float("nan"), float("inf")):  # NaN would fail late, in streams
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            em.Scenario(params=params, kind="uniform", epsilon=epsilon)
     with pytest.raises(ValueError):
         em.Scenario(params=params, kind="bogus")
 
