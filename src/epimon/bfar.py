@@ -9,32 +9,40 @@ reference data, replays every test-point after the warm-up prefix, and
 records the minimal p-value seen. The alpha0-quantile of those minima is the
 threshold.
 
-One batched replay serves every caller. It works in two steps. The values
-step evaluates each base statistic (a plan statistic or a mixed one's
-component, each once) at every window of the runs, as one
-:meth:`BatchEvaluator.offset_values` call over all H horizons and F test
-offsets, shaped (H, F, runs, E). That call gathers each run's episode
-pieces once, (runs, h_max + E, ...), and sums every horizon's windows
-from a sliding view of that one gather, so a run's episodes are not
-copied once per window that holds them; the sums are bitwise those of a
-gather per window. The lookup step finds those values in one table of
-sorted store rows, :meth:`MonitorPlan.store_rows`, resolved once per call
-before any evaluation, so a store that lacks a row fails first. Mixed
-kinds go through :func:`~epimon.stats.mixed_values`, the one copy of their
-rule, against the rows of :meth:`BootstrapStore.component_rows`: the
-evaluator sees base statistics only. The step keeps the minimal p-value
-over statistics and horizons.
+Every caller replays runs in batches. Each chunk evaluates each base
+statistic (a plan statistic or a mixed one's component, each once) at
+every window of the runs, as one :meth:`BatchEvaluator.offset_values`
+call over all H horizons and F test offsets, shaped (H, F, runs, E). That
+call gathers each run's episode pieces once, (runs, h_max + E, ...), and
+sums every horizon's windows from a sliding view of that one gather, so a
+run's episodes are not copied once per window that holds them; the sums
+are bitwise those of a gather per window. The store rows come from one
+table, :meth:`MonitorPlan.store_rows`, resolved once per call before any
+evaluation, so a store that lacks a row fails first; the evaluator sees
+base statistics only.
 
-:func:`replay_pvalues` looks up every test-point of whole runs;
-:func:`detection_steps` takes each generated run's first test-point below
-the threshold, for :func:`far_verify` and ``epimon simulate``.
-:func:`bfar_min_p` needs only each resampled run's minimum, so it first
-takes each base statistic's minimum over the run's E episodes at every
-(horizon, offset) and looks up E times fewer values. That is exact, ties
-included: a p-value is non-decreasing in the statistic value, and a mixed
-value (the minimum of its components' p-values) is non-decreasing in each
-component's value, so the smallest p-value over a run's test-points at one
-(horizon, offset, statistic) is the p-value of the run's smallest value.
+:func:`replay_pvalues` looks up every test-point of whole runs and keeps
+the minimal p-value over statistics and horizons; mixed kinds go through
+:func:`~epimon.stats.mixed_values`, the one copy of their rule, against
+the rows of :meth:`BootstrapStore.component_rows`. :func:`bfar_min_p`
+needs only each resampled run's minimum, so it first takes each base
+statistic's minimum over the run's E episodes at every (horizon, offset)
+and looks up E times fewer values. That is exact, ties included: a p-value
+is non-decreasing in the statistic value, and a mixed value (the minimum
+of its components' p-values) is non-decreasing in each component's value,
+so the smallest p-value over a run's test-points at one (horizon, offset,
+statistic) is the p-value of the run's smallest value.
+
+:func:`detection_steps`, for :func:`far_verify` and ``epimon simulate``,
+needs only each generated run's first test-point below the threshold, so
+it looks up no value. It turns each store row into one critical value,
+once per call: against a sorted row S of B values, p(y) < threshold
+exactly when y < S[c*], c* the largest count whose p-value
+(1 + c*) / (1 + B) is below the threshold (:func:`critical_count`). A
+mixed kind's row gives a critical p-value q, and each component row its
+critical value at threshold q. Each chunk then compares values with
+critical values, exactly as the p-values would have decided, ties
+included.
 
 Each replays at most min(B_outer, _BATCH_CHUNK // E) runs of E tested
 episodes at a time, so memory stays flat in the number of runs. The live
@@ -44,6 +52,7 @@ same table, which :func:`load_bundle` also resolves to check the store.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
@@ -363,8 +372,18 @@ def detection_steps(tuned: TunedMonitor, runs, episodes_per_run: int) -> np.ndar
     fires: column c of :func:`replay_pvalues` is step (c + 1) * test_every.
     Each run is (h_max + episodes_per_run) * T finite downsampled samples;
     runs are read and replayed ``plan.replay_runs(episodes_per_run)`` at a
-    time."""
+    time.
+
+    No value is looked up: the store rows are resolved into critical
+    values once per call (:func:`_critical_values`), and each chunk
+    evaluates every base statistic once and compares its values with them,
+    which fires exactly where :func:`replay_pvalues` falls below
+    ``p_threshold``.
+    """
     plan, params = tuned.plan, tuned.params
+    critical = _critical_values(plan, tuned.store, params.T, tuned.p_threshold)
+    bases = base_statistics(plan.statistics)
+    taus = plan.test_offsets(params.T)
     length = plan.h_max + episodes_per_run
     n = length * params.T
     chunk = plan.replay_runs(episodes_per_run)
@@ -374,11 +393,71 @@ def detection_steps(tuned: TunedMonitor, runs, episodes_per_run: int) -> np.ndar
         block = _stacked_runs(samples, n, steps.size)
         evaluator = BatchEvaluator(block.reshape(-1, params.T), params)
         streams = np.arange(len(samples) * length).reshape(-1, length)
-        p = replay_pvalues(evaluator, streams, plan, tuned.store)
-        below = p < tuned.p_threshold
+        fired = np.zeros((len(taus), len(samples), episodes_per_run), dtype=bool)
+        for spec, base in bases.items():
+            vals = evaluator.offset_values(base, streams, plan.horizons, taus)
+            fired |= (vals < critical[spec]).any(axis=0)
+        below = fired.transpose(1, 2, 0).reshape(len(samples), -1)
         first = (below.argmax(axis=1) + 1) * plan.test_every
         steps = np.concatenate([steps, np.where(below.any(axis=1), first, 0)])
     return steps
+
+
+def critical_count(B: int, threshold: float) -> int:
+    """Largest count c in [-1, B] whose p-value (1 + c) / (1 + B), the float
+    expression of :func:`~epimon.stats.bootstrap_pvalues`, is below
+    ``threshold``: a value y against a sorted row S of B values has
+    p(y) < threshold exactly when #{b : S_b <= y} <= c. No count is below
+    a NaN threshold, as no p-value is."""
+    return int(np.count_nonzero(_pvalue_grid(B) < threshold)) - 1
+
+
+@functools.lru_cache(maxsize=None)
+def _pvalue_grid(B: int) -> np.ndarray:
+    """Every p-value a row of B values gives, (1 + c) / (1 + B) for c in 0..B."""
+    grid = (1.0 + np.arange(B + 1)) / (1.0 + B)
+    grid.setflags(write=False)
+    return grid
+
+
+def _critical_value(rows: np.ndarray, threshold: float) -> float:
+    """Critical value of the sorted ``rows`` at ``threshold``: a value's
+    p-value against them is below ``threshold`` exactly when the value is
+    below S[c], c = :func:`critical_count`; -inf when no value's is
+    (c = -1), +inf when every value's is (c = B)."""
+    c = critical_count(rows.size, threshold)
+    if c < 0:
+        return -np.inf
+    return np.inf if c == rows.size else float(rows[c])
+
+
+def _critical_values(
+    plan: MonitorPlan, store: BootstrapStore, T: int, threshold: float
+) -> dict[str, np.ndarray]:
+    """Critical value of each base statistic at every (horizon, offset),
+    (H, F, 1, 1) to broadcast against :meth:`BatchEvaluator.offset_values`:
+    a test-point fires exactly when some base statistic's value there is
+    below its critical value, for finite values, ties included.
+
+    A mixed kind fires when its value, the minimum of its components'
+    p-values, is below its own row's critical value q, so when some
+    component's p-value is below q: each component takes its critical
+    value at threshold q. A base statistic tested more than once (a plan
+    statistic and a mixed one's component) fires when its value is below
+    any of its critical values, so below their maximum.
+    """
+    shape = (len(plan.horizons), len(plan.test_offsets(T)))
+    critical = {
+        spec: np.full(shape, -np.inf) for spec in base_statistics(plan.statistics)
+    }
+    tests = plan.store_rows(store, T).values()  # horizon-major, as offset_values
+    for at, point in zip(np.ndindex(shape), tests):
+        for _, spec, rows, components in point:
+            q = _critical_value(rows, threshold)
+            pairs = [(c, _critical_value(c_rows, q)) for c, c_rows in components]
+            for name, value in pairs or [(spec, q)]:
+                critical[name][at] = max(critical[name][at], value)
+    return {spec: c.reshape(shape + (1, 1)) for spec, c in critical.items()}
 
 
 def _stacked_runs(runs: list, n: int, first: int) -> np.ndarray:
@@ -403,7 +482,9 @@ def far_verify(tuned: TunedMonitor, h0_generator, runs: int) -> float:
     ``h0_generator(i)`` must return the i-th independent null stream of
     exactly (h_max + h_tilde) * T finite downsampled samples; the fraction
     of runs in which the monitor fires within the h_tilde post-warm-up
-    episodes is returned (:func:`detection_steps`).
+    episodes is returned. The runs are replayed by :func:`detection_steps`,
+    which compares values with the threshold's critical values and so
+    fires exactly where the p-values fall below it.
     """
     if runs < 1:
         raise ValueError("runs must be positive")

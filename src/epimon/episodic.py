@@ -488,11 +488,16 @@ def params_from_dict(data: dict) -> EpisodeParams:
     mu0 = np.asarray(data["mu0"], dtype=float)
     if mu0.size != json_int(data["T"], "params T"):
         raise InvalidDataError("params file: mu0 length does not match T")
+    regularized = data.get("regularized", False)
+    if not isinstance(regularized, bool):  # bool("false") is True
+        raise ValueError(
+            f"params regularized must be true or false, got {regularized!r}"
+        )
     return EpisodeParams(
         mu0,
         np.asarray(data["sigma0"], dtype=float),
         downsample_factor=json_int(data["d"], "params d"),
-        regularized=bool(data.get("regularized", False)),
+        regularized=regularized,
         ridge=json_number(data.get("lambda", 0.0), "params lambda"),
     )
 

@@ -1,5 +1,8 @@
 """Online sequential monitor: the live path (``epimon monitor``, library use).
-Simulated whole runs use :func:`epimon.bfar.replay_pvalues`, whose p-values
+Simulated whole runs are replayed in batches instead:
+:func:`epimon.bfar.detection_steps` compares each value with a critical
+value of its store row and fires exactly where
+:func:`epimon.bfar.replay_pvalues` falls below the threshold. Those p-values
 are tested equal to the monitor's at every test-point of generated streams;
 both read the store rows of :meth:`epimon.bfar.MonitorPlan.store_rows` and
 take mixed values from :func:`epimon.stats.mixed_values`.

@@ -24,7 +24,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .episodic import EpisodeParams
 from .rng import substream
@@ -204,6 +203,10 @@ def asymptotic_power(
         raise ValueError("epsilon must be non-negative")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
+    # Imported here: only ``epimon power`` needs it, and it adds about
+    # 4 MB to every process that imports it.
+    from scipy.special import ndtr, ndtri
+
     T = params.T
     ones = np.ones(T)
     q = ndtri(alpha)

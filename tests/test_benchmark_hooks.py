@@ -3,7 +3,7 @@
 A rename in ``epimon`` would break ``perfbench/run.py --trace 1`` (a hook
 point the tracer cannot find) or the benchmark's correctness check (an
 import). These tests name every hook point and import the benchmark relies
-on, and run one untraced round of its cheapest workload.
+on, and run one untraced round of each of its workloads.
 """
 
 import importlib.util
@@ -93,13 +93,17 @@ def test_bfar_tune_reaches_the_replay_through_module_globals(monkeypatch):
 
 
 def test_one_benchmark_round_passes_its_correctness_checks():
-    # One round of the cheapest workload, as the benchmark is run: every
-    # CLI call and every output check of the round must pass.
-    result = subprocess.run(
-        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "sim_small",
-         "--seed", "0", "--seconds", "0", "--trace", "0"],
-        cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=300,
-    )
-    assert result.returncode == 0, result.stderr
-    last = json.loads(result.stdout.strip().splitlines()[-1])
-    assert last["correct"] is True and last["failed"] == 0, result.stdout
+    # One round of each workload, as the benchmark is run: every CLI call
+    # and every output check of the round must pass, nothing may go to
+    # stderr, and the result JSON must be the last line of stdout, with
+    # nothing written after it (a message at interpreter exit, say).
+    for workload in ("udt_c1", "mdt_te4", "sim_small"):
+        result = subprocess.run(
+            [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload,
+             "--seed", "0", "--seconds", "0", "--trace", "0"],
+            cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == 0, (workload, result.stderr)
+        assert result.stderr == "", (workload, result.stderr)
+        last = json.loads(result.stdout.splitlines()[-1])
+        assert last["correct"] is True and last["failed"] == 0, (workload, result.stdout)

@@ -306,6 +306,105 @@ def test_detection_steps_names_the_first_bad_stream(mean_monitor):
             detection_steps(tuned, runs, plan.h_tilde)
 
 
+def _first_below(p, threshold, test_every):
+    """Each run's first test-point whose p-value is below ``threshold``, as a
+    step after the warm-up, 0 if none is: the p-value route of
+    :func:`detection_steps`."""
+    below = p < threshold
+    return np.where(below.any(axis=1), (below.argmax(axis=1) + 1) * test_every, 0)
+
+
+@pytest.mark.parametrize(
+    "specs",
+    [("mean",), ("udt",), ("pdt:0.5",), ("hotelling",), ("cusum:0.5",),
+     ("mdt",), ("udt", "mixed:mean+udt")],
+    ids=",".join,
+)
+def test_detection_steps_equal_the_first_p_value_below_the_threshold(specs):
+    # Six reference episodes, repeated verbatim in the runs, so the runs'
+    # values tie the store's values, some of them exactly at a critical
+    # value. Thresholds: the p-values the runs take, each on the grid
+    # (1 + c) / (1 + B), one ulp either side of each, the floor, 0, 1,
+    # just above 1 and NaN. 45 runs in chunks of 20.
+    params = make_params(T=4, seed=41, condition=10)
+    ref = make_reference(params, 6, seed=42)
+    plan = make_plan(statistics=tuple(em.parse_statistic(s) for s in specs),
+                     horizons=(1, 2), h_tilde=3, B_inner=200, B_outer=20,
+                     alpha0=0.1, test_every=2)
+    store = _store(ref, params, plan)
+    length, T = plan.h_max + plan.h_tilde, params.T
+    idx = np.random.default_rng(43).integers(0, ref.num_episodes, size=(45, length))
+    runs = ref.episodes[idx].reshape(45, length * T)
+    assert plan.replay_runs(plan.h_tilde) == 20
+    evaluator = em.BatchEvaluator(runs.reshape(-1, T), params)
+    streams = np.arange(45 * length).reshape(45, length)
+    p = em.replay_pvalues(evaluator, streams, plan, store)
+    taken = np.unique(p)
+    on_grid = taken[:: max(1, taken.size // 8)]
+    thresholds = [0.0, 1.0 / (plan.B_inner + 1), 1.0, 1.0 + 1e-9, np.nan]
+    for t in on_grid:
+        thresholds += [t, np.nextafter(t, 0.0), np.nextafter(t, 2.0)]
+    values = {
+        spec: evaluator.offset_values(base, streams, plan.horizons,
+                                      plan.test_offsets(T))
+        for spec, base in base_statistics(plan.statistics).items()
+    }
+    ties, fired = 0, set()
+    for t in thresholds:
+        tuned = em.TunedMonitor(plan, float(t), store, np.empty(0))
+        steps = detection_steps(tuned, list(runs), plan.h_tilde)
+        assert np.array_equal(steps, _first_below(p, t, plan.test_every)), t
+        fired.add(np.count_nonzero(steps))
+        critical = bfar._critical_values(plan, store, T, float(t))
+        ties += sum(np.count_nonzero(v == critical[s]) for s, v in values.items())
+    assert ties > 0
+    assert {0, 45} < fired  # some thresholds fire on some runs only
+
+
+def test_detection_steps_compare_with_critical_values_resolved_once(monkeypatch):
+    # Three chunks; no p-value is looked up and the store rows are
+    # resolved once, before the first chunk.
+    params = make_params(T=4, seed=43)
+    ref = make_reference(params, 40, seed=44)
+    plan = make_plan(statistics=(UDT, em.parse_statistic("mixed:mean+udt")),
+                     horizons=(1, 2), h_tilde=2, B_inner=200, B_outer=20,
+                     alpha0=0.1)
+    tuned = em.TunedMonitor(plan, 0.05, _store(ref, params, plan), np.empty(0))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("detection_steps looked up a p-value")
+
+    for name in ("replay_pvalues", "bootstrap_pvalues", "mixed_values"):
+        monkeypatch.setattr(bfar, name, refuse)
+    monkeypatch.setattr(stats, "bootstrap_pvalues", refuse)
+    resolved = []
+    store_rows = em.MonitorPlan.store_rows
+
+    def counting(self, *args):
+        resolved.append(args)
+        return store_rows(self, *args)
+
+    monkeypatch.setattr(em.MonitorPlan, "store_rows", counting)
+    runs = ref.episodes[np.arange(50 * 4) % 40].reshape(50, -1)
+    steps = detection_steps(tuned, runs, plan.h_tilde)
+    assert steps.shape == (50,)
+    assert len(resolved) == 1
+
+
+@pytest.mark.parametrize("B", [1, 2, 3, 10, 199, 200, 1000])
+def test_critical_count_is_the_largest_count_whose_p_value_is_below(B):
+    grid = [(1.0 + c) / (1.0 + B) for c in range(B + 1)]
+    thresholds = [-1.0, 0.0, 5e-324, 1.0, 1.0 + 1e-9, np.inf, -np.inf, np.nan]
+    for g in grid[:: max(1, B // 40)] + grid[-2:]:
+        thresholds += [g, np.nextafter(g, 0.0), np.nextafter(g, 2.0), g * 0.999]
+    for t in thresholds:
+        want = -1
+        for c in range(B + 1):
+            if (1.0 + c) / (1.0 + B) < t:
+                want = c
+        assert bfar.critical_count(B, t) == want, t
+
+
 @pytest.mark.parametrize("num_episodes", [1, 7, 2**33])
 def test_h0_stream_indices_is_one_table_with_a_row_per_repetition(num_episodes):
     plan = make_plan(horizons=(1, 3), h_tilde=4, B_outer=30, alpha0=0.1)

@@ -213,6 +213,36 @@ def test_tune_rejects_non_integer_params_fields(workspace, tmp_path, capsys, key
     assert not (tmp_path / "bundle.json").exists()
 
 
+@pytest.mark.parametrize("command", ["tune", "monitor", "simulate"])
+@pytest.mark.parametrize("value", ["false", 0, None])
+def test_params_regularized_must_be_a_json_bool(
+    workspace, tmp_path, capsys, command, value
+):
+    # bool() would read "false" as True, and 0 and null as False.
+    def edit(bundle, store):
+        bundle["params"]["regularized"] = value
+
+    bundle = _tampered_bundle(workspace, tmp_path, edit)
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(json.loads(bundle.read_text())["params"]))
+    scenario = tmp_path / "h0.json"
+    scenario.write_text(json.dumps({"kind": "h0"}))
+    stream = tmp_path / "stream.txt"
+    stream.write_text("1.0\n" * 4)
+    out = tmp_path / "out.json"
+    argv = {
+        "tune": ["tune", str(workspace / "reference.csv"), "--params", str(params),
+                 "--plan", str(workspace / "plan.json"), "--out", str(out)],
+        "monitor": ["monitor", str(stream), "--bundle", str(bundle)],
+        "simulate": ["simulate", "--bundle", str(bundle), "--scenario",
+                     str(scenario), "--blocks", "2", "--seed", "1",
+                     "--out", str(out)],
+    }[command]
+    assert main(argv) == 2
+    assert "params regularized must be true or false" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _stream_text(params_raw, scenario_kind, episodes, seed, epsilon=0.0):
     sc = em.Scenario(params=params_raw, kind=scenario_kind, epsilon=epsilon, seed=seed)
     samples = em.generate_episodes(sc, episodes).ravel()

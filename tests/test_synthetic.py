@@ -1,5 +1,9 @@
 """Generator moments, closed-form oracles, and their cross-checks."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import epimon as em
 from epimon.synthetic import generate_runs
 
-from conftest import make_params
+from conftest import SRC, make_params
 
 
 def test_generator_single_offset_moments():
@@ -153,6 +157,20 @@ def test_power_equal_under_identity_covariance():
     params = em.EpisodeParams(np.zeros(7), np.eye(7))
     pm, pu = em.asymptotic_power(params, 0.4, 0.05)
     assert pm == pytest.approx(pu, rel=1e-12)
+
+
+def test_the_cli_imports_scipy_special_only_for_power():
+    # asymptotic_power imports it on call: every other command is spared
+    # the ~4 MB it adds to a process.
+    code = (
+        "import sys, epimon.cli; "
+        "print('scipy.special' in sys.modules, 'scipy.linalg' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["False", "True"]
 
 
 @settings(max_examples=40, deadline=None)
