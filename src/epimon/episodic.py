@@ -8,7 +8,10 @@ and covariance matrix sigma0, estimated from a reference dataset of recorded
 episodes. The covariance of a longer stretch of signal is block-diagonal with
 sigma0 blocks, the last block cropped when the stretch ends mid-episode, so
 everything the tests need reduces to sigma0, its inverse, and the inverses of
-its upper-left tau x tau blocks.
+its upper-left tau x tau blocks. All of those inverses come from one Cholesky
+factor L of sigma0, with numpy alone: the leading tau x tau block of L is the
+factor of sigma0's leading block, and the leading block of L^-1 is its
+inverse, so each block's inverse is that block of L^-1 times its transpose.
 
 This module provides:
 
@@ -17,8 +20,9 @@ This module provides:
 * ``ReferenceDataset`` / ``estimate_params`` -- recorded episodes and the
   (mu0, sigma0) estimate with ridge regularization when the sample covariance
   is not positive definite.
-* ``EpisodeParams`` -- the null model, with cached Cholesky factor, inverse,
-  and lazily-built tau-block inverses and per-offset count scalings.
+* ``EpisodeParams`` -- the null model, with its Cholesky factor and that
+  factor's inverse computed once, the inverse of sigma0, and lazily-built
+  tau-block inverses and per-offset count scalings.
 * ``window_weights`` -- the covariance weights 1' Sigma^-1 of an n-step
   window, built blockwise without materializing the n x n matrix.
 * CSV / JSON readers and writers for the two file formats this module owns.
@@ -33,7 +37,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .errors import DegenerateVarianceError, InsufficientDataError, InvalidDataError
 
@@ -109,9 +112,11 @@ class EpisodeParams:
         Expected value of each within-episode step.
     sigma0 : array of shape (T, T)
         Per-episode covariance. Must be symmetric to ``SYMMETRY_RTOL``
-        (relative to its largest entry) and positive definite; the Cholesky
-        factorization is performed at construction and the cached inverse is
-        verified against the identity in max-norm.
+        (relative to its largest entry) and positive definite. The one
+        Cholesky factorization is performed at construction, with the
+        inverse of the factor; the inverse of sigma0 and every tau-block
+        inverse are products of that factor inverse's leading blocks, each
+        verified against the identity in max-norm when it is built.
     downsample_factor : int
         Raw-steps-per-sample factor applied before estimation; recorded so
         detection times can be reported in raw units as well.
@@ -148,19 +153,19 @@ class EpisodeParams:
             chol = np.linalg.cholesky(sigma0)
         except np.linalg.LinAlgError as exc:
             raise InvalidDataError("sigma0 is not positive definite") from exc
-        inv = cho_solve((chol, True), np.eye(T))
-        inv = 0.5 * (inv + inv.T)
-        if np.abs(sigma0 @ inv - np.eye(T)).max() > INVERSE_IDENTITY_TOL:
-            raise InvalidDataError(
-                "sigma0 is too ill-conditioned: inverse fails the identity check"
-            )
+        chol_inv = np.tril(np.linalg.inv(chol))
+        inv = _inverse_from_factor(
+            sigma0, chol_inv,
+            "sigma0 is too ill-conditioned: inverse fails the identity check",
+        )
 
-        for arr in (mu0, sigma0, chol, inv):
+        for arr in (mu0, sigma0, chol, chol_inv):
             arr.setflags(write=False)
         self.mu0 = mu0
         self.sigma0 = sigma0
         self.sigma0_inv = inv
         self.cholesky_lower = chol
+        self._chol_inv = chol_inv
         self.downsample_factor = int(downsample_factor)
         self.regularized = bool(regularized)
         self.ridge = float(ridge)
@@ -203,15 +208,10 @@ class EpisodeParams:
             raise ValueError(f"tau must be in [1, {self.T}], got {tau}")
         cached = self._tail_inv.get(tau)
         if cached is None:
-            block = self.sigma0[:tau, :tau]
-            chol = np.linalg.cholesky(block)
-            inv = cho_solve((chol, True), np.eye(tau))
-            inv = 0.5 * (inv + inv.T)
-            if np.abs(block @ inv - np.eye(tau)).max() > INVERSE_IDENTITY_TOL:
-                raise InvalidDataError(
-                    f"{tau}x{tau} covariance block fails the inverse identity check"
-                )
-            cached = _readonly(inv)
+            cached = _inverse_from_factor(
+                self.sigma0[:tau, :tau], self._chol_inv[:tau, :tau],
+                f"{tau}x{tau} covariance block fails the inverse identity check",
+            )
             self._tail_inv[tau] = cached
         return cached
 
@@ -267,6 +267,22 @@ class EpisodeParams:
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def _inverse_from_factor(
+    sigma: np.ndarray, chol_inv: np.ndarray, message: str
+) -> np.ndarray:
+    """The inverse ``chol_inv.T @ chol_inv`` of ``sigma``, given the inverse
+    of its lower Cholesky factor: symmetrised and read-only. Raises
+    :class:`InvalidDataError` with ``message`` unless ``sigma @ inverse``
+    is within ``INVERSE_IDENTITY_TOL`` of the identity in max-norm; a NaN
+    residual fails too."""
+    inv = chol_inv.T @ chol_inv
+    inv = 0.5 * (inv + inv.T)
+    residual = np.abs(sigma @ inv - np.eye(len(sigma))).max()
+    if not residual <= INVERSE_IDENTITY_TOL:
+        raise InvalidDataError(message)
+    return _readonly(inv)
 
 
 def window_weights(params: EpisodeParams, n: int) -> np.ndarray:

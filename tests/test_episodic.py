@@ -171,6 +171,63 @@ def test_params_inverse_identity_bound(small_params):
         assert resid <= 1e-6
 
 
+def test_params_factor_sigma0_once_and_no_tau_block(monkeypatch):
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    params = make_params(T=9, seed=21, condition=1e3)
+    assert calls == [(9, 9)]
+    for tau in range(1, 10):
+        params.tail_inverse(tau)
+        params.tail_weights(tau)
+    assert calls == [(9, 9)]
+
+
+@pytest.mark.parametrize("condition", [1e2, 1e4, 1e6, 1e8])
+def test_tail_inverse_agrees_with_direct_inverses(condition):
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    eps = np.finfo(float).eps
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        T = int(rng.integers(2, 31))
+        params = em.EpisodeParams(
+            np.zeros(T), em.random_spd(T, rng, condition=condition)
+        )
+        for tau in range(1, T + 1):
+            block = params.sigma0[:tau, :tau]
+            inv = params.tail_inverse(tau)
+            assert params.tail_inverse(tau) is inv  # cached
+            with pytest.raises(ValueError):
+                inv[0, 0] = 0.0
+            # an inverse is accurate to about eps * cond relative to its size
+            references = (
+                np.linalg.inv(block),
+                scipy_linalg.cho_solve((np.linalg.cholesky(block), True), np.eye(tau)),
+            )
+            for ref in references:
+                tol = 100 * eps * np.linalg.cond(block) * np.abs(ref).max()
+                assert np.abs(inv - ref).max() <= tol
+
+
+def test_params_rejects_a_nan_inverse(monkeypatch):
+    sigma = make_params(T=5, seed=22).sigma0
+    monkeypatch.setattr(np.linalg, "inv", lambda a: np.full(np.shape(a), np.nan))
+    with pytest.raises(InvalidDataError, match="identity check"):
+        em.EpisodeParams(np.zeros(5), sigma)
+
+
+def test_tail_inverse_rejects_a_nan_factor_inverse():
+    params = make_params(T=5, seed=23)
+    params._chol_inv = np.full((5, 5), np.nan)
+    with pytest.raises(InvalidDataError, match="3x3 covariance block"):
+        params.tail_inverse(3)
+
+
 def test_params_immutable(small_params):
     with pytest.raises(ValueError):
         small_params.mu0[0] = 99.0

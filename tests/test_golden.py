@@ -34,7 +34,13 @@ simulated drop went from ``epsilon_sigma`` 1.0 to 0.5, so that the two
 reports tell the plans apart: the ``udt`` plan now detects three of the
 four blocks at steps 4, 8 and 8, the ``mdt`` plan at steps 2, 8 and 8.
 The live monitor finishing each statistic over all its horizons in one
-call moved no hash.
+call moved no hash. Both plans' ``bundle.json.store.json`` and ``store
+entries`` when ``EpisodeParams`` built the inverse of sigma0 and of each
+leading tau x tau block from the one inverse of its Cholesky factor, in
+place of ``scipy.linalg.cho_solve`` on a factorisation per block: the
+``udt``, ``pdt`` and ``hotelling`` weights, and so some stored values,
+moved in the last bits; params, bundle, report and monitor output kept
+their hashes.
 """
 
 import contextlib
@@ -89,7 +95,7 @@ GOLDEN = {
         "a12a6b496a9a057d84c2d08cde2a1d1bd5adbb0e99e55bde4584087393e3fd83"
     ),
     "bundle.json.store.json": (
-        "d7ca041bde2409ec507397a6d47992f09abebc0f5aa8f39b71af3fe5a7b4e381"
+        "2a90ab3ef7ae1a3a650d1a9444cd5d7a0b77bd543b637b1354871a25cb75f0f2"
     ),
     "report.json": (
         "61b9c7e9d9d97e4d9296f5e538336aa8d90165592a74ca06a512a6e00367079d"
@@ -98,7 +104,7 @@ GOLDEN = {
         "6f71920d965a52b1c12530f8282ad1b4224f99659ff412cc9f4edc91c9366594"
     ),
     "store entries": (
-        "21a30eeabe8afcbbee0aa425f704a93025a90bbc2e0f39d495c2e033706dd443"
+        "bd92a4a82dd04fa64b796bc344ddeef9d96c1c27a131b52b9b67d49e6fcb5711"
     ),
 }
 
@@ -108,7 +114,7 @@ GOLDEN_MDT_CUSUM = {
         "a4fff43913a7930b5e6ce14ce885c15f076b250c2c8ab6298dc357741c7dc388"
     ),
     "bundle.json.store.json": (
-        "d215c267a195a104ba99f938dfb57a13f72524152bc76c67d758ea40b727a4a9"
+        "20654a989758798f196580393b53cfcd15594cb52f2da9a2a26efef06046e76b"
     ),
     "report.json": (
         "85399f32b33d30d255b6f86c42c2af9a789e123ea5737120965e93a68f1cac2b"
@@ -117,7 +123,7 @@ GOLDEN_MDT_CUSUM = {
         "90d0be93eef3acb2335cde205ffe0b546367933505357c6056c44ed1ecdef94b"
     ),
     "store entries": (
-        "6be7beab5e67413a34a4fdaf838259142f9f4f2ef0ac7a59b0f23f824ab19880"
+        "3f239500f89bffa0f09544405ee8fbcd08e91d26ac0561baccae53e81cc9f448"
     ),
 }
 

@@ -1,5 +1,6 @@
 """Generator moments, closed-form oracles, and their cross-checks."""
 
+import json
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import epimon as em
+from epimon import synthetic
 from epimon.synthetic import generate_runs
 
 from conftest import SRC, make_params
@@ -159,18 +161,72 @@ def test_power_equal_under_identity_covariance():
     assert pm == pytest.approx(pu, rel=1e-12)
 
 
-def test_the_cli_imports_scipy_special_only_for_power():
-    # asymptotic_power imports it on call: every other command is spared
-    # the ~4 MB it adds to a process.
+def test_power_matches_scipy_normal_functions(small_params):
+    special = pytest.importorskip("scipy.special")
+    from statistics import NormalDist
+
+    ones = np.ones(small_params.T)
+    shift_mean = small_params.T / np.sqrt(ones @ small_params.sigma0 @ ones)
+    shift_udt = np.sqrt(ones @ small_params.sigma0_inv @ ones)
+    for alpha in np.geomspace(1e-12, 0.5, 40):
+        q = special.ndtri(alpha)
+        assert NormalDist().inv_cdf(alpha) == pytest.approx(q, rel=1e-12)
+        for x in (q, q + 0.5, q + 3.0, -q):
+            assert synthetic._normal_cdf(x) == pytest.approx(
+                special.ndtr(x), rel=1e-12
+            )
+        for epsilon in (0.0, 0.3, 2.0):
+            expected = (special.ndtr(q + epsilon * shift_mean),
+                        special.ndtr(q + epsilon * shift_udt))
+            got = em.asymptotic_power(small_params, epsilon, alpha)
+            assert got == pytest.approx(expected, rel=1e-12)
+
+
+def test_the_cli_runs_every_command_without_scipy(tmp_path):
+    raw = make_params(T=4, seed=31, condition=20)
+    episodes = em.generate_episodes(em.Scenario(params=raw, kind="h0", seed=32), 80)
+    dropped = em.Scenario(params=raw, kind="uniform", epsilon=5.0, seed=33)
+    stream = em.generate_episodes(dropped, 6)
+    (tmp_path / "ref.csv").write_text(
+        "\n".join(",".join(map(repr, row)) for row in episodes.tolist()) + "\n"
+    )
+    (tmp_path / "stream.txt").write_text(
+        "\n".join(map(repr, stream.ravel().tolist())) + "\n"
+    )
+    (tmp_path / "plan.json").write_text(json.dumps({
+        "statistics": ["udt", "mixed:mean+pdt:0.5"], "horizons": [1, 2],
+        "h_tilde": 2, "alpha0": 0.3, "B_inner": 100, "B_outer": 20,
+        "seed": 34, "test_every": 2,
+    }))
+    (tmp_path / "scenario.json").write_text(json.dumps({"kind": "h0"}))
+    commands = [
+        ["estimate", "ref.csv", "--episode-length", "4", "--downsample", "2",
+         "--out", "params.json"],
+        ["tune", "ref.csv", "--params", "params.json", "--plan", "plan.json",
+         "--out", "bundle.json"],
+        ["simulate", "--bundle", "bundle.json", "--scenario", "scenario.json",
+         "--blocks", "3", "--seed", "35", "--out", "report.json"],
+        ["monitor", "stream.txt", "--bundle", "bundle.json"],
+        ["power", "--params", "params.json", "--epsilon-sigma", "0.5",
+         "--out", "power.json"],
+    ]
     code = (
-        "import sys, epimon.cli; "
-        "print('scipy.special' in sys.modules, 'scipy.linalg' in sys.modules)"
+        "import contextlib, io, json, sys\n"
+        "from epimon.cli import main\n"
+        "codes = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(main(argv))\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules\n"
+        "                               if m.split('.')[0] == 'scipy')]))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env)
+    res = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
+                         capture_output=True, text=True, env=env, cwd=tmp_path)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["False", "True"]
+    codes, scipy_modules = json.loads(res.stdout)
+    assert codes == [0, 0, 0, 3, 0], res.stderr  # the dropped stream fires
+    assert scipy_modules == []
 
 
 @settings(max_examples=40, deadline=None)
