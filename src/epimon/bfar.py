@@ -55,7 +55,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import os
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -68,6 +67,7 @@ from .episodic import (
     json_number,
     params_from_dict,
     params_to_dict,
+    sibling_path,
 )
 from .errors import InvalidDataError, ResolutionError
 from .individual import BootstrapStore, empirical_quantile_index
@@ -537,14 +537,7 @@ def load_bundle(path) -> TunedMonitor:
         raise InvalidDataError(
             f"p_threshold must be a finite number in (0, 1], got {threshold!r}"
         )
-    store_file = data["store_file"]
-    if (
-        not isinstance(store_file, str)
-        or store_file in ("", ".", "..")
-        or os.path.basename(store_file) != store_file
-    ):
-        raise ValueError(f"store_file {store_file!r} is not a bare file name")
-    store_path = os.path.join(os.path.dirname(os.fspath(path)), store_file)
+    store_path = sibling_path(path, data["store_file"], "store_file")
     store = BootstrapStore.load(store_path, params)
     if store.B != plan.B_inner:
         raise ValueError(f"store has B={store.B}, plan has B_inner={plan.B_inner}")

@@ -21,7 +21,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -36,6 +35,7 @@ from .episodic import (
     load_params_json,
     load_reference_csv,
     params_to_dict,
+    write_atomic,
 )
 from .errors import EpimonError
 from .rng import substream  # noqa: F401 -- perfbench's tracer patches this global
@@ -59,19 +59,6 @@ def _dump_json(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".epimon-tmp-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def cmd_estimate(args) -> int:
     ref = load_reference_csv(args.reference, skip_header=args.header)
     if ref.episode_length != args.episode_length:
@@ -81,7 +68,7 @@ def cmd_estimate(args) -> int:
         )
     ref = ReferenceDataset.from_raw(ref.episodes, args.downsample)
     params = estimate_params(ref)
-    _write_atomic(args.out, _dump_json(params_to_dict(params)))
+    write_atomic(args.out, _dump_json(params_to_dict(params)))
     cond = float(np.linalg.cond(params.sigma0))
     print(
         f"estimated T={params.T} from N={ref.num_episodes} episodes "
@@ -102,9 +89,9 @@ def cmd_tune(args) -> int:
         plan = MonitorPlan.from_dict(json.load(fh))
     tuned = bfar_tune(ref, params, plan)
     store_file = args.out + ".store.json"
-    _write_atomic(store_file, _dump_json(tuned.store.to_dict()))
+    tuned.store.save(store_file)
     bundle = bundle_to_dict(tuned, os.path.basename(store_file))
-    _write_atomic(args.out, _dump_json(bundle))
+    write_atomic(args.out, _dump_json(bundle))
     print(
         f"tuned threshold {tuned.p_threshold:.6g} "
         f"(floor {1.0 / (plan.B_inner + 1):.3g}) over "
@@ -204,7 +191,7 @@ def cmd_simulate(args) -> int:
             ],
         },
     }
-    _write_atomic(args.out, _dump_json(out))
+    write_atomic(args.out, _dump_json(out))
     print(
         f"{len(times)}/{args.blocks} blocks detected "
         f"({100.0 * len(times) / args.blocks:.1f}%)"
@@ -228,7 +215,7 @@ def cmd_power(args) -> int:
         "power_mean": power_mean,
         "power_udt": power_udt,
     }
-    _write_atomic(args.out, _dump_json(out))
+    write_atomic(args.out, _dump_json(out))
     print(
         f"G^2 = {g2_direct:.6g}; power(mean) = {power_mean:.4f}, "
         f"power(udt) = {power_udt:.4f} at alpha = {args.alpha:g}"
@@ -260,7 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan", required=True, help="monitor plan JSON")
     p.add_argument("--header", action="store_true", help="skip one header line")
     p.add_argument("--out", required=True,
-                   help="output monitor bundle JSON (store: <out>.store.json)")
+                   help="output monitor bundle JSON; the bootstrap store goes "
+                        "next to it as <out>.store.json (index) and "
+                        "<out>.store.npy (rows)")
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("monitor", help="run the online monitor over a stream")

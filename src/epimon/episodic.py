@@ -25,7 +25,8 @@ This module provides:
   tau-block inverses and per-offset count scalings.
 * ``window_weights`` -- the covariance weights 1' Sigma^-1 of an n-step
   window, built blockwise without materializing the n x n matrix.
-* CSV / JSON readers and writers for the two file formats this module owns.
+* CSV / JSON readers and writers for the two file formats this module owns,
+  and the checks and the atomic writer that every file format shares.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import os
+import tempfile
 import warnings
 from dataclasses import dataclass
 
@@ -462,6 +465,36 @@ def params_to_dict(params: EpisodeParams) -> dict:
         "regularized": params.regularized,
         "lambda": params.ridge,
     }
+
+
+def write_atomic(path, data: str | bytes) -> None:
+    """Write ``data`` (text if a ``str``, else bytes) to ``path`` through a
+    temporary file in the same directory, renamed into place, so a reader
+    sees the old file or the whole new one; on failure the temporary file
+    is removed and ``path`` is untouched."""
+    directory = os.path.dirname(os.path.abspath(path)) or "."
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".epimon-tmp-")
+    try:
+        with os.fdopen(fd, "w" if isinstance(data, str) else "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def sibling_path(path, name, what: str) -> str:
+    """Path of the file ``name`` in the directory of the file ``path``.
+    ``name`` must be a bare file name, else :class:`ValueError` naming
+    ``what``: a file may name a sibling, never a path elsewhere."""
+    if (
+        not isinstance(name, str)
+        or name in ("", ".", "..")
+        or os.path.basename(name) != name
+    ):
+        raise ValueError(f"{what} {name!r} is not a bare file name")
+    return os.path.join(os.path.dirname(os.fspath(path)), name)
 
 
 def check_format_version(

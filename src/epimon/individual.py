@@ -34,19 +34,26 @@ position at a time (all B repetitions' first episode, then all their
 second, ...), so the first (K+1)*B values of a longer draw are the values
 a draw at K+1 returns.
 
-Store file format (version 2). The store is a JSON object with
-``format_version``, ``B``, ``seed`` and ``entries``; each entry has the
-statistic spec ``kind``, the window length ``n`` and ``values``, the base64
-of the entry's B sorted values as little-endian float64 (``'<f8'``) bytes.
-Storing the bytes keeps every value bit-exact and costs far less to write
-and read than decimal text. A reader accepts only this version.
+Store file format (version 3). A store is two files. The index, at the
+path the store is saved to (``<out>.store.json`` for ``epimon tune``), is a
+JSON object with ``format_version``, ``B``, ``seed``, ``rows_file``,
+``rows_sha256`` and ``entries``; each entry has the statistic spec
+``kind``, the window length ``n`` and ``row``. The rows file, a sibling
+named by ``rows_file`` (``<out>.store.npy``), is one ``.npy`` array of
+little-endian float64 (``'<f8'``), shape (entries, B), whose row ``row``
+holds the entry's B sorted values; ``rows_sha256`` is the sha256 of its
+bytes. Storing the bytes keeps every value bit-exact, and loading them
+decodes nothing: the rows are parsed once, checked by one vectorised pass
+and shared read-only by every entry. A reader accepts only this version.
 """
 
 from __future__ import annotations
 
-import base64
+import hashlib
+import io
 import json
 import math
+import os
 
 import numpy as np
 
@@ -56,8 +63,10 @@ from .episodic import (
     check_format_version,
     decompose_index,
     json_int,
+    sibling_path,
+    write_atomic,
 )
-from .errors import NotTunedError
+from .errors import InvalidDataError, NotTunedError
 from .rng import substream
 from .stats import (
     BatchEvaluator,
@@ -70,7 +79,7 @@ from .stats import (
     statistic_value,
 )
 
-STORE_FORMAT_VERSION = 2
+STORE_FORMAT_VERSION = 3
 
 
 def empirical_quantile_index(alpha: float, B: int) -> int:
@@ -147,28 +156,6 @@ def _sorted(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _encode_values(values: np.ndarray) -> str:
-    """base64 of ``values`` as little-endian float64 bytes."""
-    raw = np.asarray(values, dtype="<f8").tobytes()
-    return base64.b64encode(raw).decode("ascii")
-
-
-def _decode_values(text: str, B: int, key: tuple[str, int]) -> np.ndarray:
-    """Read-only entry decoded from :func:`_encode_values` output; it must
-    hold exactly B finite values in non-decreasing order."""
-    raw = base64.b64decode(text, validate=True)
-    if len(raw) != 8 * B:
-        raise ValueError(
-            f"store entry {key} holds {len(raw)} bytes, expected {8 * B} for B={B}"
-        )
-    values = np.frombuffer(raw, dtype="<f8")
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"store entry {key} has non-finite values")
-    if np.any(values[1:] < values[:-1]):
-        raise ValueError(f"store entry {key} is not sorted")
-    return values
-
-
 class BootstrapStore:
     """Per-window-length bootstrap distributions of each statistic.
 
@@ -179,13 +166,16 @@ class BootstrapStore:
     else only reads: :meth:`values_for` raises :class:`NotTunedError` for a
     missing entry, so live monitoring never waits on bootstrap work.
 
-    :meth:`to_dict` writes store format version 2 (see the module
-    docstring): ``format_version``, ``B``, ``seed`` and ``entries[].kind/n``
-    as JSON, each entry's ``values`` as base64 of its sorted little-endian
-    float64 bytes. :meth:`from_dict` rejects any other version, a ``B``,
-    ``seed`` or entry ``n`` that is not a JSON integer, any entry that
-    does not decode to B finite, non-decreasing values, and two entries
-    that parse to one (spec, n) key.
+    :meth:`save` writes store format version 3 (see the module docstring):
+    the rows file, then the index, each atomically, so an index never names
+    rows that are not on disk. :meth:`load` rejects any other version, a
+    ``B``, ``seed``, entry ``n`` or entry ``row`` that is not a JSON
+    integer, a ``rows_file`` that is not a bare file name, rows whose
+    sha256 differs from ``rows_sha256``, a rows file that is not a plain
+    ``'<f8'`` ``.npy`` array of shape (entries, B) (pickled data is never
+    loaded), a row with a non-finite value or out of order, an entry
+    ``row`` out of range or used twice, and two entries that parse to one
+    (spec, n) key.
     """
 
     def __init__(
@@ -255,43 +245,86 @@ class BootstrapStore:
                     rows = self.component_rows(kind, n)
                     self.entries[(kind.spec, n)] = _sorted(mixed_values(rows, at))
 
-    def to_dict(self) -> dict:
-        entries = [
-            {"kind": spec, "n": n, "values": _encode_values(vals)}
-            for (spec, n), vals in sorted(self.entries.items())
-        ]
-        return {
+    def save(self, path) -> None:
+        """Write the store as format version 3: the rows file, named after
+        ``path`` with its extension replaced by ``.npy``, then the index at
+        ``path``."""
+        path = os.fspath(path)
+        rows_file = os.path.splitext(os.path.basename(path))[0] + ".npy"
+        if rows_file == os.path.basename(path):
+            raise ValueError(f"store index {path!r} would overwrite its rows file")
+        keys = sorted(self.entries)
+        rows = np.array([self.entries[key] for key in keys], dtype="<f8")
+        with io.BytesIO() as buf:
+            np.save(buf, rows.reshape(len(keys), self.B), allow_pickle=False)
+            raw = buf.getvalue()
+        index = {
             "format_version": STORE_FORMAT_VERSION,
             "B": self.B,
             "seed": self.seed,
-            "entries": entries,
+            "rows_file": rows_file,
+            "rows_sha256": hashlib.sha256(raw).hexdigest(),
+            "entries": [
+                {"kind": spec, "n": n, "row": row}
+                for row, (spec, n) in enumerate(keys)
+            ],
         }
+        write_atomic(sibling_path(path, rows_file, "rows_file"), raw)
+        write_atomic(path, json.dumps(index, indent=2) + "\n")
 
     @classmethod
-    def from_dict(cls, data: dict, params: EpisodeParams) -> "BootstrapStore":
+    def load(cls, path, params: EpisodeParams) -> "BootstrapStore":
+        """Read a store written by :meth:`save`; every check runs here, so
+        a bad store fails at load (:class:`ValueError`)."""
+        with open(path) as fh:
+            data = json.load(fh)
         check_format_version(
             data, STORE_FORMAT_VERSION, "store",
             "; re-run `epimon tune` to rebuild it",
         )
         B = json_int(data["B"], "store B")
         seed = json_int(data["seed"], "store seed")
+        items = data["entries"]
+        rows_path = sibling_path(path, data["rows_file"], "rows_file")
+        with open(rows_path, "rb") as fh:
+            raw = fh.read()
+        if hashlib.sha256(raw).hexdigest() != data["rows_sha256"]:
+            raise InvalidDataError(
+                f"store rows file {rows_path!r} does not match the index's "
+                "rows_sha256"
+            )
+        rows = np.load(io.BytesIO(raw), allow_pickle=False)
+        del raw
+        if not isinstance(rows, np.ndarray):
+            raise InvalidDataError(f"store rows file {rows_path!r} is not one array")
+        if rows.dtype != np.dtype("<f8") or rows.shape != (len(items), B):
+            raise InvalidDataError(
+                f"store rows are {rows.dtype.str!r} of shape {rows.shape}, "
+                f"expected '<f8' of shape {(len(items), B)}"
+            )
+        if not np.isfinite(rows).all():
+            raise InvalidDataError("store rows have non-finite values")
+        unsorted = np.flatnonzero((rows[:, 1:] < rows[:, :-1]).any(axis=1))
+        if unsorted.size:
+            raise InvalidDataError(f"store row {unsorted[0]} is not sorted")
+        rows.setflags(write=False)
         entries: dict[tuple[str, int], np.ndarray] = {}
-        for item in data["entries"]:
+        used: set[int] = set()
+        for item in items:
             kind = parse_statistic(item["kind"])  # validates the spelling
             key = (kind.spec, json_int(item["n"], "store entry n"))
+            row = json_int(item["row"], "store entry row")
+            if not 0 <= row < len(rows):
+                raise InvalidDataError(
+                    f"store entry {key} has row {row}, not in [0, {len(rows)})"
+                )
+            if row in used:
+                raise InvalidDataError(f"store row {row} is used by two entries")
             if key in entries:
                 raise ValueError(f"store has two entries for {key}")
-            entries[key] = _decode_values(item["values"], B, key)
+            used.add(row)
+            entries[key] = rows[row]
         return cls(params, B, seed, entries=entries)
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh)
-
-    @classmethod
-    def load(cls, path, params: EpisodeParams) -> "BootstrapStore":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh), params)
 
 
 def individual_test(

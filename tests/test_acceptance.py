@@ -356,7 +356,7 @@ def test_criterion_8_cli_determinism(tmp_path):
         hashes[round_] = [
             sha(p / name)
             for name in ("params.json", "bundle.json", "bundle.json.store.json",
-                         "report.json", "power.json")
+                         "bundle.json.store.npy", "report.json", "power.json")
         ]
     assert hashes["a"] == hashes["b"]
     assert monitor_out[0] == monitor_out[1]

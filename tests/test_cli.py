@@ -2,7 +2,10 @@
 
 import base64
 import hashlib
+import io
 import json
+import os
+import pickle
 from types import SimpleNamespace
 
 import numpy as np
@@ -112,9 +115,40 @@ def test_tune_rerun_byte_identical(workspace, tmp_path):
         )
         assert res.returncode == 0, res.stderr
     assert sha256(out) == sha256(workspace / "bundle.json")
-    assert sha256(tmp_path / "bundle.json.store.json") == sha256(
-        workspace / "bundle.json.store.json"
-    )
+    for store_file in ("bundle.json.store.json", "bundle.json.store.npy"):
+        assert sha256(tmp_path / store_file) == sha256(workspace / store_file)
+
+
+def _tune(workspace, out):
+    return main(["tune", str(workspace / "reference.csv"),
+                 "--params", str(workspace / "params.json"),
+                 "--plan", str(workspace / "plan.json"), "--out", str(out)])
+
+
+def test_tune_writes_the_bundle_and_both_store_files_only(workspace, tmp_path):
+    assert _tune(workspace, tmp_path / "bundle.json") == 0
+    assert sorted(os.listdir(tmp_path)) == [
+        "bundle.json", "bundle.json.store.json", "bundle.json.store.npy"
+    ]
+
+
+def test_tune_writes_the_store_rows_before_the_index(
+    workspace, tmp_path, monkeypatch, capsys
+):
+    # The index write fails after the rows are in place; no temporary file,
+    # index or bundle is left behind, and the rows are the tuned ones.
+    replace = os.replace
+
+    def replace_all_but_the_index(src, dst):
+        if os.fspath(dst).endswith(".store.json"):
+            raise OSError("no space left for the index")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace_all_but_the_index)
+    assert _tune(workspace, tmp_path / "bundle.json") == 2
+    assert "no space left for the index" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["bundle.json.store.npy"]
+    assert np.array_equal(np.load(tmp_path / "bundle.json.store.npy"), _rows(workspace))
 
 
 def test_tune_bundle_internally_consistent(workspace):
@@ -576,24 +610,59 @@ def test_missing_file_exits_two(tmp_path):
     assert res.returncode == 2
 
 
-def _tampered_bundle(workspace, tmp_path, edit):
-    """Copy the tuned bundle and store, apply ``edit(bundle, store)`` to the
-    parsed JSON, and return the copied bundle's path."""
+def _rows(workspace):
+    """The tuned store's rows, as a writable array."""
+    return np.load(workspace / "bundle.json.store.npy")
+
+
+def _npy(rows, allow_pickle=False):
+    """The bytes of ``rows`` as an ``.npy`` file."""
+    buf = io.BytesIO()
+    np.save(buf, rows, allow_pickle=allow_pickle)
+    return buf.getvalue()
+
+
+def _tampered_bundle(workspace, tmp_path, edit, edit_rows=None):
+    """Copy the tuned bundle, store index and store rows into ``tmp_path``,
+    apply ``edit(bundle, store)`` to the parsed bundle and index, and return
+    the copied bundle's path.
+
+    Without ``edit_rows`` the rows file follows the edited index: each entry
+    keeps the tuned row its ``row`` names, and rows are renumbered in entry
+    order, so a dropped entry drops its row and a copied entry copies it.
+    With it, the rows file holds ``edit_rows(rows)``, bytes made from the
+    tuned rows, and the index keeps the rows ``edit`` gave it. Either way
+    ``rows_sha256`` is sealed over the bytes written, so each check after
+    the hash is reached by itself.
+    """
     bundle = json.loads((workspace / "bundle.json").read_text())
     store = json.loads((workspace / "bundle.json.store.json").read_text())
+    rows = _rows(workspace)
     edit(bundle, store)
+    if edit_rows is None:
+        raw = _npy(rows[[entry["row"] for entry in store["entries"]]])
+        for row, entry in enumerate(store["entries"]):
+            entry["row"] = row
+    else:
+        raw = edit_rows(rows)
+    store["rows_sha256"] = hashlib.sha256(raw).hexdigest()
     (tmp_path / "bundle.json").write_text(json.dumps(bundle))
     (tmp_path / "bundle.json.store.json").write_text(json.dumps(store))
+    (tmp_path / "bundle.json.store.npy").write_bytes(raw)
     return tmp_path / "bundle.json"
 
 
-def _monitor_with_tampered_bundle(workspace, tmp_path, edit):
-    """Run ``monitor`` in-process on a :func:`_tampered_bundle`. The stream
-    ends before the first test-point, so only a check at load can reject it."""
-    bundle = _tampered_bundle(workspace, tmp_path, edit)
-    stream = tmp_path / "stream.txt"
+def _monitor_at_load(bundle):
+    """Run ``monitor`` in-process on ``bundle``. The stream ends before the
+    first test-point, so only a check at load can reject the bundle."""
+    stream = bundle.parent / "stream.txt"
     stream.write_text("1.0\n" * 4)
     return main(["monitor", str(stream), "--bundle", str(bundle)])
+
+
+def _monitor_with_tampered_bundle(workspace, tmp_path, edit, edit_rows=None):
+    """:func:`_monitor_at_load` on a :func:`_tampered_bundle`."""
+    return _monitor_at_load(_tampered_bundle(workspace, tmp_path, edit, edit_rows))
 
 
 def test_load_bundle_rejects_store_with_other_b(workspace, tmp_path, capsys):
@@ -748,11 +817,13 @@ def test_load_bundle_rejects_unknown_plan_key(workspace, tmp_path, capsys):
     assert "plan has unknown keys: test_evry" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "store_file",
-    ["../bundle.json.store.json", "sub/bundle.json.store.json",
-     "/bundle.json.store.json", "..", ""],
-)
+NOT_BARE_FILE_NAMES = [
+    "../bundle.json.store.json", "sub/bundle.json.store.json",
+    "/bundle.json.store.json", "..", "",
+]
+
+
+@pytest.mark.parametrize("store_file", NOT_BARE_FILE_NAMES)
 def test_load_bundle_rejects_store_file_with_a_path(
     workspace, tmp_path, capsys, store_file
 ):
@@ -761,6 +832,17 @@ def test_load_bundle_rejects_store_file_with_a_path(
 
     assert _monitor_with_tampered_bundle(workspace, tmp_path, edit) == 2
     assert "bare file name" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows_file", NOT_BARE_FILE_NAMES)
+def test_load_bundle_rejects_rows_file_with_a_path(
+    workspace, tmp_path, capsys, rows_file
+):
+    def edit(bundle, store):
+        store["rows_file"] = rows_file
+
+    assert _monitor_with_tampered_bundle(workspace, tmp_path, edit) == 2
+    assert f"rows_file {rows_file!r} is not a bare file name" in capsys.readouterr().err
 
 
 def test_load_bundle_rejects_other_bundle_format_version(
@@ -775,14 +857,31 @@ def test_load_bundle_rejects_other_bundle_format_version(
 
 def test_load_bundle_rejects_v1_store(workspace, tmp_path, capsys):
     # Store format 1 held each entry's values as a JSON list of numbers.
+    rows = _rows(workspace)
+
     def edit(bundle, store):
         store["format_version"] = 1
         for entry in store["entries"]:
-            entry["values"] = _decode(entry["values"]).tolist()
+            entry["values"] = rows[entry["row"]].tolist()
 
-    assert _monitor_with_tampered_bundle(workspace, tmp_path, edit) == 2
+    assert _monitor_with_tampered_bundle(workspace, tmp_path, edit, _npy) == 2
     err = capsys.readouterr().err
     assert "store file has format_version 1" in err
+    assert "epimon tune" in err
+
+
+def test_load_bundle_rejects_v2_store(workspace, tmp_path, capsys):
+    # Store format 2 held each entry's values as base64 of '<f8' bytes.
+    rows = _rows(workspace)
+
+    def edit(bundle, store):
+        store["format_version"] = 2
+        for entry in store["entries"]:
+            entry["values"] = base64.b64encode(rows[entry["row"]].tobytes()).decode()
+
+    assert _monitor_with_tampered_bundle(workspace, tmp_path, edit, _npy) == 2
+    err = capsys.readouterr().err
+    assert "store file has format_version 2" in err
     assert "epimon tune" in err
 
 
@@ -799,38 +898,86 @@ def test_params_file_with_other_format_version_exits_two(
     assert not (tmp_path / "x.json").exists()
 
 
-def _decode(text):
-    return np.frombuffer(base64.b64decode(text), dtype="<f8")
+def _swap_two(rows):
+    rows[3, [10, 500]] = rows[3, [500, 10]]
+    return rows
 
 
-def _encode(values):
-    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode()
+def _set_last(rows, value):
+    rows[3, -1] = value
+    return rows
 
 
-def _swap_two(values):
-    values = values.copy()
-    values[[10, 500]] = values[[500, 10]]
-    return values
+def _npz(rows):
+    buf = io.BytesIO()
+    np.savez(buf, rows=rows)
+    return buf.getvalue()
 
 
 @pytest.mark.parametrize(
-    "corrupt, message",
+    "edit_rows, message",
     [
-        (lambda text: _encode(_swap_two(_decode(text))), "not sorted"),
-        (lambda text: _encode(_decode(text)[:-1]), "6392 bytes, expected 6400"),
-        (lambda text: _encode(np.append(_decode(text)[:-1], np.inf)),
-         "non-finite"),
-        (lambda text: "!" + text[1:], "error: "),
+        (lambda rows: _npy(_swap_two(rows)), "store row 3 is not sorted"),
+        (lambda rows: _npy(rows[:, :-1]),
+         "of shape (24, 799), expected '<f8' of shape (24, 800)"),
+        (lambda rows: _npy(_set_last(rows, np.inf)), "non-finite"),
+        (lambda rows: _npy(rows)[:-8], "EOF"),
+        (lambda rows: _npy(rows.astype(object), allow_pickle=True),
+         "Object arrays cannot be loaded when allow_pickle=False"),
+        (lambda rows: pickle.dumps(rows), "pickled"),
+        (_npz, "is not one array"),
+        (lambda rows: _npy(rows[:-1]), "of shape (23, 800), expected"),
+        (lambda rows: _npy(rows.T), "of shape (800, 24), expected"),
+        (lambda rows: _npy(rows.astype("<f4")), "'<f4' of shape (24, 800)"),
+        (lambda rows: _npy(rows.astype(">f8")), "'>f8' of shape (24, 800)"),
     ],
-    ids=["swapped", "short", "non-finite", "not-base64"],
+    ids=["swapped", "short", "non-finite", "truncated", "object", "pickled",
+         "npz", "missing-row", "transposed", "float32", "big-endian"],
 )
 def test_load_bundle_rejects_corrupt_store_entry(
-    workspace, tmp_path, capsys, corrupt, message
+    workspace, tmp_path, capsys, edit_rows, message
+):
+    assert _monitor_with_tampered_bundle(
+        workspace, tmp_path, lambda bundle, store: None, edit_rows
+    ) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        (lambda entries: len(entries), "has row 24, not in [0, 24)"),
+        (lambda entries: -1, "has row -1, not in [0, 24)"),
+        (lambda entries: entries[0]["row"], "store row 0 is used by two entries"),
+        (lambda entries: 1.0, "store entry row must be an integer"),
+        (lambda entries: True, "store entry row must be an integer"),
+        (lambda entries: "1", "store entry row must be an integer"),
+    ],
+    ids=["past-the-end", "negative", "repeated", "float", "bool", "string"],
+)
+def test_load_bundle_rejects_bad_store_entry_row(
+    workspace, tmp_path, capsys, row, message
 ):
     def edit(bundle, store):
-        entry = store["entries"][3]
-        assert entry["kind"] == "mean"
-        entry["values"] = corrupt(entry["values"])
+        store["entries"][1]["row"] = row(store["entries"])
 
-    assert _monitor_with_tampered_bundle(workspace, tmp_path, edit) == 2
+    assert _monitor_with_tampered_bundle(workspace, tmp_path, edit, _npy) == 2
     assert message in capsys.readouterr().err
+
+
+def test_load_bundle_rejects_rows_that_do_not_match_their_sha256(
+    workspace, tmp_path, capsys
+):
+    bundle = _tampered_bundle(workspace, tmp_path, lambda bundle, store: None)
+    rows = _rows(workspace)
+    rows[3, 0] -= 1.0  # still sorted and finite: only the hash tells
+    (tmp_path / "bundle.json.store.npy").write_bytes(_npy(rows))
+    assert _monitor_at_load(bundle) == 2
+    assert "does not match the index's rows_sha256" in capsys.readouterr().err
+
+
+def test_load_bundle_rejects_a_missing_rows_file(workspace, tmp_path, capsys):
+    bundle = _tampered_bundle(workspace, tmp_path, lambda bundle, store: None)
+    (tmp_path / "bundle.json.store.npy").unlink()
+    assert _monitor_at_load(bundle) == 2
+    assert "bundle.json.store.npy" in capsys.readouterr().err

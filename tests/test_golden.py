@@ -40,7 +40,12 @@ leading tau x tau block from the one inverse of its Cholesky factor, in
 place of ``scipy.linalg.cho_solve`` on a factorisation per block: the
 ``udt``, ``pdt`` and ``hotelling`` weights, and so some stored values,
 moved in the last bits; params, bundle, report and monitor output kept
-their hashes.
+their hashes. Both plans' ``bundle.json.store.json`` when the store became
+format 3, an index of entries with the sha256 of a sibling
+``bundle.json.store.npy`` that holds the sorted rows, in place of one JSON
+file with each entry's values in base64; ``bundle.json.store.npy`` was
+pinned then too. ``store entries`` and every other hash kept its value, so
+every stored value is bit-identical.
 """
 
 import contextlib
@@ -83,6 +88,7 @@ FILES = (
     "params.json",
     "bundle.json",
     "bundle.json.store.json",
+    "bundle.json.store.npy",
     "report.json",
     "monitor.ndjson",
 )
@@ -95,7 +101,10 @@ GOLDEN = {
         "a12a6b496a9a057d84c2d08cde2a1d1bd5adbb0e99e55bde4584087393e3fd83"
     ),
     "bundle.json.store.json": (
-        "2a90ab3ef7ae1a3a650d1a9444cd5d7a0b77bd543b637b1354871a25cb75f0f2"
+        "b0bb951ebab84e272711d9d8504e8876551b86fd63024f466c1881e97944de5a"
+    ),
+    "bundle.json.store.npy": (
+        "9ae9f20c88d3f1f59da63013a1538f4e60c79a5b0a8fd32670f63c25a3259026"
     ),
     "report.json": (
         "61b9c7e9d9d97e4d9296f5e538336aa8d90165592a74ca06a512a6e00367079d"
@@ -114,7 +123,10 @@ GOLDEN_MDT_CUSUM = {
         "a4fff43913a7930b5e6ce14ce885c15f076b250c2c8ab6298dc357741c7dc388"
     ),
     "bundle.json.store.json": (
-        "20654a989758798f196580393b53cfcd15594cb52f2da9a2a26efef06046e76b"
+        "b080db21792fe95b340c64cada907936654ac1e5e509a6637e9de60a866664fa"
+    ),
+    "bundle.json.store.npy": (
+        "e71963db9eaab9806d1f41d2d52f46caf1489964af670d16a695bbb79c0ee6d6"
     ),
     "report.json": (
         "85399f32b33d30d255b6f86c42c2af9a789e123ea5737120965e93a68f1cac2b"

@@ -164,8 +164,12 @@ def test_store_roundtrip(tmp_path):
     store.save(path)
     loaded = em.BootstrapStore.load(path, params)
     assert loaded.B == store.B and loaded.seed == store.seed
+    assert (tmp_path / "store.npy").exists()
     for key, vals in store.entries.items():
         assert np.array_equal(loaded.entries[key], vals)  # exact float roundtrip
+        assert not loaded.entries[key].flags.writeable
+    with pytest.raises(ValueError, match="would overwrite its rows file"):
+        store.save(tmp_path / "store.npy")
     # a store only reads: an entry that was never built raises
     with pytest.raises(NotTunedError, match="'mean' at length 7"):
         loaded.values_for(MEAN, 7)
@@ -262,32 +266,46 @@ def test_resample_indices_are_prefixes_of_longer_draws(num_episodes):
         assert np.array_equal(short, longest[:, : short.shape[1]]), n
 
 
+def _edited_index(tmp_path, store, edit):
+    """Save ``store`` and rewrite its index as ``edit(index)`` leaves it."""
+    path = tmp_path / "store.json"
+    store.save(path)
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    return path
+
+
 @pytest.mark.parametrize("field, value", [
     ("B", lambda B: float(B)), ("seed", lambda seed: seed + 0.9),
     ("n", lambda n: n + 0.8), ("n", lambda n: True),
 ], ids=["float-B", "fraction-seed", "fraction-n", "bool-n"])
-def test_store_from_dict_rejects_non_integer_fields(field, value):
+def test_store_from_dict_rejects_non_integer_fields(tmp_path, field, value):
     # int() would truncate each: "B": 50.0 to 50, "n": 5.8 to length 5.
     params = make_params(T=4, seed=20)
     store = em.BootstrapStore(params, B=50, seed=3)
     store.ensure(make_reference(params, 15, seed=21), [MEAN], [5])
-    data = json.loads(json.dumps(store.to_dict()))
-    target = data["entries"][0] if field == "n" else data
-    target[field] = value(target[field])
+
+    def edit(data):
+        target = data["entries"][0] if field == "n" else data
+        target[field] = value(target[field])
+
     what = "store entry n" if field == "n" else f"store {field}"
     with pytest.raises(ValueError, match=f"{what} must be an integer"):
-        em.BootstrapStore.from_dict(data, params)
+        em.BootstrapStore.load(_edited_index(tmp_path, store, edit), params)
 
 
-def test_store_from_dict_rejects_two_entries_for_one_key():
+def test_store_from_dict_rejects_two_entries_for_one_key(tmp_path):
     # Each entry parses on its own; kept, the second would replace the first.
     params = make_params(T=4, seed=20)
     store = em.BootstrapStore(params, B=50, seed=3)
-    store.ensure(make_reference(params, 15, seed=21), [em.StatisticKind.pdt(0.9)], [5])
-    data = json.loads(json.dumps(store.to_dict()))
-    data["entries"].append({**data["entries"][0], "kind": "pdt:0.90"})
+    store.ensure(make_reference(params, 15, seed=21), [em.StatisticKind.pdt(0.9)], [5, 6])
+
+    def edit(data):
+        data["entries"][1].update(kind="pdt:0.90", n=5)
+
     with pytest.raises(ValueError, match=r"two entries for \('pdt:0.9', 5\)"):
-        em.BootstrapStore.from_dict(data, params)
+        em.BootstrapStore.load(_edited_index(tmp_path, store, edit), params)
 
 
 def test_store_builds_each_generator_once_per_plan(monkeypatch):
