@@ -20,6 +20,7 @@ from .bfar import (
     h0_stream_indices,
     load_bundle,
     replay_pvalues,
+    save_bundle,
 )
 from .episodic import (
     EpisodeParams,
@@ -114,6 +115,7 @@ __all__ = [
     "power_gain",
     "random_spd",
     "replay_pvalues",
+    "save_bundle",
     "statistic_value",
     "threshold_decision",
     "window_weights",

@@ -9,43 +9,44 @@ reference data, replays every test-point after the warm-up prefix, and
 records the minimal p-value seen. The alpha0-quantile of those minima is the
 threshold.
 
-Every caller replays runs in batches. Each chunk evaluates each base
-statistic (a plan statistic or a mixed one's component, each once) at
-every window of the runs, as one :meth:`BatchEvaluator.offset_values`
-call over all H horizons and F test offsets, shaped (H, F, runs, E). That
-call gathers each run's episode pieces once, (runs, h_max + E, ...), and
-sums every horizon's windows from a sliding view of that one gather, so a
-run's episodes are not copied once per window that holds them; the sums
-are bitwise those of a gather per window. The store rows come from one
+Every replay shares two steps. The evaluation (:func:`_base_values`)
+takes each base statistic (a plan statistic or a mixed one's component,
+each once) at every window of a chunk of runs, as one
+:meth:`BatchEvaluator.offset_values` call over all H horizons and F test
+offsets, shaped (H, F, runs, E). That call gathers each run's episode
+pieces once and sums every horizon's windows from a sliding view of that
+one gather, bitwise as a gather per window would. The reduction
+(:func:`_min_pvalues`) takes values of any trailing shape to the minimal
+p-value over statistics and horizons, against the store rows of one
 table, :meth:`MonitorPlan.store_rows`, resolved once per call before any
-evaluation, so a store that lacks a row fails first; the evaluator sees
-base statistics only.
+evaluation, so a store that lacks a row fails first. Mixed kinds go
+through :func:`~epimon.stats.mixed_values`, the one copy of their rule.
 
-:func:`replay_pvalues` looks up every test-point of whole runs and keeps
-the minimal p-value over statistics and horizons; mixed kinds go through
-:func:`~epimon.stats.mixed_values`, the one copy of their rule, against
-the rows of :meth:`BootstrapStore.component_rows`. :func:`bfar_min_p`
-needs only each resampled run's minimum, so it first takes each base
-statistic's minimum over the run's E episodes at every (horizon, offset)
-and looks up E times fewer values. That is exact, ties included: a p-value
-is non-decreasing in the statistic value, and a mixed value (the minimum
-of its components' p-values) is non-decreasing in each component's value,
-so the smallest p-value over a run's test-points at one (horizon, offset,
-statistic) is the p-value of the run's smallest value.
+:func:`replay_pvalues` reduces whole values: the minimal p-value at every
+test-point of the runs. :func:`bfar_min_p` needs only each resampled
+run's minimum, so it first takes each base statistic's minimum over the
+run's E episodes at every (horizon, offset) and reduces E times fewer
+values. That is exact, ties included: a p-value is non-decreasing in the
+statistic value, and a mixed value (the minimum of its components'
+p-values) is non-decreasing in each component's value, so the smallest
+p-value over a run's test-points at one (horizon, offset, statistic) is
+the p-value of the run's smallest value.
 
 :func:`detection_steps`, for :func:`far_verify` and ``epimon simulate``,
 needs only each generated run's first test-point below the threshold, so
-it looks up no value. It turns each store row into one critical value,
+it reduces nothing. It turns each store row into one critical value,
 once per call: against a sorted row S of B values, p(y) < threshold
 exactly when y < S[c*], c* the largest count whose p-value
 (1 + c*) / (1 + B) is below the threshold (:func:`critical_count`). A
 mixed kind's row gives a critical p-value q, and each component row its
-critical value at threshold q. Each chunk then compares values with
-critical values, exactly as the p-values would have decided, ties
-included.
+critical value at threshold q. Each chunk then compares each base
+statistic's values with its critical values as the evaluation yields
+them, exactly as the p-values would have decided, ties included.
 
-Each replays at most min(B_outer, _BATCH_CHUNK // E) runs of E tested
-episodes at a time, so memory stays flat in the number of runs. The live
+:func:`bfar_min_p` and :func:`detection_steps` replay
+:func:`~epimon.stats.runs_per_chunk` runs of E tested episodes at a
+time, the chunk of :meth:`BatchEvaluator.offset_values`, so memory stays
+flat in the number of runs. The live
 :class:`~epimon.sequential.Monitor` computes the same p-values from the
 same table, which :func:`load_bundle` also resolves to check the store.
 """
@@ -55,6 +56,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import os
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -65,21 +67,23 @@ from .episodic import (
     check_format_version,
     json_int,
     json_number,
+    json_numbers,
     params_from_dict,
     params_to_dict,
     sibling_path,
+    write_atomic,
 )
 from .errors import InvalidDataError, ResolutionError
 from .individual import BootstrapStore, empirical_quantile_index
 from .rng import substream
 from .stats import (
-    _BATCH_CHUNK,
     BatchEvaluator,
     StatisticKind,
     base_statistics,
     bootstrap_pvalues,
     mixed_values,
     parse_statistic,
+    runs_per_chunk,
 )
 
 BUNDLE_FORMAT_VERSION = 1
@@ -143,10 +147,6 @@ class MonitorPlan:
             )
         return range(self.test_every, T + 1, self.test_every)
 
-    def replay_runs(self, episodes_per_run: int) -> int:
-        """Runs per :func:`replay_pvalues` call: min(B_outer, _BATCH_CHUNK // E)."""
-        return max(1, min(self.B_outer, _BATCH_CHUNK // episodes_per_run))
-
     def window_lengths(self, T: int) -> list[int]:
         lengths = {
             h * T + tau for h in self.horizons for tau in self.test_offsets(T)
@@ -169,16 +169,10 @@ class MonitorPlan:
         }
 
     def to_dict(self) -> dict:
-        return {
-            "statistics": [s.spec for s in self.statistics],
-            "horizons": list(self.horizons),
-            "h_tilde": self.h_tilde,
-            "alpha0": self.alpha0,
-            "B_inner": self.B_inner,
-            "B_outer": self.B_outer,
-            "seed": self.seed,
-            "test_every": self.test_every,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data.update(statistics=[s.spec for s in self.statistics],
+                    horizons=list(self.horizons))
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "MonitorPlan":
@@ -244,43 +238,30 @@ def replay_pvalues(
     """
     runs, E = streams.shape[0], streams.shape[1] - plan.h_max
     tests = plan.store_rows(store, evaluator.params.T)
-    min_p = _replay(evaluator, streams, plan, tests, run_minimum=False)
+    min_p = _min_pvalues(dict(_base_values(evaluator, streams, plan)), tests)
     return min_p.transpose(1, 2, 0).reshape(runs, E * min_p.shape[0])
 
 
-def _replay(
-    evaluator: BatchEvaluator,
-    streams: np.ndarray,
-    plan: MonitorPlan,
-    tests: dict,
-    run_minimum: bool,
-) -> np.ndarray:
-    """Minimal p-value over statistics and horizons of the runs ``streams``
-    (as in :func:`replay_pvalues`): (F, runs, E), one per offset, run and
-    tested episode, or with ``run_minimum`` (F, runs), the minimum over
-    each run's E episodes at each offset.
-
-    Each base statistic is evaluated once, for every horizon, offset and
-    tested episode (:meth:`BatchEvaluator.offset_values`, which gathers the
-    runs' episode pieces once and sums every horizon's windows from one
-    sliding view of them), reduced to each run's minimum when
-    ``run_minimum`` is set, and then looked up in ``tests``, the plan's
-    :meth:`MonitorPlan.store_rows`, mixed kinds through
-    :func:`mixed_values`.
-    """
-    runs, E = streams.shape[0], streams.shape[1] - plan.h_max
+def _base_values(evaluator: BatchEvaluator, streams: np.ndarray, plan: MonitorPlan):
+    """Each base statistic of the plan (:func:`base_statistics`) with its
+    values on every window of the runs ``streams``, one at a time: (spec,
+    (H, F, runs, E) values) from :meth:`BatchEvaluator.offset_values`."""
     taus = plan.test_offsets(evaluator.params.T)
-    values = {}
     for spec, base in base_statistics(plan.statistics).items():
-        vals = evaluator.offset_values(base, streams, plan.horizons, taus)
-        values[spec] = vals.min(axis=3) if run_minimum else vals
-    min_p = np.ones((len(taus), runs) if run_minimum else (len(taus), runs, E))
-    for i, h in enumerate(plan.horizons):
-        for j, tau in enumerate(taus):
-            at = {spec: vals[i, j] for spec, vals in values.items()}
-            for _, spec, rows, components in tests[h, tau]:
-                y = mixed_values(components, at) if components else at[spec]
-                np.minimum(min_p[j], bootstrap_pvalues(rows, y), out=min_p[j])
+        yield spec, evaluator.offset_values(base, streams, plan.horizons, taus)
+
+
+def _min_pvalues(values: dict, tests: dict) -> np.ndarray:
+    """Minimal p-value over statistics and horizons, (F, ...), of each base
+    statistic's (H, F, ...) values by spec against ``tests``, the plan's
+    :meth:`MonitorPlan.store_rows`; mixed kinds through :func:`mixed_values`."""
+    shape = next(iter(values.values())).shape
+    min_p = np.ones(shape[1:])
+    for (i, j), point in zip(np.ndindex(shape[:2]), tests.values()):  # horizon-major
+        at = {spec: vals[i, j] for spec, vals in values.items()}
+        for _, spec, rows, components in point:
+            y = mixed_values(components, at) if components else at[spec]
+            np.minimum(min_p[j], bootstrap_pvalues(rows, y), out=min_p[j])
     return min_p
 
 
@@ -293,12 +274,13 @@ def bfar_min_p(
     """Minimal p-value of each simulated sequential run (unsorted, by rep):
     repetition b replays the h_tilde episodes after the warm-up of row b of
     :func:`h0_stream_indices`. The table is drawn once, before any run is
-    replayed, and replayed ``plan.replay_runs(h_tilde)`` rows at a time.
+    replayed, and replayed :func:`~epimon.stats.runs_per_chunk` (h_tilde)
+    rows at a time.
 
     The result is ``replay_pvalues(...).min(axis=1)``, bit for bit, but
     each base statistic's values are reduced to the run's minimum over its
-    h_tilde episodes, at each (horizon, offset), before any store row is
-    looked up, so h_tilde times fewer values are looked up. This is exact,
+    h_tilde episodes, at each (horizon, offset), before the reduction to
+    p-values, so h_tilde times fewer values are looked up. This is exact,
     ties included: a p-value is non-decreasing in the statistic value, and
     a mixed value, the minimum of its components' p-values, is
     non-decreasing in each component's value; so the smallest p-value of a
@@ -309,11 +291,11 @@ def bfar_min_p(
     tests = plan.store_rows(store, params.T)
     streams = h0_stream_indices(plan, ref.num_episodes)
     min_p = np.empty(plan.B_outer)
-    chunk = plan.replay_runs(plan.h_tilde)
+    chunk = runs_per_chunk(plan.h_tilde)
     for lo in range(0, plan.B_outer, chunk):
-        runs = streams[lo : lo + chunk]
-        run_p = _replay(evaluator, runs, plan, tests, run_minimum=True)
-        min_p[lo : lo + chunk] = run_p.min(axis=0)
+        values = _base_values(evaluator, streams[lo : lo + chunk], plan)
+        run_min = {spec: vals.min(axis=3) for spec, vals in values}
+        min_p[lo : lo + chunk] = _min_pvalues(run_min, tests).min(axis=0)
     return min_p
 
 
@@ -371,31 +353,29 @@ def detection_steps(tuned: TunedMonitor, runs, episodes_per_run: int) -> np.ndar
     """First detection step of each run after its warm-up, 0 if it never
     fires: column c of :func:`replay_pvalues` is step (c + 1) * test_every.
     Each run is (h_max + episodes_per_run) * T finite downsampled samples;
-    runs are read and replayed ``plan.replay_runs(episodes_per_run)`` at a
-    time.
+    runs are read and replayed :func:`~epimon.stats.runs_per_chunk`
+    (episodes_per_run) at a time.
 
     No value is looked up: the store rows are resolved into critical
     values once per call (:func:`_critical_values`), and each chunk
-    evaluates every base statistic once and compares its values with them,
-    which fires exactly where :func:`replay_pvalues` falls below
+    evaluates one base statistic at a time and compares its values with
+    them, which fires exactly where :func:`replay_pvalues` falls below
     ``p_threshold``.
     """
     plan, params = tuned.plan, tuned.params
     critical = _critical_values(plan, tuned.store, params.T, tuned.p_threshold)
-    bases = base_statistics(plan.statistics)
-    taus = plan.test_offsets(params.T)
+    F = len(plan.test_offsets(params.T))
     length = plan.h_max + episodes_per_run
     n = length * params.T
-    chunk = plan.replay_runs(episodes_per_run)
+    chunk = runs_per_chunk(episodes_per_run)
     runs = iter(runs)
     steps = np.zeros(0, dtype=int)
     while samples := list(itertools.islice(runs, chunk)):
         block = _stacked_runs(samples, n, steps.size)
         evaluator = BatchEvaluator(block.reshape(-1, params.T), params)
         streams = np.arange(len(samples) * length).reshape(-1, length)
-        fired = np.zeros((len(taus), len(samples), episodes_per_run), dtype=bool)
-        for spec, base in bases.items():
-            vals = evaluator.offset_values(base, streams, plan.horizons, taus)
+        fired = np.zeros((F, len(samples), episodes_per_run), dtype=bool)
+        for spec, vals in _base_values(evaluator, streams, plan):
             fired |= (vals < critical[spec]).any(axis=0)
         below = fired.transpose(1, 2, 0).reshape(len(samples), -1)
         first = (below.argmax(axis=1) + 1) * plan.test_every
@@ -497,15 +477,21 @@ def far_verify(tuned: TunedMonitor, h0_generator, runs: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def bundle_to_dict(tuned: TunedMonitor, store_file: str) -> dict:
-    return {
+def save_bundle(tuned: TunedMonitor, path) -> None:
+    """Write a tuned monitor, each file atomically: the store's rows and index
+    (:meth:`BootstrapStore.save`) as ``<path>.store.npy`` and
+    ``<path>.store.json``, then the bundle at ``path``, which names them."""
+    store_path = os.fspath(path) + ".store.json"
+    tuned.store.save(store_path)
+    bundle = {
         "format_version": BUNDLE_FORMAT_VERSION,
         "params": params_to_dict(tuned.params),
         "plan": tuned.plan.to_dict(),
         "p_threshold": tuned.p_threshold,
         "min_p_distribution": tuned.min_p_distribution.tolist(),
-        "store_file": store_file,
+        "store_file": os.path.basename(store_path),
     }
+    write_atomic(path, json.dumps(bundle, sort_keys=True, indent=2) + "\n")
 
 
 def load_bundle(path) -> TunedMonitor:
@@ -557,17 +543,7 @@ def _min_p_distribution(values, plan: MonitorPlan) -> np.ndarray:
     """Read-only array of a bundle's ``min_p_distribution``: B_outer sorted
     minimal p-values, each in [1/(B_inner+1), 1]; :class:`InvalidDataError`
     otherwise."""
-    try:
-        distribution = np.array(values)  # no dtype: strings, bools stay apart
-    except ValueError:  # a ragged nested list
-        distribution = None
-    if (
-        distribution is None
-        or distribution.ndim != 1
-        or distribution.dtype.kind not in "if"
-    ):
-        raise InvalidDataError("min_p_distribution must be a list of numbers")
-    distribution = distribution.astype(float)
+    distribution = json_numbers(values, "min_p_distribution")
     if distribution.size != plan.B_outer:
         raise InvalidDataError(
             f"min_p_distribution holds {distribution.size} values, "

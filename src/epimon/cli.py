@@ -19,13 +19,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
 
 from . import __version__
-from .bfar import MonitorPlan, bfar_tune, bundle_to_dict, detection_steps, load_bundle
+from .bfar import MonitorPlan, bfar_tune, detection_steps, load_bundle, save_bundle
 from .episodic import (
     ReferenceDataset,
     downsample,
@@ -88,10 +87,7 @@ def cmd_tune(args) -> int:
     with open(args.plan) as fh:
         plan = MonitorPlan.from_dict(json.load(fh))
     tuned = bfar_tune(ref, params, plan)
-    store_file = args.out + ".store.json"
-    tuned.store.save(store_file)
-    bundle = bundle_to_dict(tuned, os.path.basename(store_file))
-    write_atomic(args.out, _dump_json(bundle))
+    save_bundle(tuned, args.out)
     print(
         f"tuned threshold {tuned.p_threshold:.6g} "
         f"(floor {1.0 / (plan.B_inner + 1):.3g}) over "
@@ -290,7 +286,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (
-        EpimonError, ValueError, OSError, json.JSONDecodeError, KeyError, TypeError
+        EpimonError, ValueError, OSError, OverflowError, KeyError, TypeError
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

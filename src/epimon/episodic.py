@@ -532,9 +532,25 @@ def json_number(value, what: str) -> float:
     raise ValueError(f"{what} must be a finite number, got {value!r}")
 
 
+def json_numbers(values, what: str, ndim: int = 1) -> np.ndarray:
+    """``values`` as a float array if it is a JSON array of finite numbers,
+    nested ``ndim`` deep and not ragged, else :class:`InvalidDataError`
+    naming ``what``. As in :func:`json_number`, a bool or a string is not a
+    number, and NaN, infinities and integers beyond float range are not
+    finite."""
+    array = np.array(values, dtype=object)
+    if array.ndim == ndim and {int, float}.issuperset(map(type, array.flat)):
+        with contextlib.suppress(OverflowError):
+            numbers = array.astype(float)
+            if np.isfinite(numbers).all():
+                return numbers
+    lists = "a list of " + "lists of " * (ndim - 1)
+    raise InvalidDataError(f"{what} must be {lists}numbers")
+
+
 def params_from_dict(data: dict) -> EpisodeParams:
     check_format_version(data, PARAMS_FORMAT_VERSION, "params")
-    mu0 = np.asarray(data["mu0"], dtype=float)
+    mu0 = json_numbers(data["mu0"], "params mu0")
     if mu0.size != json_int(data["T"], "params T"):
         raise InvalidDataError("params file: mu0 length does not match T")
     regularized = data.get("regularized", False)
@@ -544,7 +560,7 @@ def params_from_dict(data: dict) -> EpisodeParams:
         )
     return EpisodeParams(
         mu0,
-        np.asarray(data["sigma0"], dtype=float),
+        json_numbers(data["sigma0"], "params sigma0", ndim=2),
         downsample_factor=json_int(data["d"], "params d"),
         regularized=regularized,
         ridge=json_number(data.get("lambda", 0.0), "params lambda"),

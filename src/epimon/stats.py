@@ -53,6 +53,11 @@ _VALID_NAMES = ("mean", "udt", "pdt", "hotelling", "cusum", "mixed")
 _BATCH_CHUNK = 4096
 
 
+def runs_per_chunk(episodes_per_run: int) -> int:
+    """Runs of E tested episodes per chunk of a batch path: max(1, _BATCH_CHUNK // E)."""
+    return max(1, _BATCH_CHUNK // episodes_per_run)
+
+
 def ceil_fraction(x: float) -> int:
     """ceil(x) robust to binary-float artifacts (0.9*40 -> 36, not 37)."""
     return int(math.ceil(x - 1e-9))
@@ -144,8 +149,10 @@ def parse_statistic(text: str) -> StatisticKind:
     Accepted forms: ``mean``, ``udt``, ``pdt:0.9``, ``hotelling``,
     ``cusum:0.5``, ``mixed:mean+hotelling+pdt:0.9``, plus the presets
     ``mdt`` (= mixed:mean+hotelling+pdt:0.9) and bare ``mixed``
-    (= mixed:mean+pdt:0.9).
+    (= mixed:mean+pdt:0.9). A non-string raises :class:`ValueError`.
     """
+    if not isinstance(text, str):
+        raise ValueError(f"statistic must be a string, got {text!r}")
     text = text.strip().lower()
     if text == "mdt":
         return MDT_PRESET
@@ -451,7 +458,7 @@ class BatchEvaluator:
         cropped to taus[j] samples: the last E columns are tested, the first
         P only looked back into. A horizon may be 0 (the tail alone).
 
-        Each chunk of at most ``_BATCH_CHUNK // E`` runs gathers the whole
+        Each chunk of :func:`runs_per_chunk` runs gathers the whole
         pieces of its columns once, and each horizon's whole parts are the
         sums of a sliding view of that gather; its windows are then finished
         with each offset's tail, the whole parts left unchanged, so every
@@ -477,7 +484,7 @@ class BatchEvaluator:
         piece = self._piece(name, T) if P else None
         tails = [self._piece(name, tau) for tau in taus]
         out = np.empty((len(horizons), len(taus), R, E))
-        chunk = max(1, _BATCH_CHUNK // E)
+        chunk = runs_per_chunk(E)
         for lo in range(0, R, chunk):
             runs = slice(lo, min(lo + chunk, R))
             n = runs.stop - lo

@@ -284,14 +284,16 @@ def test_far_verify_rejects_streams_of_the_wrong_length(mean_monitor):
     assert 0.0 <= em.far_verify(tuned, gen, runs=3) <= 1.0
 
 
-def test_detection_steps_names_the_first_bad_stream(mean_monitor):
+def test_detection_steps_names_the_first_bad_stream(mean_monitor, monkeypatch):
     # Each chunk of runs is stacked and checked at once; the error still
     # names the first stream that is not n finite samples, whichever way it
     # is bad, counting across chunks.
     tuned, gen = mean_monitor
     plan = tuned.plan
     n = (plan.h_max + plan.h_tilde) * tuned.params.T
-    chunk = plan.replay_runs(plan.h_tilde)
+    monkeypatch.setattr(stats, "_BATCH_CHUNK", 100)  # chunks of 50 runs
+    chunk = stats.runs_per_chunk(plan.h_tilde)
+    assert chunk == 50
     nan, short = np.full(n, np.nan), np.zeros(n - 1)
     good = [gen(i) for i in range(chunk)]
     for runs, bad in (
@@ -320,12 +322,15 @@ def _first_below(p, threshold, test_every):
      ("mdt",), ("udt", "mixed:mean+udt")],
     ids=",".join,
 )
-def test_detection_steps_equal_the_first_p_value_below_the_threshold(specs):
+def test_detection_steps_equal_the_first_p_value_below_the_threshold(
+    monkeypatch, specs
+):
     # Six reference episodes, repeated verbatim in the runs, so the runs'
     # values tie the store's values, some of them exactly at a critical
     # value. Thresholds: the p-values the runs take, each on the grid
     # (1 + c) / (1 + B), one ulp either side of each, the floor, 0, 1,
     # just above 1 and NaN. 45 runs in chunks of 20.
+    monkeypatch.setattr(stats, "_BATCH_CHUNK", 60)  # 60 // h_tilde = 20 runs
     params = make_params(T=4, seed=41, condition=10)
     ref = make_reference(params, 6, seed=42)
     plan = make_plan(statistics=tuple(em.parse_statistic(s) for s in specs),
@@ -335,7 +340,7 @@ def test_detection_steps_equal_the_first_p_value_below_the_threshold(specs):
     length, T = plan.h_max + plan.h_tilde, params.T
     idx = np.random.default_rng(43).integers(0, ref.num_episodes, size=(45, length))
     runs = ref.episodes[idx].reshape(45, length * T)
-    assert plan.replay_runs(plan.h_tilde) == 20
+    assert stats.runs_per_chunk(plan.h_tilde) == 20
     evaluator = em.BatchEvaluator(runs.reshape(-1, T), params)
     streams = np.arange(45 * length).reshape(45, length)
     p = em.replay_pvalues(evaluator, streams, plan, store)
@@ -425,10 +430,10 @@ def test_h0_stream_indices_rows_do_not_depend_on_b_outer():
 
 def _replay_min_p(ref, params, plan, store):
     """``replay_pvalues(...).min(axis=1)`` over bfar_min_p's streams, in its
-    chunks of ``plan.replay_runs(h_tilde)`` runs."""
+    chunks of ``stats.runs_per_chunk(h_tilde)`` runs."""
     evaluator = em.BatchEvaluator(ref.episodes, params)
     streams = em.h0_stream_indices(plan, ref.num_episodes)
-    chunk = plan.replay_runs(plan.h_tilde)
+    chunk = stats.runs_per_chunk(plan.h_tilde)
     return np.concatenate([
         em.replay_pvalues(evaluator, streams[lo : lo + chunk], plan, store)
         for lo in range(0, plan.B_outer, chunk)
@@ -451,7 +456,7 @@ def test_bfar_min_p_is_the_minimum_of_every_test_point(specs, h_tilde, B_outer):
     plan = make_plan(statistics=tuple(em.parse_statistic(s) for s in specs),
                      horizons=(1, 2), h_tilde=h_tilde, B_inner=200,
                      B_outer=B_outer, alpha0=0.1, test_every=2)
-    assert B_outer % plan.replay_runs(h_tilde) != 0 or h_tilde == 1
+    assert B_outer % stats.runs_per_chunk(h_tilde) != 0 or h_tilde == 1
     store = _store(ref, params, plan)
     min_p = em.bfar_min_p(ref, params, plan, store)
     every = _replay_min_p(ref, params, plan, store)
@@ -482,7 +487,7 @@ def test_replay_evaluates_each_base_statistic_once_per_chunk(monkeypatch):
 
     monkeypatch.setattr(em.BatchEvaluator, "offset_values", counting)
     em.bfar_min_p(ref, params, plan, store)
-    chunks = -(-plan.B_outer // plan.replay_runs(plan.h_tilde))
+    chunks = -(-plan.B_outer // stats.runs_per_chunk(plan.h_tilde))
     assert chunks == 2
     assert sorted(calls) == [("mean", (1, 2))] * 2 + [("udt", (1, 2))] * 2
     calls.clear()
@@ -512,8 +517,10 @@ def _gathered_values(ref, params, base, streams, horizons, taus):
 
 
 def _gathered_replay(values, plan, tests, taus, run_minimum):
-    """Reference replay: the lookups of ``bfar._replay`` over
-    ``values[spec]``, the (H, F, runs, E) values of each base statistic."""
+    """Reference replay over ``values[spec]``, the (H, F, runs, E) values of
+    each base statistic: the minimal p-value at each (offset, run, tested
+    episode), or with ``run_minimum`` of each base statistic's minimum over
+    the run's episodes, (F, runs)."""
     values = {spec: v.min(axis=3) if run_minimum else v for spec, v in values.items()}
     min_p = np.ones(next(iter(values.values())).shape[1:])
     for i, h in enumerate(plan.horizons):
@@ -533,7 +540,8 @@ def test_replay_equals_a_gather_per_window(monkeypatch, spec, run_minimum):
     # Horizons 1 and 11 (over 8 episodes, where a scalar piece's sum turns
     # pairwise), an odd T, and chunks of 6 runs, so 17 runs end in a short
     # chunk: the sliding-view sums are bitwise the per-window gather's,
-    # and so are the p-values looked up from them.
+    # and so are the p-values looked up from them, by replay_pvalues over
+    # whole values and by bfar_min_p over each run's minimum.
     monkeypatch.setattr(stats, "_BATCH_CHUNK", 20)  # 20 // E = 6 runs a chunk
     params = make_params(T=5, seed=47, condition=40)
     ref = make_reference(params, 30, seed=48)
@@ -549,8 +557,12 @@ def test_replay_equals_a_gather_per_window(monkeypatch, spec, run_minimum):
         got = evaluator.offset_values(base, streams, plan.horizons, taus)
         values[base_spec] = _gathered_values(ref, params, base, streams, plan.horizons, taus)
         assert got.tobytes() == values[base_spec].tobytes(), base_spec
-    got = bfar._replay(evaluator, streams, plan, tests, run_minimum)
     want = _gathered_replay(values, plan, tests, taus, run_minimum)
+    if run_minimum:
+        got, want = em.bfar_min_p(ref, params, plan, store), want.min(axis=0)
+    else:
+        got = em.replay_pvalues(evaluator, streams, plan, store)
+        want = want.transpose(1, 2, 0).reshape(plan.B_outer, -1)  # time order
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
@@ -563,8 +575,8 @@ def test_bfar_min_p_allocates_less_than_one_gather_per_window():
     plan = make_plan(statistics=(em.parse_statistic("mdt"),), horizons=(2, 24),
                      h_tilde=4, B_inner=100, B_outer=256, alpha0=0.1, test_every=4)
     store = _store(ref, params, plan)
-    runs = plan.replay_runs(plan.h_tilde)
-    assert runs == plan.B_outer
+    runs = plan.B_outer
+    assert stats.runs_per_chunk(plan.h_tilde) >= runs  # one chunk
     gather_bytes = runs * plan.h_tilde * plan.h_max * params.T * 8
     tracemalloc.start()
     try:

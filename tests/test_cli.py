@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import epimon as em
-from epimon import bfar, cli, synthetic
+from epimon import cli, stats, synthetic
 from epimon.cli import main
 from epimon.errors import InvalidDataError, NotTunedError
 from epimon.rng import substream
@@ -149,6 +149,94 @@ def test_tune_writes_the_store_rows_before_the_index(
     assert "no space left for the index" in capsys.readouterr().err
     assert os.listdir(tmp_path) == ["bundle.json.store.npy"]
     assert np.array_equal(np.load(tmp_path / "bundle.json.store.npy"), _rows(workspace))
+
+
+def test_save_bundle_writes_the_bundle_after_its_store(
+    workspace, tmp_path, monkeypatch
+):
+    # The bundle write fails after both store files are in place; saved
+    # again, a loaded bundle gives the bytes tune wrote, all three files.
+    tuned = em.load_bundle(workspace / "bundle.json")
+    replace = os.replace
+
+    def replace_all_but_the_bundle(src, dst):
+        if os.fspath(dst).endswith("bundle.json"):
+            raise OSError("no space left for the bundle")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace_all_but_the_bundle)
+    with pytest.raises(OSError, match="no space left for the bundle"):
+        em.save_bundle(tuned, tmp_path / "bundle.json")
+    assert sorted(os.listdir(tmp_path)) == [
+        "bundle.json.store.json", "bundle.json.store.npy"
+    ]
+    monkeypatch.undo()
+    em.save_bundle(tuned, tmp_path / "bundle.json")
+    for name in ("bundle.json", "bundle.json.store.json", "bundle.json.store.npy"):
+        assert (tmp_path / name).read_bytes() == (workspace / name).read_bytes()
+
+
+def _tune_with_plan(workspace, tmp_path, edit):
+    """``tune`` on the workspace's inputs with its plan edited by ``edit``."""
+    plan = json.loads((workspace / "plan.json").read_text())
+    edit(plan)
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    return main(["tune", str(workspace / "reference.csv"),
+                 "--params", str(workspace / "params.json"),
+                 "--plan", str(tmp_path / "plan.json"),
+                 "--out", str(tmp_path / "bundle.json")])
+
+
+@pytest.mark.parametrize("where", ["plan", "bundle", "store"])
+def test_cli_rejects_a_statistic_that_is_not_a_string(
+    workspace, tmp_path, capsys, where
+):
+    # A spec is parsed with str methods: 1, null and 5 would raise
+    # AttributeError, a traceback and exit 1.
+    if where == "plan":
+        code = _tune_with_plan(
+            workspace, tmp_path, lambda plan: plan.update(statistics=[1]))
+        value = 1
+    else:
+        value = None if where == "bundle" else 5
+
+        def edit(bundle, store):
+            if where == "bundle":
+                bundle["plan"]["statistics"] = [value]
+            else:
+                store["entries"][0]["kind"] = value
+
+        code = _monitor_with_tampered_bundle(workspace, tmp_path, edit)
+    assert code == 2
+    assert f"error: statistic must be a string, got {value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["plan", "bundle", "params"])
+def test_cli_rejects_an_integer_beyond_float_range(
+    workspace, tmp_path, capsys, where
+):
+    # float(10**400) raises OverflowError: at alpha0 * B_outer for a plan's
+    # B_outer, and in the params reader for mu0.
+    huge = 10**400
+    if where == "plan":
+        code = _tune_with_plan(
+            workspace, tmp_path, lambda plan: plan.update(B_outer=huge))
+    elif where == "bundle":
+        def edit(bundle, store):
+            bundle["plan"]["B_outer"] = huge
+
+        code = _monitor_with_tampered_bundle(workspace, tmp_path, edit)
+    else:
+        params = json.loads((workspace / "params.json").read_text())
+        params["mu0"][0] = huge
+        (tmp_path / "params.json").write_text(json.dumps(params))
+        code = main(["power", "--params", str(tmp_path / "params.json"),
+                     "--epsilon-sigma", "0.5", "--out", str(tmp_path / "power.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if where == "params":
+        assert "params mu0 must be a list of numbers" in err
 
 
 def test_tune_bundle_internally_consistent(workspace):
@@ -501,10 +589,13 @@ def test_simulate_rejects_non_numeric_epsilon_sigma(
     assert not out.exists()
 
 
-def test_simulate_detection_times_match_the_monitor(workspace, tmp_path):
+def test_simulate_detection_times_match_the_monitor(
+    workspace, tmp_path, monkeypatch
+):
     # simulate replays its blocks in batches; every detection time must be
     # the live monitor's on the same block. Five episodes per block (not
-    # h_tilde) and more blocks than one replay chunk of B_outer = 150 runs.
+    # h_tilde) and more blocks than one replay chunk of 100 runs.
+    monkeypatch.setattr(stats, "_BATCH_CHUNK", 500)  # 500 // 5 = 100 runs
     scenario = tmp_path / "drop.json"
     scenario.write_text(json.dumps({"kind": "uniform", "epsilon_sigma": 0.4}))
     out = tmp_path / "report.json"
@@ -516,7 +607,7 @@ def test_simulate_detection_times_match_the_monitor(workspace, tmp_path):
     ]) == 0
     tuned = em.load_bundle(workspace / "bundle.json")
     params, plan = tuned.params, tuned.plan
-    assert blocks > plan.replay_runs(episodes)
+    assert blocks > stats.runs_per_chunk(episodes)
     # Block i is row i of one table from the (seed, "simulate") stream: h_max
     # H0 warm-up episodes, then the scenario's.
     drop = em.Scenario(params=params, kind="uniform",
@@ -552,7 +643,7 @@ def test_simulate_blocks_do_not_depend_on_the_block_count(
 
     def recording(tuned, blocks, episodes_per_run):
         blocks = [block.copy() for block in blocks]
-        calls.append((tuned.plan.replay_runs(episodes_per_run), blocks))
+        calls.append((stats.runs_per_chunk(episodes_per_run), blocks))
         return detection_steps(tuned, blocks, episodes_per_run)
 
     monkeypatch.setattr(cli, "detection_steps", recording)
@@ -568,7 +659,7 @@ def test_simulate_blocks_do_not_depend_on_the_block_count(
 
     simulate(5)
     simulate(10)
-    monkeypatch.setattr(bfar, "_BATCH_CHUNK", 6)  # chunks of 6 // h_tilde runs
+    monkeypatch.setattr(stats, "_BATCH_CHUNK", 6)  # chunks of 6 // h_tilde runs
     monkeypatch.setattr(synthetic, "_DRAW_SAMPLES", 1)  # one block per draw
     simulate(10)
     (chunk5, five), (chunk10, ten), (small_chunk, split) = calls
@@ -790,9 +881,10 @@ def test_load_bundle_rejects_p_threshold_outside_unit_interval(
         lambda d: [str(p) for p in d],
         lambda d: [d[-1], *d[1:-1], d[0]],
         lambda d: None,
+        lambda d: [*d[:-1], True],
     ],
     ids=["nan", "short", "long", "nested", "column", "ragged", "below-floor",
-         "above-one", "strings", "unsorted", "null"],
+         "above-one", "strings", "unsorted", "null", "true"],
 )
 def test_load_bundle_rejects_malformed_min_p_distribution(
     workspace, tmp_path, capsys, edit_distribution

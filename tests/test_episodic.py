@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import epimon as em
+from epimon.episodic import json_numbers
 from epimon.errors import InsufficientDataError, InvalidDataError
 
 from conftest import make_params, make_reference
@@ -304,6 +305,24 @@ def test_params_from_dict_rejects_a_non_numeric_lambda(small_params, value):
     data = {**em.params_to_dict(small_params), "lambda": value}
     with pytest.raises(ValueError, match="params lambda must be a finite number"):
         em.params_from_dict(data)
+
+
+@pytest.mark.parametrize("key", ["mu0", "sigma0"])
+@pytest.mark.parametrize("value", ["1.5", True, None, float("nan"), 10**400],
+                         ids=["string", "true", "null", "nan", "huge"])
+def test_params_from_dict_rejects_a_non_numeric_entry(small_params, key, value):
+    # np.asarray(dtype=float) would read "1.5" as 1.5 and true as 1.0, and
+    # raise OverflowError on 10**400.
+    data = em.params_to_dict(small_params)
+    (data[key] if key == "mu0" else data[key][0])[0] = value
+    lists = "a list of " if key == "mu0" else "a list of lists of "
+    with pytest.raises(InvalidDataError, match=f"params {key} must be {lists}numbers"):
+        em.params_from_dict(data)
+
+
+def test_json_numbers_reads_integers_and_floats_alike():
+    assert json_numbers([1, 2.5, -3], "x").tolist() == [1.0, 2.5, -3.0]
+    assert json_numbers([[1, 0], [0, 2.0]], "x", ndim=2).tolist() == [[1, 0], [0, 2]]
 
 
 def test_reference_csv_reader(tmp_path):

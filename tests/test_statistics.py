@@ -6,12 +6,12 @@ import pytest
 import epimon as em
 from epimon.errors import DegenerateVarianceError, InvalidDataError, NotTunedError
 from epimon.stats import (
-    _BATCH_CHUNK,
     BatchEvaluator,
     ceil_fraction,
     episode_piece,
     finish,
     mixed_values,
+    runs_per_chunk,
     whole_part,
 )
 
@@ -638,7 +638,7 @@ def test_offset_values_keep_offsets_independent(kind, K):
     ev = BatchEvaluator(fresh, params)
     rng = np.random.default_rng(15)
     E = 3
-    chunk = _BATCH_CHUNK // E
+    chunk = runs_per_chunk(E)
     runs = chunk + 100
     streams = rng.integers(0, 40, size=(runs, K + E))
     taus = range(1, params.T + 1)
@@ -687,7 +687,7 @@ def test_cusum_offset_values_bitwise_match_one_cumsum_over_the_window(K):
     ev = BatchEvaluator(episodes, params)
     rng = np.random.default_rng(83)
     E = 2
-    runs = _BATCH_CHUNK // E + 75
+    runs = runs_per_chunk(E) + 75
     streams = rng.integers(0, 50, size=(runs, K + E))
     taus = range(1, params.T + 1)
     for k_ref in (0.0, 0.5, 1.0):
