@@ -57,7 +57,8 @@ import functools
 import itertools
 import json
 import os
-from dataclasses import dataclass, fields, replace
+import sys
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -130,6 +131,8 @@ class MonitorPlan:
             raise ValueError(f"alpha0 must be in (0, 1), got {self.alpha0}")
         if self.h_tilde < 1 or self.B_inner < 1 or self.B_outer < 1:
             raise ValueError("h_tilde, B_inner and B_outer must be positive")
+        if self.B_outer > sys.float_info.max:  # alpha0 * B_outer would overflow
+            raise ValueError("B_outer must be within float range")
         if self.alpha0 * self.B_outer < 1.0 - 1e-9:
             raise ValueError("alpha0 * B_outer must be at least 1")
         if self.test_every < 1:
@@ -177,12 +180,20 @@ class MonitorPlan:
     @classmethod
     def from_dict(cls, data: dict) -> "MonitorPlan":
         """Plan from its JSON object; ``test_every`` may be omitted. Any key
-        that is not a field, an integer field (each horizon too) that is
+        that is not a field or a missing one, ``statistics`` or ``horizons``
+        that is not a JSON list, an integer field (each horizon too) that is
         not a JSON integer, and an ``alpha0`` that is not a finite JSON
-        number raise :class:`ValueError`."""
+        number raise :class:`ValueError` naming the field."""
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"plan has unknown keys: {', '.join(unknown)}")
+        missing = [f.name for f in fields(cls) if f.name not in data
+                   and f.default is MISSING]
+        if missing:
+            raise ValueError(f"plan is missing keys: {', '.join(missing)}")
+        for key in ("statistics", "horizons"):
+            if not isinstance(data[key], list):
+                raise ValueError(f"plan {key} must be a list, got {data[key]!r}")
         return cls(
             statistics=tuple(parse_statistic(s) for s in data["statistics"]),
             horizons=tuple(json_int(h, "plan horizons") for h in data["horizons"]),
@@ -384,9 +395,8 @@ def detection_steps(tuned: TunedMonitor, runs, episodes_per_run: int) -> np.ndar
 
 
 def critical_count(B: int, threshold: float) -> int:
-    """Largest count c in [-1, B] whose p-value (1 + c) / (1 + B), the float
-    expression of :func:`~epimon.stats.bootstrap_pvalues`, is below
-    ``threshold``: a value y against a sorted row S of B values has
+    """Largest count c in [-1, B] whose p-value (:func:`_pvalue_grid`) is
+    below ``threshold``: a value y against a sorted row S of B values has
     p(y) < threshold exactly when #{b : S_b <= y} <= c. No count is below
     a NaN threshold, as no p-value is."""
     return int(np.count_nonzero(_pvalue_grid(B) < threshold)) - 1
@@ -394,8 +404,9 @@ def critical_count(B: int, threshold: float) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _pvalue_grid(B: int) -> np.ndarray:
-    """Every p-value a row of B values gives, (1 + c) / (1 + B) for c in 0..B."""
-    grid = (1.0 + np.arange(B + 1)) / (1.0 + B)
+    """Every p-value a row of B values gives, at counts c = 0..B: the
+    :func:`~epimon.stats.bootstrap_pvalues` of c - 1/2 against 0..B-1."""
+    grid = bootstrap_pvalues(np.arange(B, dtype=float), np.arange(B + 1) - 0.5)
     grid.setflags(write=False)
     return grid
 

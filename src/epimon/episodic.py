@@ -22,7 +22,7 @@ This module provides:
   is not positive definite.
 * ``EpisodeParams`` -- the null model, with its Cholesky factor and that
   factor's inverse computed once, the inverse of sigma0, and lazily-built
-  tau-block inverses and per-offset count scalings.
+  tau-block inverses and window count tables.
 * ``window_weights`` -- the covariance weights 1' Sigma^-1 of an n-step
   window, built blockwise without materializing the n x n matrix.
 * CSV / JSON readers and writers for the two file formats this module owns,
@@ -37,6 +37,7 @@ import math
 import os
 import tempfile
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,8 @@ RIDGE_CAP = 1e-2
 # Construction-time invariants of EpisodeParams.
 SYMMETRY_RTOL = 1e-9
 INVERSE_IDENTITY_TOL = 1e-6
+
+CountTable = namedtuple("CountTable", "offset scale length")
 
 
 @dataclass(frozen=True)
@@ -106,8 +109,9 @@ class EpisodeParams:
     """Null model of one episode: mean vector and positive-definite covariance.
 
     Instances are immutable after construction and safe to share across
-    threads; the lazy tau-block caches are compute-then-publish and idempotent
-    (duplicate computation under a race is harmless).
+    threads; the lazy caches, per tau block and per window shape, are
+    compute-then-publish and idempotent (duplicate computation under a race
+    is harmless).
 
     Parameters
     ----------
@@ -174,9 +178,7 @@ class EpisodeParams:
         self.ridge = float(ridge)
         self._tail_inv: dict[int, np.ndarray] = {T: inv}
         self._tail_weights: dict[int, np.ndarray] = {T: _readonly(inv.sum(axis=0))}
-        self._window_weights: dict[int, np.ndarray] = {}
-        self._count_scaling: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-        self._window_length: dict[tuple, np.integer | np.ndarray] = {}
+        self._count_scaling: dict[tuple, CountTable] = {}
         self._step_std: np.ndarray | None = None
 
     @property
@@ -227,15 +229,14 @@ class EpisodeParams:
             self._tail_weights[tau] = cached
         return cached
 
-    def count_scaling(
-        self, K: int | tuple[int, ...], tau: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-offset count scaling of a window of K >= 1 whole episodes plus
-        a tau-step tail, where offset j occurs c_j = K + [j < tau] times:
-        the (T,) vectors ``c * mu0`` and ``1 / sqrt(c)`` (cached, read-only),
-        so the scaled mean deviation of per-offset sums s is
-        ``(s - c * mu0) / sqrt(c)``. For a tuple of H window counts K, the
-        (H, T) stacks of those vectors, one row per K, cached per tuple."""
+    def count_scaling(self, K: int | tuple[int, ...], tau: int) -> CountTable:
+        """Count table of a window of K >= 1 whole episodes plus a tau-step
+        tail, where offset j occurs c_j = K + [j < tau] times (cached,
+        read-only): the (T,) vectors ``offset`` = c * mu0 and ``scale`` =
+        1 / sqrt(c), so the scaled mean deviation of per-offset sums s is
+        (s - offset) * scale, and the window ``length`` n = K*T + tau. For
+        a tuple of H window counts K, their (H, T) and (H,) stacks, one row
+        per K, cached per tuple."""
         key = (K if isinstance(K, tuple) else int(K), int(tau))
         cached = self._count_scaling.get(key)
         if cached is None:
@@ -247,23 +248,11 @@ class EpisodeParams:
             counts = np.zeros(np.shape(K) + (self.T,))
             counts += np.expand_dims(K, -1)
             counts[..., :tau] += 1.0
-            cached = (_readonly(counts * self.mu0), _readonly(1.0 / np.sqrt(counts)))
+            cached = CountTable(
+                _readonly(counts * self.mu0), _readonly(1.0 / np.sqrt(counts)),
+                _readonly(np.asarray(np.multiply(K, self.T) + tau)),
+            )
             self._count_scaling[key] = cached
-        return cached
-
-    def window_length(
-        self, K: int | tuple[int, ...], tau: int
-    ) -> np.integer | np.ndarray:
-        """Length ``np.multiply(K, T) + tau`` of a window of K whole
-        episodes plus a tau-step tail (cached): a number, or for a tuple of
-        H window counts the read-only (H,) lengths, one per K."""
-        key = (K if isinstance(K, tuple) else int(K), int(tau))
-        cached = self._window_length.get(key)
-        if cached is None:
-            cached = np.multiply(key[0], self.T) + key[1]
-            if isinstance(cached, np.ndarray):
-                cached = _readonly(cached)
-            self._window_length[key] = cached
         return cached
 
 
@@ -294,23 +283,18 @@ def window_weights(params: EpisodeParams, n: int) -> np.ndarray:
     The window covariance Sigma is block-diagonal with sigma0 blocks (last
     block cropped), so the weight vector is K repetitions of the full-episode
     weights followed by the tau0-block weights. The n x n matrix is never
-    materialized. Results are cached on ``params``.
+    materialized.
     """
     n = int(n)
     if n < 1:
         raise ValueError(f"window length must be positive, got {n}")
-    cached = params._window_weights.get(n)
-    if cached is not None:
-        return cached
     T = params.T
     dec = decompose_index(n, T)
     w = np.empty(n)
     if dec.k:
         w[: dec.k * T] = np.tile(params.full_weights, dec.k)
     w[dec.k * T :] = params.tail_weights(dec.tau)
-    cached = _readonly(w)
-    params._window_weights[n] = cached
-    return cached
+    return w
 
 
 @dataclass(frozen=True)

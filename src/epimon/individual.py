@@ -52,7 +52,6 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import math
 import os
 
 import numpy as np
@@ -74,6 +73,7 @@ from .stats import (
     StatisticKind,
     base_statistics,
     bootstrap_pvalues,
+    ceil_fraction,
     mixed_values,
     parse_statistic,
     statistic_value,
@@ -83,12 +83,11 @@ STORE_FORMAT_VERSION = 3
 
 
 def empirical_quantile_index(alpha: float, B: int) -> int:
-    """1-based index of the empirical alpha-quantile: max(1, ceil(alpha*B)).
-
-    ceil is evaluated with a small slack so binary-float artifacts such as
-    0.05*2000 = 100.00000000000001 do not shift the rank.
+    """1-based index of the empirical alpha-quantile: ceil(alpha*B) in
+    [1, B], with :func:`~epimon.stats.ceil_fraction`'s slack, so binary-float
+    artifacts such as 0.05*2000 = 100.00000000000001 do not shift the rank.
     """
-    return max(1, min(B, int(math.ceil(alpha * B - 1e-9))))
+    return max(1, min(B, ceil_fraction(alpha * B)))
 
 
 def threshold_decision(

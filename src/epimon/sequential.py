@@ -101,47 +101,40 @@ class Monitor:
         self.params = tuned.params
         self.plan = plan = tuned.plan
         T = self._T = self.params.T
-        h_max = plan.h_max
-        self.warmup_steps = h_max * T
+        self.warmup_steps = plan.h_max * T
         self._test_every = plan.test_every
         self._horizons = plan.horizons
         bases = base_statistics(plan.statistics)
         self._bases = tuple(bases.items())
+        self._tests = plan.store_rows(tuned.store, T)  # checks test_every | T
+        self._wants_udt = "udt" in bases
+        self._partial = np.empty(T)
+        self.reset()
+
+    def reset(self) -> None:
+        """Set the stream state, as at construction: no samples seen, so a
+        fresh warm-up is required. Re-arms the monitor after a detection."""
+        h_max, T = self.plan.h_max, self._T
         # Pieces of the last h_max completed episodes, oldest first, per
         # family (pdt fractions share one): a number for mean, a row else.
         self._rings = {
             base.name: np.zeros(h_max if base.name == "mean" else (h_max, T))
-            for base in bases.values()
+            for _, base in self._bases
             if base.name != "udt"
         }
         # Whole parts of the last h episodes by spec (a cusum's depends on
         # its reference value), stacked with one row per horizon h, rebuilt
         # when an episode completes.
         self._wholes: dict[str, np.ndarray] = {}
-        self._tests = plan.store_rows(tuned.store, T)  # checks test_every | T
-        self._partial = np.empty(T)
-        self._partial_len = 0
         # Running sums of the udt episode pieces, one per completed episode
         # (the first is 0.0); a test reads back at most h_max episodes, so
         # only the last h_max + 1 sums are kept. They stay absolute sums, so
         # every difference is the same number as with the full history.
         self._udt_cum = deque([0.0], maxlen=h_max + 1)
-        self._wants_udt = "udt" in bases
+        self._partial_len = 0
         self.t = 0
         self.fired: DetectionRecord | None = None
         self.last_evaluations: tuple[TestEvaluation, ...] = ()
-        self.last_test_point = 0
-
-    def reset(self) -> None:
-        """Re-arm after a detection; a fresh warm-up is required."""
-        for ring in self._rings.values():
-            ring.fill(0.0)
-        self._partial_len = 0
-        self._udt_cum.clear()
-        self._udt_cum.append(0.0)
-        self.t = 0
-        self.fired = None
-        self.last_evaluations = ()
         self.last_test_point = 0
 
     def step(self, sample: float) -> DetectionRecord | None:

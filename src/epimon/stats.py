@@ -318,7 +318,7 @@ def finish(
     if name == "mean":
         if whole is None:
             return tail / tau
-        return (tail + whole) / params.window_length(K, tau)
+        return (tail + whole) / params.count_scaling(K, tau).length
     if name == "udt":
         return tail if whole is None else tail + whole
     if name == "pdt":
@@ -336,7 +336,7 @@ def finish(
         # -delta' S^-1 delta per row as one matrix product (BLAS), with
         # delta the count-scaled deviation of the per-offset sums.
         if whole is not None:
-            offset, scale = params.count_scaling(K, tau)
+            offset, scale, _ = params.count_scaling(K, tau)
             delta = whole - offset
             delta[:, :tau] += tail
             delta *= scale

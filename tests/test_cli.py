@@ -239,6 +239,45 @@ def test_cli_rejects_an_integer_beyond_float_range(
         assert "params mu0 must be a list of numbers" in err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda plan: plan.pop("h_tilde"), "plan is missing keys: h_tilde"),
+    (lambda plan: plan.update(horizons=3), "plan horizons must be a list, got 3"),
+    (lambda plan: plan.update(statistics="udt"),
+     "plan statistics must be a list, got 'udt'"),
+    (lambda plan: plan.update(B_outer=10**400), "B_outer must be within float range"),
+], ids=["missing-key", "horizons-not-a-list", "statistics-a-string", "B_outer-huge"])
+def test_plan_errors_name_the_field(workspace, tmp_path, capsys, edit, message):
+    # A KeyError, a TypeError, a string read one character at a time and an
+    # OverflowError each gave an error that named no plan field.
+    code = _tune_with_plan(workspace, tmp_path, edit)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "bundle.json").exists()
+
+
+def test_tune_exits_two_when_the_plan_does_not_fit_in_memory(tmp_path, capsys):
+    # B_outer 10**15 is within float range: the store is built, then the
+    # simulated streams cannot be allocated. That was a MemoryError
+    # traceback and exit 1.
+    params = make_params(T=4, seed=81, condition=10)
+    episodes = em.generate_episodes(em.Scenario(params=params, kind="h0", seed=82), 60)
+    csv = tmp_path / "reference.csv"
+    csv.write_text("\n".join(",".join(map(repr, row)) for row in episodes.tolist()))
+    plan = {"statistics": ["udt"], "horizons": [1], "h_tilde": 2, "alpha0": 0.5,
+            "B_inner": 50, "B_outer": 10**15, "seed": 83}
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    assert main(["estimate", str(csv), "--episode-length", "4", "--downsample", "1",
+                 "--out", str(tmp_path / "params.json")]) == 0
+    code = main(["tune", str(csv), "--params", str(tmp_path / "params.json"),
+                 "--plan", str(tmp_path / "plan.json"),
+                 "--out", str(tmp_path / "bundle.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+    assert not (tmp_path / "bundle.json").exists()
+
+
 def test_tune_bundle_internally_consistent(workspace):
     bundle = json.loads((workspace / "bundle.json").read_text())
     dist = np.asarray(bundle["min_p_distribution"])

@@ -347,6 +347,36 @@ def _mixed_cusum_udt_monitor():
     return monitor, stream
 
 
+def _same(a, b):
+    """Equal by value, arrays by dtype, shape and contents, recursively."""
+    if isinstance(a, np.ndarray):
+        return (isinstance(b, np.ndarray) and a.dtype == b.dtype
+                and a.shape == b.shape and np.array_equal(a, b))
+    if isinstance(a, dict):
+        return type(b) is dict and a.keys() == b.keys() and all(
+            _same(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return (type(a) is type(b) and len(a) == len(b)
+                and all(map(_same, a, b)))
+    return type(a) is type(b) and a == b
+
+
+def test_reset_gives_the_state_of_a_fresh_monitor():
+    # reset() is the one place that sets the stream state, so a monitor
+    # that ran and fired equals a new one, rings, whole parts and udt sums
+    # included; only the work buffer of the partial episode may differ.
+    monitor, stream = _mixed_cusum_udt_monitor()
+    monitor = em.Monitor(monitor.tuned.with_threshold(1.0))  # fires at once
+    detection, _ = feed(monitor, stream)
+    assert detection is not None and monitor._wholes
+    monitor.reset()
+    fresh = vars(em.Monitor(monitor.tuned))
+    state = vars(monitor)
+    assert state.keys() == fresh.keys()
+    for name in state.keys() - {"_partial"}:
+        assert _same(state[name], fresh[name]), name
+
+
 def test_whole_parts_are_built_only_when_an_episode_completes(monkeypatch):
     calls = []
     real = sequential.whole_part

@@ -187,40 +187,34 @@ def test_hotelling_subepisode_window():
 
 
 def test_count_scaling_is_cached_read_only_and_per_offset():
+    # mean's finish divides by the table's length, and hotelling's scales
+    # by its counts; the live monitor asks for the same (horizons, tau) at
+    # every test-point.
     params = make_params(T=7, seed=31)
-    for K, tau in [(1, 1), (1, 7), (3, 4)]:
-        offset, scale = params.count_scaling(K, tau)
-        again = params.count_scaling(K, tau)
-        assert again[0] is offset and again[1] is scale
+    for K, tau in [(1, 1), (1, 7), (3, 4), (5, 7)]:
+        table = params.count_scaling(K, tau)
+        assert params.count_scaling(K, tau) is table
         counts = np.where(np.arange(params.T) < tau, K + 1.0, float(K))
-        for vec, want in ((offset, counts * params.mu0), (scale, 1 / np.sqrt(counts))):
+        for vec, want in ((table.offset, counts * params.mu0),
+                          (table.scale, 1 / np.sqrt(counts))):
             assert vec.shape == (params.T,)
             assert not vec.flags.writeable
             np.testing.assert_array_equal(vec, want)
-    # A tuple of K gives the per-K vectors stacked, bit for bit.
-    for Ks, tau in [((1,), 7), ((2, 5, 9), 3), ((4, 1), 1)]:
+        assert table.length == K * params.T + tau
+    # A tuple of K gives the per-K vectors and lengths stacked, bit for bit.
+    for Ks, tau in [((1,), 7), ((2, 5, 9), 3), ((4, 1), 1), ((3, 30), 4)]:
         stacked = params.count_scaling(Ks, tau)
         assert params.count_scaling(Ks, tau) is stacked
+        assert stacked._fields == ("offset", "scale", "length")
         for i, vec in enumerate(stacked):
             want = np.stack([params.count_scaling(K, tau)[i] for K in Ks])
             assert not vec.flags.writeable
             assert vec.shape == want.shape and vec.tobytes() == want.tobytes()
+        want = np.multiply(Ks, params.T) + tau
+        assert stacked.length.tobytes() == want.tobytes()
     for K in (0, (0,), (3, 0), (2, -1, 4)):
         with pytest.raises(ValueError):
             params.count_scaling(K, 3)
-
-
-def test_window_length_is_cached_and_read_only():
-    # mean's finish divides by the window lengths; the live monitor asks
-    # for the same (horizons, tau) at every test-point.
-    params = make_params(T=7, seed=31)
-    for K, tau in [(0, 3), (5, 7), ((1,), 2), ((3, 30), 4)]:
-        length = params.window_length(K, tau)
-        assert params.window_length(K, tau) is length
-        want = np.multiply(K, params.T) + tau
-        assert np.asarray(length).tobytes() == np.asarray(want).tobytes()
-        if isinstance(K, tuple):
-            assert length.shape == (len(K),) and not length.flags.writeable
 
 
 @pytest.mark.parametrize("spec", ["mean", "udt", "pdt:0.6", "cusum:0.5", "hotelling"])
