@@ -187,11 +187,10 @@ def test_hotelling_subepisode_window():
 
 
 def test_count_scaling_is_cached_read_only_and_per_offset():
-    # mean's finish divides by the table's length, and hotelling's scales
-    # by its counts; the live monitor asks for the same (horizons, tau) at
-    # every test-point.
+    # hotelling scales by the table's counts; the live monitor asks for the
+    # same (horizons, tau) at every test-point.
     params = make_params(T=7, seed=31)
-    for K, tau in [(1, 1), (1, 7), (3, 4), (5, 7)]:
+    for K, tau in [(1, 1), (1, 7), (3, 4)]:
         table = params.count_scaling(K, tau)
         assert params.count_scaling(K, tau) is table
         counts = np.where(np.arange(params.T) < tau, K + 1.0, float(K))
@@ -200,9 +199,8 @@ def test_count_scaling_is_cached_read_only_and_per_offset():
             assert vec.shape == (params.T,)
             assert not vec.flags.writeable
             np.testing.assert_array_equal(vec, want)
-        assert table.length == K * params.T + tau
-    # A tuple of K gives the per-K vectors and lengths stacked, bit for bit.
-    for Ks, tau in [((1,), 7), ((2, 5, 9), 3), ((4, 1), 1), ((3, 30), 4)]:
+    # A tuple of K gives the per-K vectors stacked, bit for bit.
+    for Ks, tau in [((1,), 7), ((2, 5, 9), 3), ((4, 1), 1)]:
         stacked = params.count_scaling(Ks, tau)
         assert params.count_scaling(Ks, tau) is stacked
         assert stacked._fields == ("offset", "scale", "length")
@@ -210,11 +208,22 @@ def test_count_scaling_is_cached_read_only_and_per_offset():
             want = np.stack([params.count_scaling(K, tau)[i] for K in Ks])
             assert not vec.flags.writeable
             assert vec.shape == want.shape and vec.tobytes() == want.tobytes()
-        want = np.multiply(Ks, params.T) + tau
-        assert stacked.length.tobytes() == want.tobytes()
     for K in (0, (0,), (3, 0), (2, -1, 4)):
         with pytest.raises(ValueError):
             params.count_scaling(K, 3)
+
+
+def test_window_length_is_cached_and_read_only():
+    # mean's finish divides by the window lengths, the count table's
+    # ``length`` field; the live monitor asks for the same (horizons, tau)
+    # at every test-point.
+    params = make_params(T=7, seed=31)
+    for K, tau in [(1, 3), (5, 7), ((1,), 2), ((3, 30), 4)]:
+        length = params.count_scaling(K, tau).length
+        assert params.count_scaling(K, tau).length is length
+        want = np.multiply(K, params.T) + tau
+        assert np.asarray(length).tobytes() == np.asarray(want).tobytes()
+        assert length.shape == np.shape(K) and not length.flags.writeable
 
 
 @pytest.mark.parametrize("spec", ["mean", "udt", "pdt:0.6", "cusum:0.5", "hotelling"])
