@@ -36,7 +36,6 @@ from .episodic import (
     window_weights,
 )
 from .errors import (
-    DegenerateVarianceError,
     EpimonError,
     InsufficientDataError,
     InvalidDataError,
@@ -73,7 +72,6 @@ from .synthetic import (
 __all__ = [
     "BatchEvaluator",
     "BootstrapStore",
-    "DegenerateVarianceError",
     "DetectionRecord",
     "EpimonError",
     "EpisodeParams",

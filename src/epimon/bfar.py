@@ -69,6 +69,7 @@ from .episodic import (
     json_int,
     json_number,
     json_numbers,
+    json_object,
     params_from_dict,
     params_to_dict,
     sibling_path,
@@ -137,6 +138,12 @@ class MonitorPlan:
             raise ValueError("alpha0 * B_outer must be at least 1")
         if self.test_every < 1:
             raise ValueError("test_every must be positive")
+        # BFAR's stream table and the store's index table hold int64 entries.
+        limit, too_big = np.iinfo(np.intp).max // 8, "entries exceed numpy's array size"
+        if self.B_outer * (self.h_max + self.h_tilde) > limit:
+            raise ValueError(f"plan B_outer x (max(horizons) + h_tilde) {too_big}")
+        if self.B_inner * (self.h_max + 1) > limit:
+            raise ValueError(f"plan B_inner x (max(horizons) + 1) {too_big}")
 
     @property
     def h_max(self) -> int:
@@ -179,18 +186,14 @@ class MonitorPlan:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MonitorPlan":
-        """Plan from its JSON object; ``test_every`` may be omitted. Any key
-        that is not a field or a missing one, ``statistics`` or ``horizons``
-        that is not a JSON list, an integer field (each horizon too) that is
-        not a JSON integer, and an ``alpha0`` that is not a finite JSON
-        number raise :class:`ValueError` naming the field."""
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"plan has unknown keys: {', '.join(unknown)}")
-        missing = [f.name for f in fields(cls) if f.name not in data
-                   and f.default is MISSING]
-        if missing:
-            raise ValueError(f"plan is missing keys: {', '.join(missing)}")
+        """Plan from its JSON object; ``test_every`` may be omitted. A value
+        that is not a JSON object, any key that is not a field or a missing
+        one (:func:`~epimon.episodic.json_object`), ``statistics`` or
+        ``horizons`` that is not a JSON list, an integer field (each horizon
+        too) that is not a JSON integer, and an ``alpha0`` that is not a
+        finite JSON number raise :class:`ValueError` naming the field."""
+        required = [f.name for f in fields(cls) if f.default is MISSING]
+        json_object(data, "plan", required, known=[f.name for f in fields(cls)])
         for key in ("statistics", "horizons"):
             if not isinstance(data[key], list):
                 raise ValueError(f"plan {key} must be a list, got {data[key]!r}")
@@ -522,7 +525,8 @@ def load_bundle(path) -> TunedMonitor:
     """
     with open(path) as fh:
         data = json.load(fh)
-    check_format_version(data, BUNDLE_FORMAT_VERSION, "bundle")
+    keys = ("params", "plan", "p_threshold", "min_p_distribution", "store_file")
+    check_format_version(data, BUNDLE_FORMAT_VERSION, "bundle", keys)
     params = params_from_dict(data["params"])
     plan = MonitorPlan.from_dict(data["plan"])
     threshold = data["p_threshold"]

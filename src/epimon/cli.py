@@ -31,6 +31,7 @@ from .episodic import (
     estimate_params,
     json_int,
     json_number,
+    json_object,
     load_params_json,
     load_reference_csv,
     params_to_dict,
@@ -148,16 +149,13 @@ def cmd_monitor(args) -> int:
 def _load_scenario(path: str, params, seed: int) -> Scenario:
     with open(path) as fh:
         data = json.load(fh)
-    unknown = sorted(set(data) - {"kind", "epsilon_sigma", "offsets", "K"})
-    if unknown:
-        raise ValueError(f"scenario has unknown keys: {', '.join(unknown)}")
-    kind = data["kind"]
+    json_object(data, "scenario", ("kind",), ("kind", "epsilon_sigma", "offsets", "K"))
     epsilon_sigma = json_number(
         data.get("epsilon_sigma", 0.0), "scenario epsilon_sigma"
     )
     return Scenario(
         params=params,
-        kind=kind,
+        kind=data["kind"],
         epsilon=epsilon_sigma * params.mean_step_std,
         offsets=tuple(json_int(o, "scenario offsets") for o in data.get("offsets", ())),
         K=json_int(data.get("K", 1), "scenario K"),

@@ -20,9 +20,9 @@ This module provides:
 * ``ReferenceDataset`` / ``estimate_params`` -- recorded episodes and the
   (mu0, sigma0) estimate with ridge regularization when the sample covariance
   is not positive definite.
-* ``EpisodeParams`` -- the null model, with its Cholesky factor and that
-  factor's inverse computed once, the inverse of sigma0, and lazily-built
-  tau-block inverses and window count tables.
+* ``EpisodeParams`` -- the null model, with its Cholesky factor, that
+  factor's inverse, the inverse of sigma0 and the per-step deviations
+  computed once, and lazily-built tau-block inverses and count tables.
 * ``window_weights`` -- the covariance weights 1' Sigma^-1 of an n-step
   window, built blockwise without materializing the n x n matrix.
 * CSV / JSON readers and writers for the two file formats this module owns,
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVarianceError, InsufficientDataError, InvalidDataError
+from .errors import InsufficientDataError, InvalidDataError
 
 PARAMS_FORMAT_VERSION = 1
 
@@ -123,7 +123,8 @@ class EpisodeParams:
         Cholesky factorization is performed at construction, with the
         inverse of the factor; the inverse of sigma0 and every tau-block
         inverse are products of that factor inverse's leading blocks, each
-        verified against the identity in max-norm when it is built.
+        verified against the identity in max-norm when it is built. Its
+        diagonal is then positive, as is ``step_std`` = sqrt(diag(sigma0)).
     downsample_factor : int
         Raw-steps-per-sample factor applied before estimation; recorded so
         detection times can be reported in raw units as well.
@@ -171,6 +172,7 @@ class EpisodeParams:
         self.mu0 = mu0
         self.sigma0 = sigma0
         self.sigma0_inv = inv
+        self.step_std = _readonly(np.sqrt(np.diag(sigma0)))
         self.cholesky_lower = chol
         self._chol_inv = chol_inv
         self.downsample_factor = int(downsample_factor)
@@ -179,7 +181,6 @@ class EpisodeParams:
         self._tail_inv: dict[int, np.ndarray] = {T: inv}
         self._tail_weights: dict[int, np.ndarray] = {T: _readonly(inv.sum(axis=0))}
         self._count_scaling: dict[tuple, CountTable] = {}
-        self._step_std: np.ndarray | None = None
 
     @property
     def T(self) -> int:
@@ -189,17 +190,6 @@ class EpisodeParams:
     def full_weights(self) -> np.ndarray:
         """Weights 1' sigma0^-1 of one complete episode."""
         return self._tail_weights[self.T]
-
-    @property
-    def step_std(self) -> np.ndarray:
-        """Per-step standard deviations sqrt(diag(sigma0)) (cached, read-only);
-        raises :class:`DegenerateVarianceError` unless all are positive."""
-        if self._step_std is None:
-            std = np.sqrt(np.diag(self.sigma0))
-            if std.min() <= 0.0:
-                raise DegenerateVarianceError("per-step std must be positive")
-            self._step_std = _readonly(std)
-        return self._step_std
 
     @property
     def mean_step_std(self) -> float:
@@ -229,30 +219,29 @@ class EpisodeParams:
             self._tail_weights[tau] = cached
         return cached
 
-    def count_scaling(self, K: int | tuple[int, ...], tau: int) -> CountTable:
-        """Count table of a window of K >= 1 whole episodes plus a tau-step
-        tail, where offset j occurs c_j = K + [j < tau] times (cached,
-        read-only): the (T,) vectors ``offset`` = c * mu0 and ``scale`` =
-        1 / sqrt(c), so the scaled mean deviation of per-offset sums s is
-        (s - offset) * scale, and the window ``length`` n = K*T + tau. For
-        a tuple of H window counts K, their (H, T) and (H,) stacks, one row
-        per K, cached per tuple."""
-        key = (K if isinstance(K, tuple) else int(K), int(tau))
-        cached = self._count_scaling.get(key)
+    def count_scaling(self, K: tuple[int, ...], tau: int) -> CountTable:
+        """Count table of windows of K >= 1 whole episodes plus a tau-step
+        tail, one row per count of the tuple ``K`` (cached per tuple,
+        read-only). In the window of count K, offset j occurs c_j = K +
+        [j < tau] times: the (H, T) rows ``offset`` = c * mu0 and ``scale``
+        = 1 / sqrt(c), so the scaled mean deviation of per-offset sums s is
+        (s - offset) * scale, and the (H,) window ``length`` n = K*T + tau."""
+        tau = int(tau)
+        cached = self._count_scaling.get((K, tau))
         if cached is None:
-            K, tau = key
-            if np.min(K) < 1 or not 1 <= tau <= self.T:
+            if min(K) < 1 or not 1 <= tau <= self.T:
                 raise ValueError(
                     f"need K >= 1 and tau in [1, {self.T}], got K={K}, tau={tau}"
                 )
-            counts = np.zeros(np.shape(K) + (self.T,))
-            counts += np.expand_dims(K, -1)
-            counts[..., :tau] += 1.0
+            wholes = np.array(K)
+            counts = np.zeros((wholes.size, self.T))
+            counts += wholes[:, np.newaxis]
+            counts[:, :tau] += 1.0
             cached = CountTable(
                 _readonly(counts * self.mu0), _readonly(1.0 / np.sqrt(counts)),
-                _readonly(np.asarray(np.multiply(K, self.T) + tau)),
+                _readonly(wholes * self.T + tau),
             )
-            self._count_scaling[key] = cached
+            self._count_scaling[K, tau] = cached
         return cached
 
 
@@ -481,19 +470,30 @@ def sibling_path(path, name, what: str) -> str:
     return os.path.join(os.path.dirname(os.fspath(path)), name)
 
 
-def check_format_version(
-    data: dict, expected: int, what: str, hint: str = ""
-) -> None:
-    """Raise :class:`InvalidDataError` unless the file object ``data`` has
-    ``format_version`` ``expected``; ``hint`` is appended to the message."""
-    if not isinstance(data, dict):
-        raise InvalidDataError(f"{what} file is not a JSON object")
-    found = data.get("format_version")
-    if found != expected:
+def check_format_version(data, expected: int, what: str, keys, hint="") -> None:
+    """Raise :class:`InvalidDataError` unless ``data`` is a :func:`json_object`
+    holding ``keys`` with ``format_version`` ``expected``, checked first, as
+    another version may have other keys; ``hint`` ends its message."""
+    if isinstance(data, dict) and data.get("format_version") != expected:
         raise InvalidDataError(
-            f"{what} file has format_version {found!r}, "
+            f"{what} file has format_version {data.get('format_version')!r}, "
             f"this version reads {expected}{hint}"
         )
+    json_object(data, what, keys)
+
+
+def json_object(data, what: str, keys, known=None) -> None:
+    """Raise :class:`InvalidDataError` naming ``what`` and the keys at
+    fault unless ``data`` is a JSON object holding every key of ``keys``
+    and, when ``known`` is given, no key outside it."""
+    if not isinstance(data, dict):
+        raise InvalidDataError(f"{what} is not a JSON object")
+    unknown = [] if known is None else sorted(set(data) - set(known))
+    if unknown:
+        raise InvalidDataError(f"{what} has unknown keys: {', '.join(unknown)}")
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise InvalidDataError(f"{what} is missing keys: {', '.join(missing)}")
 
 
 def json_int(value, what: str) -> int:
@@ -533,7 +533,8 @@ def json_numbers(values, what: str, ndim: int = 1) -> np.ndarray:
 
 
 def params_from_dict(data: dict) -> EpisodeParams:
-    check_format_version(data, PARAMS_FORMAT_VERSION, "params")
+    keys = ("T", "d", "mu0", "sigma0")
+    check_format_version(data, PARAMS_FORMAT_VERSION, "params", keys)
     mu0 = json_numbers(data["mu0"], "params mu0")
     if mu0.size != json_int(data["T"], "params T"):
         raise InvalidDataError("params file: mu0 length does not match T")

@@ -6,15 +6,12 @@ class EpimonError(Exception):
 
 
 class InvalidDataError(EpimonError, ValueError):
-    """Input data is malformed: non-finite values, shape mismatch, bad parse."""
+    """Input data is malformed: non-finite values, shape mismatch, bad parse,
+    a sigma0 that is not positive definite, a JSON file missing a key."""
 
 
 class InsufficientDataError(EpimonError, ValueError):
     """Not enough reference episodes for the requested estimation."""
-
-
-class DegenerateVarianceError(EpimonError, ValueError):
-    """A per-step standard deviation is zero where a positive one is required."""
 
 
 class NotTunedError(EpimonError, RuntimeError):

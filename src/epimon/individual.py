@@ -62,6 +62,7 @@ from .episodic import (
     check_format_version,
     decompose_index,
     json_int,
+    json_object,
     sibling_path,
     write_atomic,
 )
@@ -279,6 +280,7 @@ class BootstrapStore:
             data = json.load(fh)
         check_format_version(
             data, STORE_FORMAT_VERSION, "store",
+            ("B", "seed", "rows_file", "rows_sha256", "entries"),
             "; re-run `epimon tune` to rebuild it",
         )
         B = json_int(data["B"], "store B")
@@ -309,7 +311,8 @@ class BootstrapStore:
         rows.setflags(write=False)
         entries: dict[tuple[str, int], np.ndarray] = {}
         used: set[int] = set()
-        for item in items:
+        for i, item in enumerate(items):
+            json_object(item, f"store entry {i}", ("kind", "n", "row"))
             kind = parse_statistic(item["kind"])  # validates the spelling
             key = (kind.spec, json_int(item["n"], "store entry n"))
             row = json_int(item["row"], "store entry row")

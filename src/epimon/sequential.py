@@ -13,7 +13,7 @@ can differ in its last bit: ``udt`` differences running sums, the monitor
 takes ``udt`` and ``pdt`` pieces from one-row matrix products, and
 ``hotelling``'s quadratic from one H-row product over the monitor's H
 horizons, whose rounding can differ from the batch's. ``mean`` and
-``cusum`` matched exactly on such streams.
+``cusum`` match exactly on such streams, as a test pins.
 
 The monitor consumes one downsampled sample at a time, aligned so that the
 first sample is step 1 of an episode. After a warm-up of h_max episodes it
@@ -26,22 +26,22 @@ last h*T + tau samples (h whole past episodes plus the current partial one),
 so detections can happen in the middle of an episode. The monitor evaluates
 it with the same per-episode pieces and finish that the bootstrap store and
 the BFAR replay use (see :mod:`epimon.stats`): for each statistic family of
-the plan, mixed components included, it keeps a ring of the pieces of the
-last h_max completed episodes. When an episode completes it rolls the rings
-and builds each statistic's whole part of the last h episodes for every
-horizon h, stacked into one row per horizon. A test-point then only builds
-each tail piece once and finishes each statistic over all its horizons in
-one :func:`~epimon.stats.finish` call, so its cost grows neither with h*T
-nor with a numpy call per horizon; the sorted store rows of every test are
-looked up once, at construction. ``udt`` keeps a running sum of its
-episode pieces instead, which is udt's finish in Python floats: O(1) per
-horizon, where a numpy batch would cost more than the whole test; it keeps
-the last h_max + 1 sums only, so memory does not grow with the stream.
-Routing ``udt`` through the rings was measured and rejected: at
-test_every 1 the extra whole-part sums at each episode completion raised
-the per-test-point latency of the benchmark's ``udt_c1`` workload by 59%
-at p99 and 19% at p50 (4 alternating runs against the running sum, 2-vCPU
-host).
+the plan but ``udt``, mixed components included, it keeps a ring of the
+pieces of the last h_max completed episodes. When an episode completes it
+rolls the rings and builds each statistic's whole part of the last h
+episodes for every horizon h, stacked into one row per horizon. A test-point
+then only builds each tail piece once and finishes each statistic over all
+its horizons in one :func:`~epimon.stats.finish` call, so its cost grows
+neither with h*T nor with a numpy call per horizon; the sorted store rows of
+every test are looked up once, at construction. ``udt``, set apart once at
+construction, keeps a running sum of its episode pieces instead, which is
+udt's finish in Python floats: O(1) per horizon, where a numpy batch would
+cost more than the whole test; it keeps the last h_max + 1 sums only, so
+memory does not grow with the stream. Routing ``udt`` through the rings was
+measured and rejected: at test_every 1 the extra whole-part sums at each
+episode completion took the benchmark's ``udt_c1`` per-test-point latency
+from 7.8 to 9.8 us at p50 and from 13.1 to 22.7 us at p99 (4 alternating
+pairs against the running sum, 2-vCPU host).
 """
 
 from __future__ import annotations
@@ -105,9 +105,10 @@ class Monitor:
         self._test_every = plan.test_every
         self._horizons = plan.horizons
         bases = base_statistics(plan.statistics)
+        # udt keeps a running sum; every other base statistic, a ring family.
+        self._wants_udt = bases.pop("udt", None) is not None
         self._bases = tuple(bases.items())
         self._tests = plan.store_rows(tuned.store, T)  # checks test_every | T
-        self._wants_udt = "udt" in bases
         self._partial = np.empty(T)
         self.reset()
 
@@ -120,7 +121,6 @@ class Monitor:
         self._rings = {
             base.name: np.zeros(h_max if base.name == "mean" else (h_max, T))
             for _, base in self._bases
-            if base.name != "udt"
         }
         # Whole parts of the last h episodes by spec (a cusum's depends on
         # its reference value), stacked with one row per horizon h, rebuilt
@@ -172,11 +172,10 @@ class Monitor:
             ring[:-1] = ring[1:]
             ring[-1] = episode_piece(name, episode, params)[0]
         for spec, base in self._bases:
-            if base.name != "udt":
-                ring = self._rings[base.name]
-                self._wholes[spec] = np.concatenate([
-                    whole_part(base, ring[np.newaxis, -h:]) for h in self._horizons
-                ])
+            pieces = self._rings[base.name].T[np.newaxis]  # episode axis last
+            self._wholes[spec] = np.concatenate([
+                whole_part(base, pieces[..., -h:]) for h in self._horizons
+            ])
         if self._wants_udt:
             piece = float(params.full_weights @ self._partial)
             self._udt_cum.append(self._udt_cum[-1] + piece)
@@ -190,24 +189,21 @@ class Monitor:
         for name in self._rings:
             tails[name] = episode_piece(name, partial[np.newaxis], params)
         # Each ring family's values at every horizon, in horizon order.
-        columns = {}
+        columns = []
         for spec, base in self._bases:
-            if base.name != "udt":
-                whole = self._wholes[spec]
-                y = finish(base, params, whole, tails[base.name], self._horizons, tau)
-                columns[spec] = y.tolist()
+            whole = self._wholes[spec]
+            y = finish(base, params, whole, tails[base.name], self._horizons, tau)
+            columns.append((spec, y.tolist()))
         if self._wants_udt:
             udt_tail = float(params.tail_weights(tau) @ partial)
         evaluations = []
         best = None
         for i, h in enumerate(self._horizons):
             values = {}
-            for spec, base in self._bases:
-                if base.name == "udt":
-                    y = self._udt_cum[-1] - self._udt_cum[-1 - h] + udt_tail
-                else:
-                    y = columns[spec][i]
-                values[spec] = y
+            for spec, column in columns:
+                values[spec] = column[i]
+            if self._wants_udt:
+                values["udt"] = self._udt_cum[-1] - self._udt_cum[-1 - h] + udt_tail
             for kind, spec, rows, components in self._tests[h, tau]:
                 y = mixed_values(components, values) if components else values[spec]
                 p = float(bootstrap_pvalues(rows, y))

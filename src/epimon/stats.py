@@ -23,13 +23,13 @@ covers K whole episodes followed by the first tau steps of the next one. The
 block structure of the window covariance means every statistic is defined
 once, in two parts: a *piece* of episode rows cropped to m samples
 (:func:`episode_piece`, one formula for whole episodes, m = T, and tails,
-m = tau), of which a window sums its K whole episodes' (:func:`whole_part`;
-``cusum`` keeps the last value and the minimum of its drift prefix), and a
-*finish* (:func:`finish`) that combines it with the tail's piece. Every
-caller runs these parts: :class:`BatchEvaluator` caches the pieces of the
-reference rows for the bootstrap store and the BFAR replay,
-:func:`statistic_value` is a batch of one window, and the live monitor
-keeps a ring of the pieces of its last episodes and their whole parts.
+m = tau), of which a window sums its K whole episodes' (:func:`whole_part`,
+episode axis last; ``cusum`` keeps the last value and the minimum of its
+drift prefix), and a *finish* (:func:`finish`) that combines it with the
+tail's piece. Every caller runs these parts: :class:`BatchEvaluator` caches
+the pieces of the reference rows for the bootstrap store and the BFAR replay,
+:func:`statistic_value` is a batch of one window, and the live monitor keeps
+a ring of the pieces of its last episodes and their whole parts.
 
 The mixed rule, the minimum of the components' p-values, is written once:
 :func:`mixed_values`, taken only where store rows are resolved (the store
@@ -279,16 +279,16 @@ def episode_piece(name: str, rows: np.ndarray, params: EpisodeParams) -> np.ndar
     return rows
 
 
-def whole_part(kind: StatisticKind, pieces: np.ndarray, axis: int = 1) -> np.ndarray:
+def whole_part(kind: StatisticKind, pieces: np.ndarray) -> np.ndarray:
     """Whole-episode part of windows from the pieces of their K whole
-    episodes, oldest first along ``axis``: the (R, K, ...) pieces of R
-    windows by default, or a batch's sliding view, (..., K) or (..., T, K),
-    with ``axis=-1``. The part is the sum over the episodes, except for
-    ``cusum``, whose part is the last value and the minimum of the drift
-    prefix P_j = sum_{i<=j} (piece_i - k_ref) over the K*T steps, on a new
-    last axis of length 2 in place of the (K, T) axes."""
+    episodes, oldest first along the last axis: (..., K) for ``mean`` and
+    ``udt``, (..., T, K) for a row piece, as a batch's sliding view lays
+    them out. The part is the sum over the episodes, except for ``cusum``,
+    whose part is the last value and the minimum of the drift prefix
+    P_j = sum_{i<=j} (piece_i - k_ref) over the K*T steps, on a new last
+    axis of length 2 in place of the (T, K) axes."""
     if kind.name == "cusum":
-        steps = pieces.swapaxes(axis, -2)  # (..., K, T)
+        steps = pieces.swapaxes(-1, -2)  # (..., K, T)
         drift = np.subtract(steps, kind.k_ref, out=np.empty(steps.shape))
         prefix = drift.reshape(steps.shape[:-2] + (-1,))
         np.cumsum(prefix, axis=-1, out=prefix)
@@ -296,7 +296,7 @@ def whole_part(kind: StatisticKind, pieces: np.ndarray, axis: int = 1) -> np.nda
         part[..., 0] = prefix[..., -1]
         prefix.min(axis=-1, out=part[..., 1])
         return part
-    return pieces.sum(axis=axis)
+    return pieces.sum(axis=-1)
 
 
 def finish(
@@ -304,15 +304,15 @@ def finish(
     params: EpisodeParams,
     whole: np.ndarray | None,
     tail: np.ndarray,
-    K: int | tuple[int, ...],
+    K: tuple[int, ...],
     tau: int,
 ) -> np.ndarray:
     """Values of R windows of K whole episodes plus a tau-step tail, from
-    their :func:`whole_part` (None when K == 0; left unchanged) and the
-    tail :func:`episode_piece` of each window. When ``whole`` is given, K
-    may also be a tuple of one count per row of ``whole``, and a one-row
-    tail then serves every row: the live monitor finishes the stacked
-    whole parts of all its horizons in one call."""
+    their :func:`whole_part` (None when K is (0,); left unchanged) and the
+    tail :func:`episode_piece` of each window. ``K`` is a tuple: one count
+    that every row shares, ``(h,)`` in a batch, or one per row of ``whole``
+    with a one-row tail serving every row, as the live monitor finishes the
+    stacked whole parts of all its horizons in one call."""
     T = params.T
     name = kind.name
     if name == "mean":
@@ -498,12 +498,12 @@ class BatchEvaluator:
             for h in horizons:
                 whole = None
                 if h:
-                    whole = whole_part(kind, windows[..., P - h :], axis=-1)
+                    whole = whole_part(kind, windows[..., P - h :])
                     whole = whole.reshape(n * E, *whole.shape[2:])
                 wholes.append(whole)
             for j, tau in enumerate(taus):
                 tail = tails[j][tail_idx]
                 for i, (h, whole) in enumerate(zip(horizons, wholes)):
-                    y = finish(kind, self.params, whole, tail, h, tau)
+                    y = finish(kind, self.params, whole, tail, (h,), tau)
                     out[i, j, runs] = y.reshape(n, E)
         return out

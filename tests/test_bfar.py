@@ -509,9 +509,10 @@ def _gathered_values(ref, params, base, streams, horizons, taus):
     tail_idx = streams[:, P:].reshape(-1)
     out = np.empty((len(horizons), len(taus), runs, E))
     for i, h in enumerate(horizons):
-        whole = whole_part(base, piece[windows[:, :, P - h : P].reshape(-1, h)])
+        pieces = piece[windows[:, :, P - h : P].reshape(-1, h)]
+        whole = whole_part(base, np.moveaxis(pieces, 1, -1))
         for j, tau in enumerate(taus):
-            y = finish(base, params, whole, tails[j][tail_idx], h, tau)
+            y = finish(base, params, whole, tails[j][tail_idx], (h,), tau)
             out[i, j] = y.reshape(runs, E)
     return out
 

@@ -256,6 +256,73 @@ def test_plan_errors_name_the_field(workspace, tmp_path, capsys, edit, message):
     assert not (tmp_path / "bundle.json").exists()
 
 
+def _without(data, key):
+    """A copy of the JSON object ``data`` without ``key``."""
+    return {k: v for k, v in data.items() if k != key}
+
+
+@pytest.mark.parametrize("where, edit, message", [
+    ("plan", lambda plan: 5, "plan is not a JSON object"),
+    ("plan", lambda plan: "abc", "plan is not a JSON object"),
+    ("scenario", lambda scenario: ["kind"], "scenario is not a JSON object"),
+    ("scenario", lambda scenario: {"K": 2}, "scenario is missing keys: kind"),
+    ("params", lambda params: _without(params, "mu0"), "params is missing keys: mu0"),
+    ("bundle", lambda bundle: _without(bundle, "p_threshold"),
+     "bundle is missing keys: p_threshold"),
+    ("store", lambda store: _without(store, "rows_sha256"),
+     "store is missing keys: rows_sha256"),
+    ("store", lambda store: {**store, "entries": [
+        _without(store["entries"][0], "n"), *store["entries"][1:]]},
+     "store entry 0 is missing keys: n"),
+], ids=["plan-int", "plan-string", "scenario-list", "scenario-without-kind",
+        "params-without-mu0", "bundle-without-p_threshold",
+        "store-without-rows_sha256", "store-entry-without-n"])
+def test_json_errors_name_the_file_and_the_key(
+    workspace, tmp_path, capsys, where, edit, message
+):
+    # Each gave a bare KeyError, TypeError or a plan read one character at
+    # a time: 'int' object is not iterable, 'mu0', plan has unknown keys:
+    # a, b, c, list indices must be integers or slices, not str.
+    names = {"plan": "plan.json", "params": "params.json", "bundle": "bundle.json",
+             "store": "bundle.json.store.json", "scenario": "scenario.json"}
+    for name in ("plan.json", "params.json", "bundle.json",
+                 "bundle.json.store.json", "bundle.json.store.npy"):
+        (tmp_path / name).write_bytes((workspace / name).read_bytes())
+    (tmp_path / "scenario.json").write_text(json.dumps({"kind": "h0"}))
+    path = tmp_path / names[where]
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    if where in ("plan", "params"):
+        code = main(["tune", str(workspace / "reference.csv"),
+                     "--params", str(tmp_path / "params.json"),
+                     "--plan", str(tmp_path / "plan.json"),
+                     "--out", str(tmp_path / "out.json")])
+    else:
+        code = main(["simulate", "--bundle", str(tmp_path / "bundle.json"),
+                     "--scenario", str(tmp_path / "scenario.json"), "--blocks", "1",
+                     "--seed", "1", "--out", str(tmp_path / "report.json")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda plan: plan.update(h_tilde=10**400), "h_tilde"),
+    (lambda plan: plan.update(h_tilde=2**61), "h_tilde"),
+    (lambda plan: plan.update(horizons=[1, 10**400]), "max(horizons)"),
+    (lambda plan: plan.update(B_inner=10**400), "B_inner"),
+], ids=["h_tilde-huge", "h_tilde-2**61", "horizon-huge", "B_inner-huge"])
+def test_tune_rejects_index_tables_numpy_cannot_create_before_any_work(
+    workspace, tmp_path, capsys, monkeypatch, edit, field
+):
+    # h_tilde built the whole store before BFAR's stream table failed; a
+    # horizon and B_inner failed at once, but naming no field.
+    calls = []
+    monkeypatch.setattr(em.BootstrapStore, "ensure", lambda *a: calls.append(a))
+    assert _tune_with_plan(workspace, tmp_path, edit) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: plan ") and field in err and "numpy" in err
+    assert calls == []
+
+
 def test_tune_exits_two_when_the_plan_does_not_fit_in_memory(tmp_path, capsys):
     # B_outer 10**15 is within float range: the store is built, then the
     # simulated streams cannot be allocated. That was a MemoryError

@@ -158,8 +158,11 @@ def test_params_rejects_asymmetric():
 
 
 def test_params_rejects_indefinite():
-    with pytest.raises(InvalidDataError):
-        em.EpisodeParams(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+    # A zero diagonal entry is not positive definite either, so every
+    # accepted sigma0 has the positive variances ``step_std`` divides by.
+    for sigma0 in ([[1.0, 2.0], [2.0, 1.0]], [[1.0, 0.0], [0.0, 0.0]]):
+        with pytest.raises(InvalidDataError):
+            em.EpisodeParams(np.zeros(2), np.array(sigma0))
 
 
 def test_params_inverse_identity_bound(small_params):

@@ -2,6 +2,7 @@
 agreement with the batched replay of whole runs."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -184,6 +185,42 @@ def test_reference_streams_decide_like_tuning_simulation(tuned, ref):
         fired_flags.append(detection is not None)
     expected = (min_p[:40] < tuned.p_threshold).tolist()
     assert fired_flags == expected
+
+
+def test_reference_streams_tie_the_replay_exactly_for_mean_and_cusum():
+    # Streams that repeat reference episodes verbatim have windows that tie
+    # stored values exactly, where a value one bit off moves its p-value by
+    # a rank. For mean and cusum the monitor's minimal p must still be the
+    # replay's at every test-point; horizon 9 sums more than 8 pieces, past
+    # the length where numpy's pairwise summation stops adding in order.
+    params = make_params(T=6, seed=61, condition=20)
+    plan = em.MonitorPlan(
+        statistics=(MEAN, em.StatisticKind.cusum(0.5)), horizons=(2, 9),
+        h_tilde=12, alpha0=0.5, B_inner=200, B_outer=15, seed=63,
+    )
+    taus = plan.test_offsets(params.T)
+    tied = set()  # (spec, horizon) pairs with a non-zero value that ties
+    for N in (3, 20, 80):  # 3 reference episodes make horizon 9 tie too
+        ref = make_reference(params, N, seed=62)
+        store = em.BootstrapStore(params, plan.B_inner, plan.seed)
+        store.ensure(ref, plan.statistics, plan.window_lengths(params.T))
+        streams = em.h0_stream_indices(plan, N)
+        evaluator = em.BatchEvaluator(ref.episodes, params)
+        for kind in plan.statistics:
+            values = evaluator.offset_values(kind, streams, plan.horizons, taus)
+            for (i, h), (j, tau) in itertools.product(
+                    enumerate(plan.horizons), enumerate(taus)):
+                vals = values[i, j][values[i, j] != 0]
+                if np.isin(vals, store.values_for(kind, h * params.T + tau)).any():
+                    tied.add((kind.spec, h))
+        replay = em.replay_pvalues(evaluator, streams, plan, store)
+        monitor = em.Monitor(em.TunedMonitor(plan, 0.0, store, np.zeros(1)))
+        for rows, want in zip(streams, replay):
+            _, trace = feed(monitor, ref.episodes[rows].ravel())
+            got = [min(ev.p for ev in evals) for _, evals in trace]
+            assert got == want.tolist(), (N, rows)
+            monitor.reset()
+    assert len(tied) == 4  # every (statistic, horizon) met a tie
 
 
 def test_pvalues_match_statistic_value_on_explicit_windows():
