@@ -286,6 +286,10 @@ class BootstrapStore:
         B = json_int(data["B"], "store B")
         seed = json_int(data["seed"], "store seed")
         items = data["entries"]
+        if not isinstance(items, list):
+            raise InvalidDataError(
+                f"store entries must be a list, got {type(items).__name__}"
+            )
         rows_path = sibling_path(path, data["rows_file"], "rows_file")
         with open(rows_path, "rb") as fh:
             raw = fh.read()

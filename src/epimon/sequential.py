@@ -26,22 +26,43 @@ last h*T + tau samples (h whole past episodes plus the current partial one),
 so detections can happen in the middle of an episode. The monitor evaluates
 it with the same per-episode pieces and finish that the bootstrap store and
 the BFAR replay use (see :mod:`epimon.stats`): for each statistic family of
-the plan but ``udt``, mixed components included, it keeps a ring of the
-pieces of the last h_max completed episodes. When an episode completes it
-rolls the rings and builds each statistic's whole part of the last h
-episodes for every horizon h, stacked into one row per horizon. A test-point
-then only builds each tail piece once and finishes each statistic over all
-its horizons in one :func:`~epimon.stats.finish` call, so its cost grows
-neither with h*T nor with a numpy call per horizon; the sorted store rows of
-every test are looked up once, at construction. ``udt``, set apart once at
-construction, keeps a running sum of its episode pieces instead, which is
-udt's finish in Python floats: O(1) per horizon, where a numpy batch would
-cost more than the whole test; it keeps the last h_max + 1 sums only, so
-memory does not grow with the stream. Routing ``udt`` through the rings was
-measured and rejected: at test_every 1 the extra whole-part sums at each
-episode completion took the benchmark's ``udt_c1`` per-test-point latency
-from 7.8 to 9.8 us at p50 and from 13.1 to 22.7 us at p99 (4 alternating
-pairs against the running sum, 2-vCPU host).
+the plan but ``udt`` and ``cusum``, mixed components included, it keeps a
+ring of the pieces of the last h_max completed episodes. When an episode
+completes it rolls the rings and builds each statistic's whole part of the
+last h episodes for every horizon h, stacked into one row per horizon. A
+test-point then only builds each tail piece once and finishes each statistic
+over all its horizons in one :func:`~epimon.stats.finish` call, so its cost
+grows neither with h*T nor with a numpy call per horizon; the sorted store
+rows of every test are looked up once, at construction. ``udt``, set apart
+once at construction, keeps a running sum of its episode pieces instead,
+which is udt's finish in Python floats: O(1) per horizon, where a numpy
+batch would cost more than the whole test; it keeps the last h_max + 1 sums
+only, so memory does not grow with the stream. Routing ``udt`` through the
+rings was measured and rejected: at test_every 1 the extra whole-part sums
+at each episode completion took the benchmark's ``udt_c1`` per-test-point
+latency from 7.8 to 9.8 us at p50 and from 13.1 to 22.7 us at p99 (4
+alternating pairs against the running sum, 2-vCPU host).
+
+Each ``cusum`` spec, set apart at construction too, is carried as a chain of
+h_max + 1 drift-prefix states (P_n, min P) in Python floats: entry c covers
+the window of c whole episodes plus the current partial one. Every sample
+extends each entry by its drift (mu0_i - x) / std_i - k_ref, cusum's episode
+piece less the reference value. When an episode completes the chain shifts
+by one: entry c, now exactly the whole part of c + 1 episodes, moves to
+c + 1, the oldest drops out and entry 0 starts empty, so no ring, piece or
+whole part is built for cusum. A test-point reads horizon h's value
+-(P_n - min(0, min P)) off entry h with no numpy call. The values are
+bitwise those of :func:`~epimon.stats.whole_part` and
+:func:`~epimon.stats.finish`: both run the same IEEE additions in the same
+order (cumsum adds one term at a time, and finish continues the whole part's
+prefix that way), and the conditional ``0.0 if 0.0 < low else low`` chooses
+as ``np.minimum(0.0, low)`` does. The price is h_max + 1 additions per
+sample and spec, where the ring path paid a numpy whole part per horizon at
+each episode end and about ten numpy calls per test-point. On the
+benchmark's ``sim_small`` workload (cusum:0.5 and udt, T 8, horizons 1 and
+4) it took the per-test-point latency from 28.9 to 14.0 us at p50 and from
+72.9 to 24.9 us at p99, and the monitor from 29 000 to 61 000 samples/s
+(medians of 10 alternating pairs, 2-vCPU host).
 """
 
 from __future__ import annotations
@@ -105,10 +126,15 @@ class Monitor:
         self._test_every = plan.test_every
         self._horizons = plan.horizons
         bases = base_statistics(plan.statistics)
-        # udt keeps a running sum; every other base statistic, a ring family.
+        # udt keeps a running sum and each cusum a chain of drift prefixes;
+        # every other base statistic is a ring family.
         self._wants_udt = bases.pop("udt", None) is not None
+        cusums = [spec for spec, base in bases.items() if base.name == "cusum"]
+        self._cusums = tuple((spec, bases.pop(spec).k_ref) for spec in cusums)
         self._bases = tuple(bases.items())
         self._tests = plan.store_rows(tuned.store, T)  # checks test_every | T
+        self._mu0 = self.params.mu0.tolist()
+        self._step_std = self.params.step_std.tolist()
         self._partial = np.empty(T)
         self.reset()
 
@@ -122,15 +148,22 @@ class Monitor:
             base.name: np.zeros(h_max if base.name == "mean" else (h_max, T))
             for _, base in self._bases
         }
-        # Whole parts of the last h episodes by spec (a cusum's depends on
-        # its reference value), stacked with one row per horizon h, rebuilt
-        # when an episode completes.
+        # Whole parts of the last h episodes by spec, stacked with one row
+        # per horizon h, rebuilt when an episode completes.
         self._wholes: dict[str, np.ndarray] = {}
         # Running sums of the udt episode pieces, one per completed episode
         # (the first is 0.0); a test reads back at most h_max episodes, so
         # only the last h_max + 1 sums are kept. They stay absolute sums, so
         # every difference is the same number as with the full history.
         self._udt_cum = deque([0.0], maxlen=h_max + 1)
+        # Per cusum spec, h_max + 1 drift-prefix states [last, low]: entry c
+        # covers c whole episodes plus the current partial one. An empty
+        # entry is [-0.0, inf], the identities of + and min, so its first
+        # drift d extends it to exactly [d, d].
+        self._chains = {
+            spec: [[-0.0, math.inf] for _ in range(h_max + 1)]
+            for spec, _ in self._cusums
+        }
         self._partial_len = 0
         self.t = 0
         self.fired: DetectionRecord | None = None
@@ -149,8 +182,20 @@ class Monitor:
             raise InvalidDataError(f"non-finite sample at step {self.t + 1}")
 
         self.t += 1
-        self._partial[self._partial_len] = sample
+        i = self._partial_len
+        self._partial[i] = sample
         self._partial_len += 1
+        if self._cusums:
+            # cusum's episode_piece of this step, then each chain entry's
+            # next prefix value and running minimum.
+            piece = (self._mu0[i] - sample) / self._step_std[i]
+            for spec, k_ref in self._cusums:
+                d = piece - k_ref
+                for entry in self._chains[spec]:
+                    last = entry[0] + d
+                    entry[0] = last
+                    if last < entry[1]:
+                        entry[1] = last
 
         record = None
         if self.t > self.warmup_steps and self.t % self._test_every == 0:
@@ -165,7 +210,8 @@ class Monitor:
         return record
 
     def _complete_episode(self) -> None:
-        """Roll the rings and rebuild every horizon's whole parts."""
+        """Roll the rings and rebuild every horizon's whole parts; shift
+        each cusum chain by one episode."""
         params = self.params
         episode = self._partial[np.newaxis]
         for name, ring in self._rings.items():
@@ -179,6 +225,11 @@ class Monitor:
         if self._wants_udt:
             piece = float(params.full_weights @ self._partial)
             self._udt_cum.append(self._udt_cum[-1] + piece)
+        # Entry c now holds c + 1 whole episodes: it moves to c + 1, the
+        # oldest drops out and a new episode starts an empty entry 0.
+        for chain in self._chains.values():
+            chain.pop()
+            chain.insert(0, [-0.0, math.inf])
         self._partial_len = 0
 
     def _evaluate_test_point(self) -> DetectionRecord | None:
@@ -204,6 +255,11 @@ class Monitor:
                 values[spec] = column[i]
             if self._wants_udt:
                 values["udt"] = self._udt_cum[-1] - self._udt_cum[-1 - h] + udt_tail
+            for spec, _ in self._cusums:
+                # finish's -(P_n - min(0, min P)), np.minimum's choice made
+                # by the conditional, signed zeros included
+                last, low = self._chains[spec][h]
+                values[spec] = -(last - (0.0 if 0.0 < low else low))
             for kind, spec, rows, components in self._tests[h, tau]:
                 y = mixed_values(components, values) if components else values[spec]
                 p = float(bootstrap_pvalues(rows, y))

@@ -29,7 +29,10 @@ drift prefix), and a *finish* (:func:`finish`) that combines it with the
 tail's piece. Every caller runs these parts: :class:`BatchEvaluator` caches
 the pieces of the reference rows for the bootstrap store and the BFAR replay,
 :func:`statistic_value` is a batch of one window, and the live monitor keeps
-a ring of the pieces of its last episodes and their whole parts.
+a ring of the pieces of its last episodes and their whole parts. The monitor
+carries ``udt`` as a running sum and ``cusum`` as a chain of drift prefixes
+instead, the same additions in the same order, so a cusum value is bitwise
+the whole part and finish below.
 
 The mixed rule, the minimum of the components' p-values, is written once:
 :func:`mixed_values`, taken only where store rows are resolved (the store
@@ -402,7 +405,8 @@ class BatchEvaluator:
     :func:`finish` turns them into values with each offset's tail. The
     bootstrap store, the BFAR replay and :func:`statistic_value` all
     evaluate through it; the live monitor keeps the same pieces in rings
-    and runs the same :func:`whole_part` and :func:`finish`. It evaluates
+    and runs the same :func:`whole_part` and :func:`finish`, but for ``udt``
+    and ``cusum``, which it carries as running sums. It evaluates
     base statistics only, a pure function of (episodes, params).
     """
 

@@ -895,6 +895,22 @@ def test_load_bundle_rejects_non_integer_fields(
     assert f"{what}{key} must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entries", [5, {}, "abc"], ids=["int", "object", "string"])
+def test_load_bundle_rejects_store_entries_that_are_not_a_list(
+    workspace, tmp_path, capsys, entries
+):
+    # Checked before the rows file is read: a string or an object would
+    # otherwise be measured by len() against the rows' shape.
+    def edit(bundle, store):
+        store["entries"] = entries
+
+    code = _monitor_with_tampered_bundle(workspace, tmp_path, edit, _npy)
+    assert code == 2
+    assert "error: store entries must be a list" in capsys.readouterr().err
+    with pytest.raises(InvalidDataError, match="store entries"):
+        em.load_bundle(tmp_path / "bundle.json")
+
+
 def test_load_bundle_rejects_two_store_entries_for_one_key(
     workspace, tmp_path, capsys
 ):

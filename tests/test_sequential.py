@@ -366,6 +366,126 @@ def test_shared_rings_match_the_replay_across_a_reset():
     assert checked == 2 * (6 * 3 + 9) + 2 * (3 * 3 + 4)
 
 
+CUSUM_CHAIN_KINDS = tuple(em.parse_statistic(spec) for spec in
+                          ("cusum:0.5", "cusum:1", "mixed:mean+cusum:0.5"))
+
+
+def _cusum_chain_case(N, test_every):
+    """Params, reference of N episodes, plan of CUSUM_CHAIN_KINDS at
+    horizons 2 and 9 with 15 runs of 21 episodes, its store, and a monitor
+    that never fires."""
+    params = make_params(T=6, seed=111, condition=20)
+    ref = make_reference(params, N, seed=112)
+    plan = em.MonitorPlan(
+        statistics=CUSUM_CHAIN_KINDS, horizons=(2, 9), h_tilde=12, alpha0=0.5,
+        B_inner=200, B_outer=15, seed=113, test_every=test_every,
+    )
+    store = em.BootstrapStore(params, plan.B_inner, plan.seed)
+    store.ensure(ref, plan.statistics, plan.window_lengths(params.T))
+    monitor = em.Monitor(em.TunedMonitor(plan, 0.0, store, np.zeros(1)))
+    return params, ref, plan, store, monitor
+
+
+@pytest.mark.parametrize("test_every", [1, 3])
+def test_cusum_chains_match_the_replay_on_generated_streams(test_every):
+    # Each cusum carries a chain of drift prefixes through the stream. Two
+    # cusums and a mixed kind with a cusum component: every test-point's
+    # minimal p, and each kind's alone, must be the replay's, every other
+    # run cut mid-episode and the monitor then reset.
+    params, _, plan, store, monitor = _cusum_chain_case(60, test_every)
+    T, runs = params.T, 4
+    length = plan.h_max + plan.h_tilde
+    episodes = em.generate_episodes(
+        em.Scenario(params=params, kind="uniform", seed=114 + test_every,
+                    epsilon=0.1 * params.mean_step_std),
+        runs * length,
+    )
+    evaluator = em.BatchEvaluator(episodes, params)
+    streams = np.arange(runs * length).reshape(runs, length)
+    replay = em.replay_pvalues(evaluator, streams, plan, store)
+    alone = {kind: em.replay_pvalues(evaluator, streams, dataclasses.replace(
+        plan, statistics=(kind,)), store) for kind in CUSUM_CHAIN_KINDS}
+    seen = set()
+    for i, run in enumerate(episodes.reshape(runs, -1)):
+        cut = run[: (plan.h_max + 1) * T + 4] if i % 2 == 0 else run
+        _, trace = feed(monitor, cut)
+        got = [min(ev.p for ev in evals) for _, evals in trace]
+        assert len(got) == (replay.shape[1] if i % 2 else (T + 4) // test_every)
+        assert got == replay[i, : len(got)].tolist(), i
+        for kind in CUSUM_CHAIN_KINDS:
+            mine = [min(ev.p for ev in evals if ev.statistic == kind)
+                    for _, evals in trace]
+            assert mine == alone[kind][i, : len(got)].tolist(), (kind.spec, i)
+            seen.update(mine)
+        monitor.reset()
+    assert len(seen) > 20  # not all at the resolution floor
+
+
+@pytest.mark.parametrize("test_every", [1, 3])
+def test_cusum_chains_tie_the_replay_on_reference_streams(test_every):
+    # Streams that repeat reference episodes verbatim have windows that tie
+    # stored values exactly, where a value one bit off moves its p by a
+    # rank. Every test-point of each cusum alone, and of the whole plan,
+    # must still be the replay's.
+    params, ref, plan, store, monitor = _cusum_chain_case(20, test_every)
+    T, taus = params.T, plan.test_offsets(params.T)
+    cusums = CUSUM_CHAIN_KINDS[:2]
+    evaluator = em.BatchEvaluator(ref.episodes, params)
+    streams = em.h0_stream_indices(plan, ref.num_episodes)
+    replay = em.replay_pvalues(evaluator, streams, plan, store)
+    alone = {kind: em.replay_pvalues(evaluator, streams, dataclasses.replace(
+        plan, statistics=(kind,)), store) for kind in cusums}
+    tied = set()  # (spec, horizon) pairs with a non-zero value that ties
+    for kind in cusums:
+        values = evaluator.offset_values(kind, streams, plan.horizons, taus)
+        for (i, h), (j, tau) in itertools.product(
+                enumerate(plan.horizons), enumerate(taus)):
+            vals = values[i, j][values[i, j] != 0]
+            if np.isin(vals, store.values_for(kind, h * T + tau)).any():
+                tied.add((kind.spec, h))
+    assert tied == {(kind.spec, h) for kind in cusums for h in plan.horizons}
+    for i, rows in enumerate(streams):
+        _, trace = feed(monitor, ref.episodes[rows].ravel())
+        got = [min(ev.p for ev in evals) for _, evals in trace]
+        assert got == replay[i].tolist(), i
+        for kind in cusums:
+            mine = [min(ev.p for ev in evals if ev.statistic == kind)
+                    for _, evals in trace]
+            assert mine == alone[kind][i].tolist(), (kind.spec, i)
+        monitor.reset()
+
+
+def test_cusum_chains_stay_bounded():
+    # A long run keeps h_max + 1 prefix states per cusum, one per number of
+    # whole episodes a test can read, through a reset too.
+    params = make_params(T=4, seed=121, condition=20)
+    ref = make_reference(params, 40, seed=122)
+    plan = em.MonitorPlan(
+        statistics=CUSUM_CHAIN_KINDS, horizons=(2, 5), h_tilde=2,
+        alpha0=0.5, B_inner=100, B_outer=2, seed=123,
+    )
+    store = em.BootstrapStore(params, plan.B_inner, plan.seed)
+    store.ensure(ref, plan.statistics, plan.window_lengths(params.T))
+    monitor = em.Monitor(em.TunedMonitor(plan, 0.0, store, np.zeros(1)))
+    stream = em.generate_episodes(
+        em.Scenario(params=params, kind="h0", seed=124), 3000).ravel()
+    for sample in stream:
+        monitor.step(sample)
+    assert monitor.t == stream.size
+    specs = ["cusum:0.5", "cusum:1"]
+    assert list(monitor._chains) == specs
+    assert all(len(monitor._chains[spec]) == plan.h_max + 1 for spec in specs)
+    monitor.reset()
+    for sample in stream[: 3 * params.T + 1]:
+        monitor.step(sample)
+    for spec in specs:
+        chain = monitor._chains[spec]
+        assert len(chain) == plan.h_max + 1
+        # one sample into the fourth episode: entries 4 and 5 are as empty
+        # as entry 3 was when the stream started, so all three agree
+        assert chain[3] == chain[4] == chain[5]
+
+
 def _mixed_cusum_udt_monitor():
     """A monitor of mdt, two cusums and udt, horizons 1 and 3, and a stream
     of six H0 episodes for it."""
@@ -414,6 +534,20 @@ def test_reset_gives_the_state_of_a_fresh_monitor():
         assert _same(state[name], fresh[name]), name
 
 
+def _count_cusum_pieces(monkeypatch):
+    """Patch the monitor's episode_piece to record every cusum call."""
+    cusum_pieces = []
+    real = sequential.episode_piece
+
+    def counting(name, rows, params):
+        if name == "cusum":
+            cusum_pieces.append(rows.shape)
+        return real(name, rows, params)
+
+    monkeypatch.setattr(sequential, "episode_piece", counting)
+    return cusum_pieces
+
+
 def test_whole_parts_are_built_only_when_an_episode_completes(monkeypatch):
     calls = []
     real = sequential.whole_part
@@ -423,19 +557,23 @@ def test_whole_parts_are_built_only_when_an_episode_completes(monkeypatch):
         return real(kind, pieces)
 
     monkeypatch.setattr(sequential, "whole_part", counting)
+    cusum_pieces = _count_cusum_pieces(monkeypatch)
     monitor, stream = _mixed_cusum_udt_monitor()
     T, plan = monitor.params.T, monitor.plan
     assert calls == []
-    # mean, hotelling, pdt and the two cusums, for each horizon
-    per_episode = 5 * len(plan.horizons)
+    # mean, hotelling and pdt, once per horizon, in plan order; the cusums
+    # carry their chains and udt its running sum
+    per_episode = [spec for spec in ("mean", "hotelling", "pdt:0.9")
+                   for _ in plan.horizons]
     test_points = 0
     for t, sample in enumerate(stream, start=1):
         before = len(calls)
         monitor.step(sample)
         test_points += monitor.last_test_point == t
-        assert len(calls) - before == (per_episode if t % T == 0 else 0), t
+        assert calls[before:] == (per_episode if t % T == 0 else []), t
+        assert cusum_pieces == [], t
     assert test_points == 3 * T
-    assert len(calls) == 6 * per_episode
+    assert len(calls) == 6 * len(per_episode)
 
 
 def test_each_test_point_finishes_each_family_once_over_all_horizons(monkeypatch):
@@ -447,12 +585,13 @@ def test_each_test_point_finishes_each_family_once_over_all_horizons(monkeypatch
         return real(kind, params, whole, tail, K, tau)
 
     monkeypatch.setattr(sequential, "finish", counting)
+    cusum_pieces = _count_cusum_pieces(monkeypatch)
     monitor, stream = _mixed_cusum_udt_monitor()
     horizons = monitor.plan.horizons
-    # mean, hotelling, pdt and the two cusums, each once with every
-    # horizon; udt keeps its running sum
+    # mean, hotelling and pdt, each once with every horizon; the cusums read
+    # their chains and udt its running sum
     per_test_point = sorted((spec, horizons) for spec in (
-        "mean", "hotelling", "pdt:0.9", "cusum:0.5", "cusum:1"))
+        "mean", "hotelling", "pdt:0.9"))
     test_points = 0
     for t, sample in enumerate(stream, start=1):
         before = len(calls)
@@ -462,6 +601,7 @@ def test_each_test_point_finishes_each_family_once_over_all_horizons(monkeypatch
             assert sorted(calls[before:]) == per_test_point, t
         else:
             assert len(calls) == before, t
+        assert cusum_pieces == [], t
     assert test_points == 3 * monitor.params.T
 
 

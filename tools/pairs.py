@@ -21,6 +21,11 @@ environment line of the first change run, and per workload the seeds, the
 digests that differed between the two sides of any pair, and for each
 end-to-end metric of ``BENCHMARK.json`` both sides' medians and quartiles
 and the number of pairs the change won (ties count for neither side).
+
+A digest may move only if ``--moved NAME`` names it (repeatable; by
+default none may). A workload's ``moved_digests`` holding any other
+digest is printed to standard error and the tool exits 1, after writing
+the file.
 """
 
 from __future__ import annotations
@@ -85,6 +90,18 @@ def _summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
+def unexpected_moves(workloads: dict, expected) -> list[tuple[str, str]]:
+    """(workload, digest) of every digest in a workload's ``moved_digests``
+    that ``expected`` does not name, in workload then digest order."""
+    allowed = set(expected)
+    return [
+        (name, digest)
+        for name, result in workloads.items()
+        for digest in result["moved_digests"]
+        if digest not in allowed
+    ]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
@@ -92,6 +109,8 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--parent", default="HEAD", help="parent revision")
+    parser.add_argument("--moved", action="append", default=[], metavar="NAME",
+                        help="a digest the change is expected to move (repeatable)")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, to give quartiles")
@@ -147,7 +166,11 @@ def main(argv=None) -> int:
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=2) + "\n")
     print(f"wrote {path}")
-    return 0
+    unexpected = unexpected_moves(out["workloads"], args.moved)
+    for name, digest in unexpected:
+        print(f"error: {name}: digest {digest!r} moved and no --moved names it",
+              file=sys.stderr)
+    return 1 if unexpected else 0
 
 
 if __name__ == "__main__":
