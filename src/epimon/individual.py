@@ -193,11 +193,19 @@ class BootstrapStore:
         self.entries: dict[tuple[str, int], np.ndarray] = dict(entries or {})
 
     def values_for(self, kind: StatisticKind, n: int) -> np.ndarray:
-        """Sorted distribution for (kind, n)."""
+        """Sorted distribution for (kind, n). An entry of other than B
+        values raises :class:`InvalidDataError`: every p-value is on the
+        grid (1 + c) / (1 + B), which the monitor's mixed count tables
+        rely on."""
         entry = self.entries.get((kind.spec, int(n)))
         if entry is None:
             raise NotTunedError(
                 f"no bootstrap distribution for {kind.spec!r} at length {n}"
+            )
+        if entry.size != self.B:
+            raise InvalidDataError(
+                f"bootstrap distribution for {kind.spec!r} at length {n} "
+                f"holds {entry.size} values, not B = {self.B}"
             )
         return entry
 

@@ -36,8 +36,11 @@ the whole part and finish below.
 
 The mixed rule, the minimum of the components' p-values, is written once:
 :func:`mixed_values`, taken only where store rows are resolved (the store
-build, the BFAR replay, the monitor and :func:`statistic_value`), each
-reading a mixed kind's rows from ``BootstrapStore.component_rows``.
+build, the BFAR replay and :func:`statistic_value`), each reading a mixed
+kind's rows from ``BootstrapStore.component_rows``. The live monitor reads a
+mixed p-value off a count table of its row at the least component count
+instead, which gives the same number bit for bit (see
+:mod:`epimon.sequential`).
 """
 
 from __future__ import annotations
@@ -315,7 +318,18 @@ def finish(
     tail :func:`episode_piece` of each window. ``K`` is a tuple: one count
     that every row shares, ``(h,)`` in a batch, or one per row of ``whole``
     with a one-row tail serving every row, as the live monitor finishes the
-    stacked whole parts of all its horizons in one call."""
+    stacked whole parts of all its horizons in one call. The monitor builds
+    those whole parts once per family, shared by every ``pdt`` fraction,
+    when the next episode starts.
+
+    ``pdt`` takes its m smallest per-offset sums by partitioning its own
+    copy in place: the sum of ``whole`` and ``tail`` is a new array, and the
+    tail alone, which may be a caller's cached piece, is copied first. This
+    saves the second copy ``np.partition`` made; with the partition
+    unchanged the values are bitwise the same. Timeit on a loaded 2-vCPU
+    host could not tell the saving from noise (best of 5: 6.3 against 6.4 us
+    for the monitor's two-row finish at T 40, 98 against 99 us for a 400-row
+    batch)."""
     T = params.T
     name = kind.name
     if name == "mean":
@@ -334,7 +348,10 @@ def finish(
             sums = tail
         if m >= present:
             return sums.sum(axis=1)
-        return np.partition(sums, m - 1, axis=1)[:, :m].sum(axis=1)
+        if whole is None:
+            sums = sums.copy()  # the caller's tail piece, perhaps cached
+        sums.partition(m - 1, axis=1)
+        return sums[:, :m].sum(axis=1)
     if name == "hotelling":
         # -delta' S^-1 delta per row as one matrix product (BLAS), with
         # delta the count-scaled deviation of the per-offset sums.

@@ -2,14 +2,18 @@
 agreement with the batched replay of whole runs."""
 
 import dataclasses
+import fractions
+import functools
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import epimon as em
 from epimon import sequential
 from epimon.errors import InvalidDataError, NotTunedError, TerminalStateError
+from epimon.bfar import _pvalue_grid
 from epimon.stats import bootstrap_pvalues
 
 from conftest import make_params, make_reference
@@ -116,6 +120,29 @@ def test_rejects_bad_samples(tuned):
         monitor.step(float("nan"))
     with pytest.raises(InvalidDataError):
         monitor.step(np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("sample", [
+    True, np.True_, "1.5", b"2", "abc", 1 + 2j, np.complex128(1.0), None,
+    np.array(True), np.array("1.5"), np.array([1.0, 2.0]), [1.0],
+    pytest.param(10**400, id="int-beyond-float"),
+], ids=repr)
+def test_step_rejects_samples_that_are_not_finite_reals(tuned, sample):
+    monitor = em.Monitor(tuned)
+    monitor.step(1.0)
+    with pytest.raises(InvalidDataError, match="at step 2"):
+        monitor.step(sample)
+    assert monitor.t == 1
+
+
+@pytest.mark.parametrize("sample", [
+    1.5, np.float64(1.5), np.float32(1.5), 2, np.int64(2), np.array(1.5),
+    fractions.Fraction(3, 2),
+], ids=repr)
+def test_step_takes_real_scalars_as_floats(tuned, sample):
+    monitor = em.Monitor(tuned)
+    monitor.step(sample)
+    assert monitor.t == 1 and monitor._partial[0] == float(sample)
 
 
 def test_trace_counts_test_points(tuned):
@@ -285,7 +312,10 @@ def test_udt_running_sums_stay_bounded(tuned):
     monitor.reset()
     for sample in stream[: 3 * T]:
         monitor.step(sample)
-    assert list(monitor._udt_cum)[0] == 0.0 and len(monitor._udt_cum) == 4
+    # the third episode's sum waits for the fourth episode's first sample
+    assert list(monitor._udt_cum)[0] == 0.0 and len(monitor._udt_cum) == 3
+    monitor.step(stream[3 * T])
+    assert len(monitor._udt_cum) == 4
 
 
 def test_udt_beats_mean_on_uniform_degradation():
@@ -486,15 +516,16 @@ def test_cusum_chains_stay_bounded():
         assert chain[3] == chain[4] == chain[5]
 
 
-def _mixed_cusum_udt_monitor():
-    """A monitor of mdt, two cusums and udt, horizons 1 and 3, and a stream
-    of six H0 episodes for it."""
+def _mixed_cusum_udt_monitor(specs=("mdt", "cusum:0.5", "cusum:1", "udt"),
+                             test_every=1):
+    """A monitor of ``specs`` (by default mdt, two cusums and udt), horizons
+    1 and 3, and a stream of six H0 episodes for it."""
     params = make_params(T=4, seed=95, condition=20)
     ref = make_reference(params, 60, seed=96)
     plan = em.MonitorPlan(
-        statistics=(em.parse_statistic("mdt"), em.StatisticKind.cusum(0.5),
-                    em.StatisticKind.cusum(1.0), UDT),
+        statistics=tuple(em.parse_statistic(spec) for spec in specs),
         horizons=(1, 3), h_tilde=2, alpha0=0.5, B_inner=100, B_outer=2, seed=97,
+        test_every=test_every,
     )
     store = em.BootstrapStore(params, plan.B_inner, plan.seed)
     store.ensure(ref, plan.statistics, plan.window_lengths(params.T))
@@ -561,8 +592,9 @@ def test_whole_parts_are_built_only_when_an_episode_completes(monkeypatch):
     monitor, stream = _mixed_cusum_udt_monitor()
     T, plan = monitor.params.T, monitor.plan
     assert calls == []
-    # mean, hotelling and pdt, once per horizon, in plan order; the cusums
-    # carry their chains and udt its running sum
+    # mean, hotelling and pdt, once per horizon, in plan order, when the
+    # next episode's first sample arrives; the cusums carry their chains and
+    # udt its running sum
     per_episode = [spec for spec in ("mean", "hotelling", "pdt:0.9")
                    for _ in plan.horizons]
     test_points = 0
@@ -570,10 +602,12 @@ def test_whole_parts_are_built_only_when_an_episode_completes(monkeypatch):
         before = len(calls)
         monitor.step(sample)
         test_points += monitor.last_test_point == t
-        assert calls[before:] == (per_episode if t % T == 0 else []), t
+        rolls = t > T and t % T == 1
+        assert calls[before:] == (per_episode if rolls else []), t
         assert cusum_pieces == [], t
     assert test_points == 3 * T
-    assert len(calls) == 6 * len(per_episode)
+    # six episodes, the last still waiting for a next one to roll it
+    assert len(calls) == 5 * len(per_episode)
 
 
 def test_each_test_point_finishes_each_family_once_over_all_horizons(monkeypatch):
@@ -603,6 +637,182 @@ def test_each_test_point_finishes_each_family_once_over_all_horizons(monkeypatch
             assert len(calls) == before, t
         assert cusum_pieces == [], t
     assert test_points == 3 * monitor.params.T
+
+
+def _count_calls(monkeypatch):
+    """Patch the monitor's whole_part and episode_piece to record each call:
+    ("whole", spec) and ("piece", family, width of the rows)."""
+    calls = []
+    real_whole, real_piece = sequential.whole_part, sequential.episode_piece
+
+    def whole(kind, pieces):
+        calls.append(("whole", kind.spec))
+        return real_whole(kind, pieces)
+
+    def piece(name, rows, params):
+        calls.append(("piece", name, rows.shape[1]))
+        return real_piece(name, rows, params)
+
+    monkeypatch.setattr(sequential, "whole_part", whole)
+    monkeypatch.setattr(sequential, "episode_piece", piece)
+    return calls
+
+
+def test_episodes_roll_on_steps_that_test_nothing(monkeypatch):
+    # With test_every 2 the finished episode rolls at the next one's first
+    # sample, which is no test-point: a test-point builds only its tails,
+    # one piece per ring family of its tau samples, and no whole part.
+    calls = _count_calls(monkeypatch)
+    monitor, stream = _mixed_cusum_udt_monitor(test_every=2)
+    T, horizons = monitor.params.T, monitor.plan.horizons
+    families = ("mean", "hotelling", "pdt")
+    rolls = test_points = 0
+    for t, sample in enumerate(stream, start=1):
+        before = len(calls)
+        monitor.step(sample)
+        made, tau = calls[before:], (t - 1) % T + 1
+        if monitor.last_test_point == t:
+            test_points += 1
+            assert made == [("piece", name, tau) for name in families], t
+        elif t > T and tau == 1:
+            rolls += 1
+            wholes = [("whole", spec) for spec in ("mean", "hotelling", "pdt:0.9")
+                      for _ in horizons]
+            assert sorted(made) == sorted(
+                [("piece", name, T) for name in families] + wholes), t
+        else:
+            assert made == [], t
+    assert test_points == 3 * T // 2 and rolls == 5
+
+
+def test_pdt_fractions_share_one_whole_part_per_horizon(monkeypatch):
+    # whole_part of a row family is a plain sum, the same for every pdt
+    # fraction, so two fractions build one whole part per horizon.
+    calls = _count_calls(monkeypatch)
+    monitor, stream = _mixed_cusum_udt_monitor(specs=("pdt:0.5", "pdt:0.9"))
+    T, horizons = monitor.params.T, monitor.plan.horizons
+    for t, sample in enumerate(stream, start=1):
+        before = len(calls)
+        monitor.step(sample)
+        wholes = [call for call in calls[before:] if call[0] == "whole"]
+        rolls = t > T and t % T == 1
+        assert len(wholes) == (len(horizons) if rolls else 0), t
+        assert {spec for _, spec in wholes} <= {"pdt:0.5", "pdt:0.9"}
+    assert list(monitor._wholes) == ["pdt"]
+    assert monitor._wholes["pdt"].shape == (len(horizons), T)
+
+
+def _mixed_tables(monitor):
+    """Each mixed test's (h, tau, spec) with its count table."""
+    return {(h, tau, spec): rows
+            for (h, tau), tests in monitor._tests.items()
+            for _, spec, rows, components in tests if components}
+
+
+def test_mixed_count_tables_are_the_store_rows_pvalues_bit_for_bit():
+    # A small reference makes mixed rows with many ties. At every count c
+    # the table's p-value must be bootstrap_pvalues of the grid value
+    # (1 + c) / (1 + B) against the mixed row, compared bit for bit.
+    monitor, _ = _mixed_cusum_udt_monitor(specs=("mdt", "mixed:udt+cusum:0.5"))
+    store, T = monitor.tuned.store, monitor.params.T
+    B = store.B
+    grid = _pvalue_grid(B)
+    tables = _mixed_tables(monitor)
+    assert len(tables) == 2 * 2 * T
+    tied = 0
+    for (h, tau, spec), table in tables.items():
+        row = store.values_for(em.parse_statistic(spec), h * T + tau)
+        tied += np.unique(row).size < row.size
+        assert table.dtype.kind == "i" and table.shape == (B + 1,)
+        mine = (1.0 + table) / (1.0 + B)
+        want = np.array([bootstrap_pvalues(row, float(g)) for g in grid])
+        assert mine.view(np.int64).tolist() == want.view(np.int64).tolist(), spec
+    assert tied == len(tables)
+
+
+def test_monitor_rejects_a_store_row_of_other_than_B_values():
+    # A component row of fewer values would put the mixed value off the
+    # mixed row's p-value grid, where its count table reads it.
+    monitor, _ = _mixed_cusum_udt_monitor(specs=("mixed:mean+udt",))
+    store, T = monitor.tuned.store, monitor.params.T
+    store.entries[("mean", T + 2)] = store.entries[("mean", T + 2)][::2]
+    with pytest.raises(InvalidDataError, match="holds 50 values, not B = 100"):
+        em.Monitor(monitor.tuned)
+
+
+def test_mixed_count_tables_stay_at_B_plus_1_entries():
+    monitor, _ = _mixed_cusum_udt_monitor(specs=("mdt", "mixed:udt+cusum:0.5"))
+    B = monitor.tuned.store.B
+    before = {key: table.copy() for key, table in _mixed_tables(monitor).items()}
+    stream = em.generate_episodes(
+        em.Scenario(params=monitor.params, kind="h0", seed=131), 2000).ravel()
+    for sample in stream:
+        monitor.step(sample)
+    after = _mixed_tables(monitor)
+    assert after.keys() == before.keys()
+    for key, table in after.items():
+        assert table.shape == (B + 1,) and np.array_equal(table, before[key]), key
+
+
+PROPERTY_BASES = ("mean", "udt", "pdt:0.3", "pdt:0.9", "hotelling", "cusum:0.5")
+
+
+@functools.lru_cache(maxsize=None)
+def _property_params(T):
+    params = make_params(T=T, seed=140 + T, condition=20)
+    return params, make_reference(params, 12, seed=150 + T)
+
+
+@st.composite
+def _plan_shapes(draw):
+    T = draw(st.integers(2, 8))
+    test_every = draw(st.sampled_from([d for d in range(1, T + 1) if T % d == 0]))
+    horizons = sorted(draw(st.sets(st.integers(1, 6), min_size=1, max_size=3)))
+    specs = draw(st.lists(st.sampled_from(PROPERTY_BASES), unique=True, max_size=4))
+    for parts in draw(st.lists(st.lists(st.sampled_from(PROPERTY_BASES),
+                                        unique=True, min_size=2, max_size=3),
+                               max_size=2)):
+        spec = "mixed:" + "+".join(parts)
+        if spec not in specs:
+            specs.append(spec)
+    if not specs:
+        specs.append(draw(st.sampled_from(PROPERTY_BASES)))
+    cuts = draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=4))
+    return T, test_every, tuple(horizons), tuple(specs), cuts, draw(st.integers(0, 99))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_plan_shapes())
+def test_monitor_matches_the_replay_over_plan_shapes(shape):
+    # Over drawn plan shapes, at every test-point of generated streams cut
+    # anywhere and followed by a reset, the monitor's minimal p is the
+    # replay's column, bit for bit.
+    T, test_every, horizons, specs, cuts, seed = shape
+    params, ref = _property_params(T)
+    plan = em.MonitorPlan(
+        statistics=tuple(em.parse_statistic(spec) for spec in specs),
+        horizons=horizons, h_tilde=3, alpha0=0.5, B_inner=40, B_outer=2,
+        seed=seed, test_every=test_every,
+    )
+    store = em.BootstrapStore(params, plan.B_inner, plan.seed)
+    store.ensure(ref, plan.statistics, plan.window_lengths(T))
+    runs, length = len(cuts), plan.h_max + plan.h_tilde
+    episodes = em.generate_episodes(
+        em.Scenario(params=params, kind="uniform", seed=seed,
+                    epsilon=0.2 * params.mean_step_std),
+        runs * length,
+    )
+    streams = np.arange(runs * length).reshape(runs, length)
+    replay = em.replay_pvalues(em.BatchEvaluator(episodes, params), streams, plan, store)
+    monitor = em.Monitor(em.TunedMonitor(plan, 0.0, store, np.zeros(1)))
+    warmup = plan.h_max * T
+    for run, column, cut in zip(episodes.reshape(runs, -1), replay, cuts):
+        n = warmup + round(cut * (run.size - warmup))  # a cut after the warm-up
+        _, trace = feed(monitor, run[:n])
+        got = [min(ev.p for ev in evals) for _, evals in trace]
+        assert len(got) == (n - warmup) // test_every
+        assert got == column[: len(got)].tolist()
+        monitor.reset()
 
 
 def test_monitor_rejects_a_store_missing_an_entry():
