@@ -35,7 +35,7 @@ import contextlib
 import json
 import math
 import os
-import tempfile
+import secrets
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass
@@ -444,9 +444,12 @@ def write_atomic(path, data: str | bytes) -> None:
     """Write ``data`` (text if a ``str``, else bytes) to ``path`` through a
     temporary file in the same directory, renamed into place, so a reader
     sees the old file or the whole new one; on failure the temporary file
-    is removed and ``path`` is untouched."""
+    is removed and ``path`` is untouched. The file gets the mode
+    ``open(path, "w")`` gives a new file: 0666 less the process umask."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".epimon-tmp-")
+    tmp = os.path.join(directory, f".epimon-tmp-{secrets.token_hex(8)}")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp, flags, 0o666)
     try:
         with os.fdopen(fd, "w" if isinstance(data, str) else "wb") as fh:
             fh.write(data)

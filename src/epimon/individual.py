@@ -24,10 +24,12 @@ monotone reparameterizations of a statistic, makes statistics that differ by
 a constant produce identical decisions, and couples the stored distributions
 across lengths the same way a live monitor's growing windows are coupled.
 
-A :class:`BootstrapStore` is filled one way, by
-``BootstrapStore.ensure(ref, kinds, lengths)`` at tuning time. Each call
-draws one (B, K_max+1) index table, at the longest of ``lengths``, and
-slices its leading K+1 columns for every (statistic, length) entry.
+A :class:`BootstrapStore` starts empty: ``BootstrapStore.ensure(ref,
+kinds, lengths)`` builds its rows at tuning time, ``BootstrapStore.load``
+restores them from a store file, and ``entries`` is a read-only view of
+them. Each ``ensure`` call draws one (B, K_max+1) index table, at the
+longest of ``lengths``, and slices its leading K+1 columns for every
+(statistic, length) entry.
 Slicing is exact, not an approximation: ``Generator.integers`` produces its
 output values in order from the stream, and the table is drawn one episode
 position at a time (all B repetitions' first episode, then all their
@@ -53,6 +55,7 @@ import hashlib
 import io
 import json
 import os
+from types import MappingProxyType
 
 import numpy as np
 
@@ -161,8 +164,10 @@ class BootstrapStore:
 
     Keys are (statistic spec, window length); each entry is a sorted vector of
     exactly B finite values, a deterministic function of (reference data, key,
-    B, seed). :meth:`ensure` is the one way to fill a store: it builds every
-    entry a plan needs from the reference data at tuning time. Everything
+    B, seed). A new store is empty; :meth:`ensure` is the one code that
+    builds entries, every entry a plan needs from the reference data at
+    tuning time, and :meth:`load` restores a saved store's entries after
+    checking them. ``entries`` is a read-only mapping over them. Everything
     else only reads: :meth:`values_for` raises :class:`NotTunedError` for a
     missing entry, so live monitoring never waits on bootstrap work.
 
@@ -178,34 +183,26 @@ class BootstrapStore:
     (spec, n) key.
     """
 
-    def __init__(
-        self,
-        params: EpisodeParams,
-        B: int,
-        seed: int,
-        entries: dict[tuple[str, int], np.ndarray] | None = None,
-    ):
+    def __init__(self, params: EpisodeParams, B: int, seed: int):
         if B < 1:
             raise ValueError("B must be positive")
         self.params = params
         self.B = int(B)
         self.seed = int(seed)
-        self.entries: dict[tuple[str, int], np.ndarray] = dict(entries or {})
+        self._entries: dict[tuple[str, int], np.ndarray] = {}
+
+    @property
+    def entries(self) -> MappingProxyType:
+        """Read-only view of the (spec, n) -> sorted row mapping."""
+        return MappingProxyType(self._entries)
 
     def values_for(self, kind: StatisticKind, n: int) -> np.ndarray:
-        """Sorted distribution for (kind, n). An entry of other than B
-        values raises :class:`InvalidDataError`: every p-value is on the
-        grid (1 + c) / (1 + B), which the monitor's mixed count tables
-        rely on."""
-        entry = self.entries.get((kind.spec, int(n)))
+        """Sorted distribution of B values for (kind, n), as :meth:`ensure`
+        built it or :meth:`load` restored it."""
+        entry = self._entries.get((kind.spec, int(n)))
         if entry is None:
             raise NotTunedError(
                 f"no bootstrap distribution for {kind.spec!r} at length {n}"
-            )
-        if entry.size != self.B:
-            raise InvalidDataError(
-                f"bootstrap distribution for {kind.spec!r} at length {n} "
-                f"holds {entry.size} values, not B = {self.B}"
             )
         return entry
 
@@ -246,12 +243,12 @@ class BootstrapStore:
             }
             for spec, rows in values.items():
                 for n, row in zip(ns, rows):
-                    self.entries[(spec, n)] = _sorted(row)
+                    self._entries[(spec, n)] = _sorted(row)
             for i, n in enumerate(ns):
                 at = {spec: vals[i] for spec, vals in values.items()}
                 for kind in mixed:
                     rows = self.component_rows(kind, n)
-                    self.entries[(kind.spec, n)] = _sorted(mixed_values(rows, at))
+                    self._entries[(kind.spec, n)] = _sorted(mixed_values(rows, at))
 
     def save(self, path) -> None:
         """Write the store as format version 3: the rows file, named after
@@ -261,8 +258,8 @@ class BootstrapStore:
         rows_file = os.path.splitext(os.path.basename(path))[0] + ".npy"
         if rows_file == os.path.basename(path):
             raise ValueError(f"store index {path!r} would overwrite its rows file")
-        keys = sorted(self.entries)
-        rows = np.array([self.entries[key] for key in keys], dtype="<f8")
+        keys = sorted(self._entries)
+        rows = np.array([self._entries[key] for key in keys], dtype="<f8")
         with io.BytesIO() as buf:
             np.save(buf, rows.reshape(len(keys), self.B), allow_pickle=False)
             raw = buf.getvalue()
@@ -321,7 +318,8 @@ class BootstrapStore:
         if unsorted.size:
             raise InvalidDataError(f"store row {unsorted[0]} is not sorted")
         rows.setflags(write=False)
-        entries: dict[tuple[str, int], np.ndarray] = {}
+        store = cls(params, B, seed)
+        entries = store._entries
         used: set[int] = set()
         for i, item in enumerate(items):
             json_object(item, f"store entry {i}", ("kind", "n", "row"))
@@ -338,7 +336,7 @@ class BootstrapStore:
                 raise ValueError(f"store has two entries for {key}")
             used.add(row)
             entries[key] = rows[row]
-        return cls(params, B, seed, entries=entries)
+        return store
 
 
 def individual_test(

@@ -340,7 +340,8 @@ def finish(
         return tail if whole is None else tail + whole
     if name == "pdt":
         present = T if whole is not None else tau
-        m = min(ceil_fraction(kind.p * T), present)
+        # At least one offset, also where p*T is within ceil_fraction's slack of 0.
+        m = min(max(1, ceil_fraction(kind.p * T)), present)
         if whole is not None:
             sums = whole.copy()
             sums[:, :tau] += tail

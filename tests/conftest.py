@@ -1,3 +1,6 @@
+import hashlib
+import io
+import json
 import os
 import subprocess
 import sys
@@ -41,6 +44,27 @@ def make_reference(params, n_episodes, seed=0):
         Scenario(params=params, kind="h0", seed=seed), n_episodes
     )
     return ReferenceDataset(episodes)
+
+
+def resealed_store(store, path, keep=lambda key: True, edit_rows=lambda rows: rows):
+    """Save ``store`` at ``path`` and rewrite its files: only the entries
+    whose (spec, n) key ``keep`` accepts stay, with their rows renumbered in
+    entry order and then passed through ``edit_rows``, and ``rows_sha256``
+    is sealed over the rows written, so :meth:`BootstrapStore.load` reaches
+    every check after the hash. Returns ``path``."""
+    store.save(path)
+    index = json.loads(path.read_text())
+    rows_path = path.parent / index["rows_file"]
+    entries = [e for e in index["entries"] if keep((e["kind"], e["n"]))]
+    rows = edit_rows(np.load(rows_path)[[e["row"] for e in entries]])
+    for row, entry in enumerate(entries):
+        entry["row"] = row
+    buf = io.BytesIO()
+    np.save(buf, rows, allow_pickle=False)
+    rows_path.write_bytes(buf.getvalue())
+    index.update(entries=entries, rows_sha256=hashlib.sha256(buf.getvalue()).hexdigest())
+    path.write_text(json.dumps(index))
+    return path
 
 
 @pytest.fixture

@@ -20,7 +20,7 @@ from epimon.stats import (
     whole_part,
 )
 
-from conftest import make_params, make_reference
+from conftest import make_params, make_reference, resealed_store
 
 MEAN = em.StatisticKind.mean()
 UDT = em.StatisticKind.udt()
@@ -588,17 +588,22 @@ def test_bfar_min_p_allocates_less_than_one_gather_per_window():
     assert peak < gather_bytes, (peak, gather_bytes)
 
 
-def test_replay_rejects_a_missing_component_row_before_evaluating(monkeypatch):
+def test_replay_rejects_a_missing_component_row_before_evaluating(
+    monkeypatch, tmp_path
+):
     # Both replays resolve every store row of the plan first, so a store
-    # that lacks one fails before any statistic is evaluated.
+    # that lacks one fails before any statistic is evaluated. Only a store
+    # file can hold a mixed row without its component's row.
     params = make_params(T=4, seed=45)
     ref = make_reference(params, 40, seed=46)
     plan = make_plan(statistics=(em.parse_statistic("mixed:mean+udt"),),
                      horizons=(1, 2), h_tilde=2, B_inner=100, B_outer=20,
                      alpha0=0.1)
-    store = _store(ref, params, plan)
     n = plan.window_lengths(params.T)[-1]
-    del store.entries["udt", n]
+    path = resealed_store(_store(ref, params, plan), tmp_path / "store.json",
+                          keep=lambda key: key != ("udt", n))
+    store = em.BootstrapStore.load(path, params)
+    assert ("mixed:mean+udt", n) in store.entries
     calls = []
     offset_values = em.BatchEvaluator.offset_values
 

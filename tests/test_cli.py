@@ -6,6 +6,7 @@ import io
 import json
 import os
 import pickle
+import stat
 from types import SimpleNamespace
 
 import numpy as np
@@ -130,6 +131,35 @@ def test_tune_writes_the_bundle_and_both_store_files_only(workspace, tmp_path):
     assert sorted(os.listdir(tmp_path)) == [
         "bundle.json", "bundle.json.store.json", "bundle.json.store.npy"
     ]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027, 0o077], ids=oct)
+def test_outputs_get_the_mode_of_a_new_file(workspace, tmp_path, umask):
+    # Every output file gets the mode open(path, "w") gives a new file under
+    # the umask, so readers the umask admits can read it.
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"kind": "h0"}))
+    outputs = ["params.json", "bundle.json", "bundle.json.store.json",
+               "bundle.json.store.npy", "report.json", "power.json"]
+    old = os.umask(umask)
+    try:
+        with open(tmp_path / "plain.json", "w"):
+            pass
+        assert main(["estimate", str(workspace / "reference.csv"),
+                     "--episode-length", "12", "--downsample", "2",
+                     "--out", str(tmp_path / "params.json")]) == 0
+        assert _tune(workspace, tmp_path / "bundle.json") == 0
+        assert main(["simulate", "--bundle", str(tmp_path / "bundle.json"),
+                     "--scenario", str(scenario), "--blocks", "2", "--seed", "1",
+                     "--out", str(tmp_path / "report.json")]) == 0
+        assert main(["power", "--params", str(tmp_path / "params.json"),
+                     "--epsilon-sigma", "0.1", "--out", str(tmp_path / "power.json")]) == 0
+    finally:
+        os.umask(old)
+    want = stat.S_IMODE(os.stat(tmp_path / "plain.json").st_mode)
+    assert want == 0o666 & ~umask
+    modes = {name: stat.S_IMODE(os.stat(tmp_path / name).st_mode) for name in outputs}
+    assert modes == dict.fromkeys(outputs, want)
 
 
 def test_tune_writes_the_store_rows_before_the_index(

@@ -205,7 +205,6 @@ def _oracle_entries(ref, params, keys, B, seed):
         for spec, n in keys
         if not spec.startswith("mixed")
     }
-    components = em.BootstrapStore(params, B, seed, entries=oracle)
     evaluator = em.BatchEvaluator(ref.episodes, params)
     for spec, n in [key for key in keys if key[0].startswith("mixed")]:
         kind = em.parse_statistic(spec)
@@ -215,7 +214,7 @@ def _oracle_entries(ref, params, keys, B, seed):
             c.spec: evaluator.values(c, idx[:, : dec.k], idx[:, dec.k], dec.tau)
             for c in kind.components
         }
-        rows = components.component_rows(kind, n)
+        rows = [(c.spec, oracle[c.spec, n]) for c in kind.components]
         oracle[spec, n] = np.sort(mixed_values(rows, values))
     return oracle
 
@@ -264,6 +263,30 @@ def test_resample_indices_are_prefixes_of_longer_draws(num_episodes):
     for n in range(1, 9 * T):
         short = individual.resample_indices(num_episodes, n, T, B, seed)
         assert np.array_equal(short, longest[:, : short.shape[1]]), n
+
+
+def test_store_rows_enter_only_through_ensure_and_load(tmp_path):
+    # A store starts empty; the constructor takes no rows, and its entries
+    # are a read-only view that no assignment, deletion or rebinding changes.
+    params = make_params(T=4, seed=20)
+    store = em.BootstrapStore(params, B=50, seed=3)
+    assert len(store.entries) == 0
+    store.ensure(make_reference(params, 15, seed=21), [MEAN], [5])
+    row = store.entries[("mean", 5)]
+    with pytest.raises(TypeError):
+        em.BootstrapStore(params, 50, 3, entries={("mean", 5): row})
+    with pytest.raises(TypeError):
+        store.entries[("mean", 6)] = row
+    with pytest.raises(TypeError):
+        del store.entries[("mean", 5)]
+    with pytest.raises(AttributeError):
+        store.entries = {("mean", 5): row[::-1]}
+    assert list(store.entries) == [("mean", 5)]
+    store.save(tmp_path / "store.json")
+    loaded = em.BootstrapStore.load(tmp_path / "store.json", params)
+    with pytest.raises(TypeError):
+        loaded.entries[("mean", 5)] = row[::-1]
+    assert np.array_equal(loaded.entries[("mean", 5)], row)
 
 
 def _edited_index(tmp_path, store, edit):

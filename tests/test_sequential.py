@@ -12,11 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 import epimon as em
 from epimon import sequential
+from epimon.bfar import _pvalue_grid, detection_steps
 from epimon.errors import InvalidDataError, NotTunedError, TerminalStateError
-from epimon.bfar import _pvalue_grid
 from epimon.stats import bootstrap_pvalues
 
-from conftest import make_params, make_reference
+from conftest import make_params, make_reference, resealed_store
 
 MEAN = em.StatisticKind.mean()
 UDT = em.StatisticKind.udt()
@@ -730,14 +730,21 @@ def test_mixed_count_tables_are_the_store_rows_pvalues_bit_for_bit():
     assert tied == len(tables)
 
 
-def test_monitor_rejects_a_store_row_of_other_than_B_values():
+def test_monitor_rejects_a_store_row_of_other_than_B_values(tmp_path):
     # A component row of fewer values would put the mixed value off the
-    # mixed row's p-value grid, where its count table reads it.
+    # mixed row's p-value grid, where its count table reads it. Such a row
+    # cannot reach a monitor: the store's entries are read-only, and a
+    # store file of shorter rows fails at load.
     monitor, _ = _mixed_cusum_udt_monitor(specs=("mixed:mean+udt",))
     store, T = monitor.tuned.store, monitor.params.T
-    store.entries[("mean", T + 2)] = store.entries[("mean", T + 2)][::2]
-    with pytest.raises(InvalidDataError, match="holds 50 values, not B = 100"):
-        em.Monitor(monitor.tuned)
+    key = ("mean", T + 2)
+    with pytest.raises(TypeError):
+        store.entries[key] = store.entries[key][::2]
+    assert store.entries[key].size == store.B == 100
+    path = resealed_store(store, tmp_path / "store.json",
+                          edit_rows=lambda rows: rows[:, ::2])
+    with pytest.raises(InvalidDataError, match=r"expected '<f8' of shape \(\d+, 100\)"):
+        em.BootstrapStore.load(path, monitor.params)
 
 
 def test_mixed_count_tables_stay_at_B_plus_1_entries():
@@ -781,12 +788,10 @@ def _plan_shapes(draw):
     return T, test_every, tuple(horizons), tuple(specs), cuts, draw(st.integers(0, 99))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(_plan_shapes())
-def test_monitor_matches_the_replay_over_plan_shapes(shape):
-    # Over drawn plan shapes, at every test-point of generated streams cut
-    # anywhere and followed by a reset, the monitor's minimal p is the
-    # replay's column, bit for bit.
+def _property_case(shape):
+    """The plan of a drawn shape (B 40, N 12), its tuned store, one
+    generated run per cut (h_max + 3 episodes, a small drift) and the
+    replay's p-value columns of those runs."""
     T, test_every, horizons, specs, cuts, seed = shape
     params, ref = _property_params(T)
     plan = em.MonitorPlan(
@@ -804,6 +809,18 @@ def test_monitor_matches_the_replay_over_plan_shapes(shape):
     )
     streams = np.arange(runs * length).reshape(runs, length)
     replay = em.replay_pvalues(em.BatchEvaluator(episodes, params), streams, plan, store)
+    return plan, store, episodes, replay
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_plan_shapes())
+def test_monitor_matches_the_replay_over_plan_shapes(shape):
+    # Over drawn plan shapes, at every test-point of generated streams cut
+    # anywhere and followed by a reset, the monitor's minimal p is the
+    # replay's column, bit for bit.
+    T, test_every, _, _, cuts, _ = shape
+    plan, store, episodes, replay = _property_case(shape)
+    runs = len(cuts)
     monitor = em.Monitor(em.TunedMonitor(plan, 0.0, store, np.zeros(1)))
     warmup = plan.h_max * T
     for run, column, cut in zip(episodes.reshape(runs, -1), replay, cuts):
@@ -815,7 +832,41 @@ def test_monitor_matches_the_replay_over_plan_shapes(shape):
         monitor.reset()
 
 
-def test_monitor_rejects_a_store_missing_an_entry():
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_plan_shapes())
+def test_replays_and_store_agree_over_plan_shapes(shape):
+    # Over the same drawn plan shapes, bit for bit: (a) bfar_min_p is the
+    # minimum of the replay's columns of the H0 streams; (b) detection_steps
+    # at a threshold t, taken from the p-values the runs realise and one
+    # ulp either side, fires at the first column below t, step
+    # (c + 1) * test_every, and 0 when none is; (c) each base store entry
+    # is its standalone bootstrap_distribution.
+    T, test_every = shape[:2]
+    params, ref = _property_params(T)
+    plan, store, episodes, replay = _property_case(shape)
+    streams = em.h0_stream_indices(plan, ref.num_episodes)
+    h0 = em.replay_pvalues(em.BatchEvaluator(ref.episodes, params), streams,
+                           plan, store)
+    assert np.array_equal(em.bfar_min_p(ref, params, plan, store), h0.min(axis=1))
+    runs = episodes.reshape(len(replay), -1)
+    taken = np.unique(replay)
+    for t in taken[:: max(1, taken.size // 3)]:
+        for threshold in (t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf)):
+            tuned = em.TunedMonitor(plan, float(threshold), store, np.zeros(1))
+            below = replay < threshold
+            want = np.where(below.any(axis=1),
+                            (below.argmax(axis=1) + 1) * test_every, 0)
+            assert np.array_equal(detection_steps(tuned, runs, plan.h_tilde),
+                                  want), threshold
+    for (spec, n), entry in store.entries.items():
+        if not spec.startswith("mixed"):
+            oracle = em.bootstrap_distribution(ref, params, em.parse_statistic(spec),
+                                               n, store.B, store.seed)
+            assert entry.tobytes() == oracle.tobytes(), (spec, n)
+
+
+def test_monitor_rejects_a_store_missing_an_entry(tmp_path):
+    # A store file that lacks one component row of a mixed test.
     params = make_params(T=4, seed=99, condition=20)
     ref = make_reference(params, 40, seed=100)
     plan = em.MonitorPlan(
@@ -825,6 +876,10 @@ def test_monitor_rejects_a_store_missing_an_entry():
     store = em.BootstrapStore(params, plan.B_inner, plan.seed)
     store.ensure(ref, plan.statistics, plan.window_lengths(params.T))
     em.Monitor(em.TunedMonitor(plan, 0.0, store, np.zeros(1)))  # complete
-    del store.entries[("pdt:0.9", 2 * params.T + 2)]
-    with pytest.raises(NotTunedError, match="pdt:0.9"):
+    n = 2 * params.T + 2
+    path = resealed_store(store, tmp_path / "store.json",
+                          keep=lambda key: key != ("pdt:0.9", n))
+    store = em.BootstrapStore.load(path, params)
+    assert (em.parse_statistic("mdt").spec, n) in store.entries
+    with pytest.raises(NotTunedError, match=f"'pdt:0.9' at length {n}"):
         em.Monitor(em.TunedMonitor(plan, 0.0, store, np.zeros(1)))

@@ -121,6 +121,17 @@ def test_pdt_short_window_caps_subset_size():
     assert em.statistic_value(em.StatisticKind.pdt(0.9), w) == -4.0
 
 
+def test_pdt_tiny_fraction_keeps_one_offset():
+    # p*T below the 1e-9 slack of ceil_fraction still keeps the smallest
+    # per-offset sum, as any p <= 1/T does, rather than none (a constant 0).
+    params = make_params(T=8, seed=17)
+    w = window(np.random.default_rng(4).standard_normal(2 * 8 + 3), params)
+    tiny = em.statistic_value(em.StatisticKind.pdt(1e-12), w)
+    tenth = em.statistic_value(em.StatisticKind.pdt(0.1), w)
+    assert tiny != 0.0
+    assert np.float64(tiny).tobytes() == np.float64(tenth).tobytes()
+
+
 def test_pdt_rejects_bad_fraction():
     with pytest.raises(ValueError):
         em.StatisticKind.pdt(0.0)
