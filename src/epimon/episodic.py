@@ -473,16 +473,18 @@ def sibling_path(path, name, what: str) -> str:
     return os.path.join(os.path.dirname(os.fspath(path)), name)
 
 
-def check_format_version(data, expected: int, what: str, keys, hint="") -> None:
+def check_format_version(data, expected: int, what: str, keys, hint="",
+                         known=None) -> None:
     """Raise :class:`InvalidDataError` unless ``data`` is a :func:`json_object`
-    holding ``keys`` with ``format_version`` ``expected``, checked first, as
-    another version may have other keys; ``hint`` ends its message."""
+    holding ``keys``, and no key outside ``known`` when that is given, with
+    ``format_version`` ``expected``, checked first, as another version may
+    have other keys; ``hint`` ends its message."""
     if isinstance(data, dict) and data.get("format_version") != expected:
         raise InvalidDataError(
             f"{what} file has format_version {data.get('format_version')!r}, "
             f"this version reads {expected}{hint}"
         )
-    json_object(data, what, keys)
+    json_object(data, what, keys, known)
 
 
 def json_object(data, what: str, keys, known=None) -> None:
@@ -536,8 +538,12 @@ def json_numbers(values, what: str, ndim: int = 1) -> np.ndarray:
 
 
 def params_from_dict(data: dict) -> EpisodeParams:
+    """Params from the JSON object :func:`params_to_dict` writes; a key it
+    does not write and a negative ``lambda`` (a ridge is never negative)
+    raise :class:`InvalidDataError`."""
     keys = ("T", "d", "mu0", "sigma0")
-    check_format_version(data, PARAMS_FORMAT_VERSION, "params", keys)
+    known = ("format_version", *keys, "regularized", "lambda")
+    check_format_version(data, PARAMS_FORMAT_VERSION, "params", keys, known=known)
     mu0 = json_numbers(data["mu0"], "params mu0")
     if mu0.size != json_int(data["T"], "params T"):
         raise InvalidDataError("params file: mu0 length does not match T")
@@ -546,12 +552,15 @@ def params_from_dict(data: dict) -> EpisodeParams:
         raise ValueError(
             f"params regularized must be true or false, got {regularized!r}"
         )
+    ridge = json_number(data.get("lambda", 0.0), "params lambda")
+    if ridge < 0.0:
+        raise InvalidDataError(f"params lambda must not be negative, got {ridge!r}")
     return EpisodeParams(
         mu0,
         json_numbers(data["sigma0"], "params sigma0", ndim=2),
         downsample_factor=json_int(data["d"], "params d"),
         regularized=regularized,
-        ridge=json_number(data.get("lambda", 0.0), "params lambda"),
+        ridge=ridge,
     )
 
 

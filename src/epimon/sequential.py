@@ -37,7 +37,7 @@ every spec of the family, so ``pdt`` fractions share one. A test-point then
 only builds each tail piece once and finishes each statistic over all its
 horizons in one :func:`~epimon.stats.finish` call, so its cost grows neither
 with h*T nor with a numpy call per horizon; the sorted store rows of every
-test are looked up once, at construction. ``udt``, set apart
+test are looked up once, at construction (p-values below). ``udt``, set apart
 once at construction, keeps a running sum of its episode pieces instead,
 which is udt's finish in Python floats: O(1) per horizon, where a numpy
 batch would cost more than the whole test; it keeps the last h_max + 1 sums
@@ -51,17 +51,34 @@ The roll waits for the next episode's first sample, before that sample is
 stored, rather than following the test at tau = T, which still sees the
 finished episode as its tail. With test_every > 1 the roll's step tests
 nothing, so no test-point pays for it; with test_every = 1 it moves to the
-tau = 1 test-point, at the same cost. A mixed test makes no ``searchsorted``
-of its own row: its value, the least of its components' p-values against
+tau = 1 test-point, at the same cost. A mixed test makes no lookup in its
+own row: its value, the least of its components' p-values against
 rows of B values, is the grid value (1 + c) / (1 + B) of the least
 component count c. So at construction each mixed test's row becomes a count
 table, the B + 1 counts of the row at every grid value, and a test-point
-reads the p-value (1 + table[c]) / (1 + B) at c: one ``searchsorted`` per
-component row and none for the mixed one. On the benchmark's ``mdt_te4``
+reads the p-value (1 + table[c]) / (1 + B) at c: one lookup per component
+row and none for the mixed one. On the benchmark's ``mdt_te4``
 workload (mdt, T 40, horizons 3 and 30, test_every 4) the two took the
 per-test-point latency from 94.2 to 65.8 us at p99 and from 44.2 to 38.2 us
 at p50, and the monitor from 74 500 to 83 600 samples/s (medians of 10
 alternating pairs, 2-vCPU host).
+
+A p-value is read with :func:`bisect.bisect_right` over a memoryview of
+the sorted store row, a zero-copy, read-only view that the constructor
+keeps for each base test and each mixed component: (1 + count) / (1 + B),
+the count a Python int. ``bisect_right`` gives the count
+``searchsorted(side="right")`` gives for every float: ties, -0.0 and 0.0,
+infinities, and NaN (both count the whole row). So every p-value is bit
+for bit :func:`~epimon.stats.bootstrap_pvalues`, without a numpy call on a
+Python float, a numpy integer result or numpy integers compared by
+``min``. Each result is a :class:`TestEvaluation` ``NamedTuple``, several
+times cheaper to build than a frozen dataclass. Against ``searchsorted`` and
+a dataclass, the two took the per-test-point latency at p50 from 15.1 to
+10.4 us on ``sim_small`` and from 9.1 to 7.2 us on ``udt_c1``, at p99 from
+24.5 to 16.8 us and from 14.2 to 11.3 us, and the monitor from 57 500 to
+78 000 and from 95 300 to 117 300 samples/s; on ``mdt_te4``, whose
+test-points are bound by numpy calls in ``finish``, p50 went from 39.3 to
+36.4 us (medians of 10 alternating pairs, 2-vCPU host).
 
 Each ``cusum`` spec, set apart at construction too, is carried as a chain of
 h_max + 1 drift-prefix states (P_n, min P) in Python floats: entry c covers
@@ -90,8 +107,10 @@ from __future__ import annotations
 
 import math
 import numbers
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,7 +119,6 @@ from .errors import InvalidDataError, TerminalStateError
 from .stats import (
     StatisticKind,
     base_statistics,
-    bootstrap_pvalues,
     episode_piece,
     finish,
     statistic_value,  # noqa: F401 -- perfbench's tracer patches this global
@@ -108,9 +126,10 @@ from .stats import (
 )
 
 
-@dataclass(frozen=True)
-class TestEvaluation:
-    """One individual test's result at a test-point."""
+class TestEvaluation(NamedTuple):
+    """One individual test's result at a test-point. A ``NamedTuple``, built
+    at every test-point for every test: it unpacks as ``(statistic,
+    horizon, p)`` and compares equal to a tuple of the same fields."""
 
     statistic: StatisticKind
     horizon: int
@@ -156,14 +175,16 @@ class Monitor:
         # A base of each ring family, for its whole part: a plain sum, the
         # same for every spec of the family (pdt fractions).
         self._families = {base.name: base for base in bases.values()}
-        # Sorted store rows of each test per (horizon, offset), a mixed
-        # test's row as its count table; store_rows checks test_every | T.
+        # Sorted store rows of each test per (horizon, offset) as read-only
+        # memoryviews for bisect, a mixed test's row as its count table;
+        # store_rows checks test_every | T.
         self._tests = {
-            point: [(kind, spec, _count_table(rows) if components else rows,
-                     components)
+            point: [(kind, spec, _count_table(rows) if components else memoryview(rows),
+                     [(s, memoryview(r)) for s, r in components])
                     for kind, spec, rows, components in tests]
             for point, tests in plan.store_rows(tuned.store, T).items()
         }
+        self._denominator = 1.0 + tuned.store.B
         self._mu0 = self.params.mu0.tolist()
         self._step_std = self.params.step_std.tolist()
         self._partial = np.empty(T)
@@ -293,6 +314,7 @@ class Monitor:
             columns.append((spec, y.tolist()))
         if self._wants_udt:
             udt_tail = float(params.tail_weights(tau) @ partial)
+        denominator = self._denominator
         evaluations = []
         best = None
         for i, h in enumerate(self._horizons):
@@ -306,17 +328,17 @@ class Monitor:
                 # by the conditional, signed zeros included
                 last, low = self._chains[spec][h]
                 values[spec] = -(last - (0.0 if 0.0 < low else low))
-            for kind, spec, rows, components in self._tests[h, tau]:
+            for kind, spec, row, components in self._tests[h, tau]:
                 if components:
-                    # rows is the count table, read at the least count
-                    c = min([r.searchsorted(values[s], side="right")
-                             for s, r in components])
-                    p = (1.0 + rows.item(c)) / rows.size
+                    # row is the count table, read at the least count
+                    c = min([bisect_right(r, values[s]) for s, r in components])
+                    p = (1.0 + row.item(c)) / denominator
                 else:
-                    p = float(bootstrap_pvalues(rows, values[spec]))
-                evaluations.append(TestEvaluation(kind, h, p))
+                    p = (1.0 + bisect_right(row, values[spec])) / denominator
+                evaluation = TestEvaluation(kind, h, p)
+                evaluations.append(evaluation)
                 if best is None or p < best.p:
-                    best = evaluations[-1]
+                    best = evaluation
         self.last_evaluations = tuple(evaluations)
         if best is not None and best.p < self.tuned.p_threshold:
             k = (self.t - tau) // self._T

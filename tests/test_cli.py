@@ -471,6 +471,41 @@ def test_tune_rejects_non_integer_params_fields(workspace, tmp_path, capsys, key
     assert not (tmp_path / "bundle.json").exists()
 
 
+BAD_PARAMS = pytest.mark.parametrize("key, value, message", [
+    ("lambda", -3.0, "params lambda must not be negative, got -3.0"),
+    ("sigma_0", [[1.0]], "params has unknown keys: sigma_0"),
+], ids=["negative-lambda", "unknown-key"])
+
+
+@BAD_PARAMS
+def test_tune_rejects_params_values(workspace, tmp_path, capsys, key, value, message):
+    # A ridge cannot be negative, and a misspelt key is not silently dropped.
+    params = json.loads((workspace / "params.json").read_text())
+    params[key] = value
+    (tmp_path / "params.json").write_text(json.dumps(params))
+    code = main(["tune", str(workspace / "reference.csv"),
+                 "--params", str(tmp_path / "params.json"),
+                 "--plan", str(workspace / "plan.json"),
+                 "--out", str(tmp_path / "bundle.json")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "bundle.json").exists()
+
+
+@BAD_PARAMS
+def test_load_bundle_rejects_params_values(
+    workspace, tmp_path, capsys, key, value, message
+):
+    def edit(bundle, store):
+        bundle["params"][key] = value
+
+    bundle = _tampered_bundle(workspace, tmp_path, edit)
+    assert _monitor_at_load(bundle) == 2
+    assert message in capsys.readouterr().err
+    with pytest.raises(InvalidDataError, match=message):
+        em.load_bundle(bundle)
+
+
 @pytest.mark.parametrize("command", ["tune", "monitor", "simulate"])
 @pytest.mark.parametrize("value", ["false", 0, None])
 def test_params_regularized_must_be_a_json_bool(

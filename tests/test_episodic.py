@@ -310,6 +310,15 @@ def test_params_from_dict_rejects_a_non_numeric_lambda(small_params, value):
         em.params_from_dict(data)
 
 
+def test_params_from_dict_rejects_a_negative_lambda_and_unknown_keys(small_params):
+    data = em.params_to_dict(small_params)
+    assert em.params_from_dict({**data, "lambda": 0.0}).ridge == 0.0
+    with pytest.raises(InvalidDataError, match="lambda must not be negative"):
+        em.params_from_dict({**data, "lambda": -3.0})
+    with pytest.raises(InvalidDataError, match="unknown keys: Sigma0, sigma_0"):
+        em.params_from_dict({**data, "sigma_0": 1.0, "Sigma0": 2.0})
+
+
 @pytest.mark.parametrize("key", ["mu0", "sigma0"])
 @pytest.mark.parametrize("value", ["1.5", True, None, float("nan"), 10**400],
                          ids=["string", "true", "null", "nan", "huge"])

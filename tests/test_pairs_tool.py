@@ -44,3 +44,33 @@ def test_named_digests_may_move_on_any_workload(pairs):
 def test_a_named_digest_need_not_move(pairs):
     assert pairs.unexpected_moves(_workloads(a=[]), ["store"]) == []
 
+
+def _side(median, q1, q3):
+    return {"median": median, "q1": q1, "q3": q3, "runs": []}
+
+
+def test_verdict_lines_give_medians_iqr_change_and_wins(pairs):
+    out = {"pairs": 10, "workloads": {
+        "sim_small": {"moved_digests": [], "metrics": {
+            "monitor_tp_us_p50": {
+                "unit": "us", "better": "lower",
+                "parent": _side(14.0, 13.5, 14.5), "change": _side(10.5, 10.0, 11.0),
+                "change_wins": 10},
+            "monitor_samples_per_s": {
+                "unit": "1/s", "better": "higher",
+                "parent": _side(60000.0, 59000.0, 61000.0),
+                "change": _side(78000.0, 77000.0, 79000.0), "change_wins": 9},
+        }},
+        "udt_c1": {"moved_digests": [], "metrics": {
+            "setup_s": {"unit": "s", "better": "lower",
+                        "parent": _side(0.0, 0.0, 0.0), "change": _side(0.0, 0.0, 0.0),
+                        "change_wins": 0}}},
+    }}
+    assert pairs.verdict_lines(out) == [
+        "sim_small monitor_tp_us_p50: parent 14 (IQR 1) us, change 10.5 us "
+        "(-25.0%), lower is better, change won 10/10 pairs",
+        "sim_small monitor_samples_per_s: parent 60000 (IQR 2000) 1/s, "
+        "change 78000 1/s (+30.0%), higher is better, change won 9/10 pairs",
+        "udt_c1 setup_s: parent 0 (IQR 0) s, change 0 s (n/a), "
+        "lower is better, change won 0/10 pairs",
+    ]

@@ -1,6 +1,7 @@
 """Online monitor behavior: warm-up, firing, one-shot semantics, traces, and
 agreement with the batched replay of whole runs."""
 
+import bisect
 import dataclasses
 import fractions
 import functools
@@ -60,6 +61,23 @@ def feed(monitor, samples):
         if record is not None:
             return record, trace
     return None, trace
+
+
+def own_evaluations(plan, store, stream, t):
+    """Each test's (kind, horizon, p) at the test-point ending at step t of
+    ``stream``, in plan order within horizons in order: the store p-value of
+    statistic_value on the window of the last h*T + tau samples."""
+    params = store.params
+    T = params.T
+    tau = em.decompose_index(t, T).tau
+    expected = []
+    for h in plan.horizons:
+        window = em.SignalWindow(stream[t - h * T - tau : t], params)
+        for kind in plan.statistics:
+            y = em.statistic_value(kind, window, store)
+            p = bootstrap_pvalues(store.values_for(kind, window.n), y)
+            expected.append((kind, h, p))
+    return expected
 
 
 def test_reference_mean_stream_never_fires(tuned):
@@ -157,6 +175,18 @@ def test_trace_counts_test_points(tuned):
         assert len(evals) == len(plan.statistics) * len(plan.horizons)
 
 
+def test_evaluations_are_named_tuples(tuned):
+    monitor = em.Monitor(tuned)
+    feed(monitor, h0_stream(tuned, tuned.plan.h_max + 1, seed=104))
+    ev = monitor.last_evaluations[0]
+    statistic, horizon, p = ev
+    assert (statistic, horizon, p) == (ev.statistic, ev.horizon, ev.p)
+    assert ev == (UDT, 2, p) and hash(ev) == hash((UDT, 2, p))
+    assert type(p) is float and type(horizon) is int
+    with pytest.raises(AttributeError):
+        ev.p = 0.0
+
+
 STATISTICS = ("mean", "udt", "pdt:0.5", "hotelling", "cusum:0.5", "mdt",
               "mixed:mean+udt")
 
@@ -250,6 +280,49 @@ def test_reference_streams_tie_the_replay_exactly_for_mean_and_cusum():
     assert len(tied) == 4  # every (statistic, horizon) met a tie
 
 
+def test_bisect_over_a_row_counts_as_searchsorted_does():
+    # The monitor counts with bisect_right over a memoryview of each store
+    # row: the count searchsorted(side="right") gives, for every float.
+    row = np.array([-np.inf, -1.0, -0.0, 0.0, 0.0, 2.5, 2.5, np.inf])
+    row.setflags(write=False)
+    view = memoryview(row)
+    for y in (-np.inf, -2.0, -1.0, -0.0, 0.0, 1e-300, 2.5, 3.0, np.inf, np.nan):
+        assert bisect.bisect_right(view, y) == row.searchsorted(y, side="right")
+
+
+def test_pvalues_count_stored_values_that_tie_the_window():
+    # A stored value equal to the window's counts towards its p-value
+    # (side="right"). Streams that repeat reference episodes verbatim make
+    # mean, cusum and mixed windows tie stored values; every evaluation's p
+    # must be the count of stored values <= the one-window value.
+    params = make_params(T=6, seed=61, condition=20)
+    T = params.T
+    ref = make_reference(params, 20, seed=62)
+    plan = em.MonitorPlan(
+        statistics=tuple(em.parse_statistic(spec) for spec in
+                         ("mean", "cusum:0.5", "mixed:mean+cusum:0.5")),
+        horizons=(1, 3), h_tilde=3, alpha0=0.5, B_inner=300, B_outer=8, seed=64,
+    )
+    store = em.BootstrapStore(params, plan.B_inner, plan.seed)
+    store.ensure(ref, plan.statistics, plan.window_lengths(T))
+    monitor = em.Monitor(em.TunedMonitor(plan, 0.0, store, np.zeros(1)))
+    tied = set()
+    for rows in em.h0_stream_indices(plan, ref.num_episodes):
+        stream = ref.episodes[rows].ravel()
+        _, trace = feed(monitor, stream)
+        for t, evals in trace:
+            tau = em.decompose_index(t, T).tau
+            for ev in evals:
+                window = em.SignalWindow(stream[t - ev.horizon * T - tau : t], params)
+                y = em.statistic_value(ev.statistic, window, store)
+                row = store.values_for(ev.statistic, window.n)
+                assert ev.p == (1 + row.searchsorted(y, side="right")) / (1 + store.B)
+                if y in row:
+                    tied.add(ev.statistic.spec)
+        monitor.reset()
+    assert tied == {kind.spec for kind in plan.statistics}
+
+
 def test_pvalues_match_statistic_value_on_explicit_windows():
     # udt runs on its running sum, mdt and cusum on rings of episode pieces.
     # Every p at every test-point, before and after a mid-episode reset, must
@@ -272,17 +345,9 @@ def test_pvalues_match_statistic_value_on_explicit_windows():
             monitor.step(sample)
             if monitor.last_test_point != t:
                 continue
-            tau = em.decompose_index(t, T).tau
-            expected = []
-            for h in plan.horizons:
-                window = em.SignalWindow(stream[t - h * T - tau : t], params)
-                for kind in plan.statistics:
-                    y = em.statistic_value(kind, window, store)
-                    p = bootstrap_pvalues(store.values_for(kind, window.n), y)
-                    expected.append((kind.spec, h, float(p)))
-            got = [(ev.statistic.spec, ev.horizon, ev.p)
+            got = [(ev.statistic, ev.horizon, ev.p)
                    for ev in monitor.last_evaluations]
-            assert got == expected, t
+            assert got == own_evaluations(plan, store, stream, t), t
             checked += 1
         return checked
 
@@ -761,7 +826,13 @@ def test_mixed_count_tables_stay_at_B_plus_1_entries():
         assert table.shape == (B + 1,) and np.array_equal(table, before[key]), key
 
 
-PROPERTY_BASES = ("mean", "udt", "pdt:0.3", "pdt:0.9", "hotelling", "cusum:0.5")
+# A base statistic's spec: pdt fractions drawn from (0, 1], cusum reference
+# values from a small range.
+PROPERTY_BASES = st.one_of(
+    st.sampled_from(["mean", "udt", "hotelling"]),
+    st.floats(0.0, 1.0, exclude_min=True).map(lambda p: em.StatisticKind.pdt(p).spec),
+    st.floats(-0.5, 1.5).map(lambda k: em.StatisticKind.cusum(k).spec),
+)
 
 
 @functools.lru_cache(maxsize=None)
@@ -775,15 +846,15 @@ def _plan_shapes(draw):
     T = draw(st.integers(2, 8))
     test_every = draw(st.sampled_from([d for d in range(1, T + 1) if T % d == 0]))
     horizons = sorted(draw(st.sets(st.integers(1, 6), min_size=1, max_size=3)))
-    specs = draw(st.lists(st.sampled_from(PROPERTY_BASES), unique=True, max_size=4))
-    for parts in draw(st.lists(st.lists(st.sampled_from(PROPERTY_BASES),
-                                        unique=True, min_size=2, max_size=3),
+    specs = draw(st.lists(PROPERTY_BASES, unique=True, max_size=4))
+    for parts in draw(st.lists(st.lists(PROPERTY_BASES, unique=True,
+                                        min_size=2, max_size=3),
                                max_size=2)):
         spec = "mixed:" + "+".join(parts)
         if spec not in specs:
             specs.append(spec)
     if not specs:
-        specs.append(draw(st.sampled_from(PROPERTY_BASES)))
+        specs.append(draw(PROPERTY_BASES))
     cuts = draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=4))
     return T, test_every, tuple(horizons), tuple(specs), cuts, draw(st.integers(0, 99))
 
@@ -817,7 +888,9 @@ def _property_case(shape):
 def test_monitor_matches_the_replay_over_plan_shapes(shape):
     # Over drawn plan shapes, at every test-point of generated streams cut
     # anywhere and followed by a reset, the monitor's minimal p is the
-    # replay's column, bit for bit.
+    # replay's column, bit for bit, and its evaluations are every test's
+    # own p-value: the store p-value of statistic_value on the window of
+    # the test, plan statistics in plan order within horizons in order.
     T, test_every, _, _, cuts, _ = shape
     plan, store, episodes, replay = _property_case(shape)
     runs = len(cuts)
@@ -829,6 +902,9 @@ def test_monitor_matches_the_replay_over_plan_shapes(shape):
         got = [min(ev.p for ev in evals) for _, evals in trace]
         assert len(got) == (n - warmup) // test_every
         assert got == column[: len(got)].tolist()
+        for t, evals in trace:
+            got = [(ev.statistic, ev.horizon, ev.p) for ev in evals]
+            assert got == own_evaluations(plan, store, run, t), t
         monitor.reset()
 
 

@@ -22,6 +22,11 @@ digests that differed between the two sides of any pair, and for each
 end-to-end metric of ``BENCHMARK.json`` both sides' medians and quartiles
 and the number of pairs the change won (ties count for neither side).
 
+After writing the file the tool prints its verdict, one line per workload
+and metric: the parent's median and interquartile range, the change's
+median, the change in percent of the parent's median, and the pairs the
+change won.
+
 A digest may move only if ``--moved NAME`` names it (repeatable; by
 default none may). A workload's ``moved_digests`` holding any other
 digest is printed to standard error and the tool exits 1, after writing
@@ -102,6 +107,27 @@ def unexpected_moves(workloads: dict, expected) -> list[tuple[str, str]]:
     ]
 
 
+def verdict_lines(out: dict) -> list[str]:
+    """One line per workload and metric of a result ``out``: the parent's
+    median and IQR, the change's median, its change in percent of the
+    parent's median and the pairs the change won."""
+    lines = []
+    for name, result in out["workloads"].items():
+        for metric, m in result["metrics"].items():
+            parent, change = m["parent"], m["change"]
+            base = parent["median"]
+            percent = (f"{100 * (change['median'] - base) / base:+.1f}%"
+                       if base else "n/a")
+            lines.append(
+                f"{name} {metric}: parent {base:.6g} "
+                f"(IQR {parent['q3'] - parent['q1']:.4g}) {m['unit']}, "
+                f"change {change['median']:.6g} {m['unit']} ({percent}), "
+                f"{m['better']} is better, change won "
+                f"{m['change_wins']}/{out['pairs']} pairs"
+            )
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
@@ -166,6 +192,8 @@ def main(argv=None) -> int:
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=2) + "\n")
     print(f"wrote {path}")
+    for line in verdict_lines(out):
+        print(line)
     unexpected = unexpected_moves(out["workloads"], args.moved)
     for name, digest in unexpected:
         print(f"error: {name}: digest {digest!r} moved and no --moved names it",
