@@ -53,7 +53,6 @@ same table, which :func:`load_bundle` also resolves to check the store.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import os
@@ -85,6 +84,7 @@ from .stats import (
     bootstrap_pvalues,
     mixed_values,
     parse_statistic,
+    pvalue_grid,
     runs_per_chunk,
 )
 
@@ -398,20 +398,12 @@ def detection_steps(tuned: TunedMonitor, runs, episodes_per_run: int) -> np.ndar
 
 
 def critical_count(B: int, threshold: float) -> int:
-    """Largest count c in [-1, B] whose p-value (:func:`_pvalue_grid`) is
-    below ``threshold``: a value y against a sorted row S of B values has
-    p(y) < threshold exactly when #{b : S_b <= y} <= c. No count is below
-    a NaN threshold, as no p-value is."""
-    return int(np.count_nonzero(_pvalue_grid(B) < threshold)) - 1
-
-
-@functools.lru_cache(maxsize=None)
-def _pvalue_grid(B: int) -> np.ndarray:
-    """Every p-value a row of B values gives, at counts c = 0..B: the
-    :func:`~epimon.stats.bootstrap_pvalues` of c - 1/2 against 0..B-1."""
-    grid = bootstrap_pvalues(np.arange(B, dtype=float), np.arange(B + 1) - 0.5)
-    grid.setflags(write=False)
-    return grid
+    """Largest count c in [-1, B] whose p-value, the
+    :func:`~epimon.stats.pvalue_grid` entry at c, is below ``threshold``: a
+    value y against a sorted row S of B values has p(y) < threshold exactly
+    when #{b : S_b <= y} <= c. No count is below a NaN threshold, as no
+    p-value is."""
+    return int(np.count_nonzero(pvalue_grid(B) < threshold)) - 1
 
 
 def _critical_value(rows: np.ndarray, threshold: float) -> float:
@@ -505,7 +497,8 @@ def save_bundle(tuned: TunedMonitor, path) -> None:
         "min_p_distribution": tuned.min_p_distribution.tolist(),
         "store_file": os.path.basename(store_path),
     }
-    write_atomic(path, json.dumps(bundle, sort_keys=True, indent=2) + "\n")
+    text = json.dumps(bundle, sort_keys=True, indent=2, allow_nan=False)
+    write_atomic(path, text + "\n")
 
 
 def load_bundle(path) -> TunedMonitor:
@@ -514,7 +507,8 @@ def load_bundle(path) -> TunedMonitor:
     Everything the monitor will read is checked here, so a bad bundle fails
     at load with :class:`ValueError` rather than at the first test-point
     that needs it: the bundle, its params and the store must have the
-    format versions this code writes, the plan must have no unknown keys,
+    format versions this code writes, none of the bundle, its params, its
+    plan and the store index may have a key their writers do not write,
     ``p_threshold`` must be a number in (0, 1] and ``min_p_distribution``
     a list of B_outer non-decreasing numbers in [1/(B_inner+1), 1]
     (:class:`InvalidDataError` otherwise), ``store_file`` must be a bare
@@ -526,7 +520,8 @@ def load_bundle(path) -> TunedMonitor:
     with open(path) as fh:
         data = json.load(fh)
     keys = ("params", "plan", "p_threshold", "min_p_distribution", "store_file")
-    check_format_version(data, BUNDLE_FORMAT_VERSION, "bundle", keys)
+    known = ("format_version", *keys)  # the keys save_bundle writes
+    check_format_version(data, BUNDLE_FORMAT_VERSION, "bundle", keys, known=known)
     params = params_from_dict(data["params"])
     plan = MonitorPlan.from_dict(data["plan"])
     threshold = data["p_threshold"]

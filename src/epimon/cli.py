@@ -56,7 +56,8 @@ EXIT_DETECTION = 3
 
 
 def _dump_json(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``obj`` as strict JSON: NaN or an infinity raises ValueError."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def cmd_estimate(args) -> int:

@@ -283,10 +283,11 @@ class BootstrapStore:
         a bad store fails at load (:class:`ValueError`)."""
         with open(path) as fh:
             data = json.load(fh)
+        keys = ("B", "seed", "rows_file", "rows_sha256", "entries")
         check_format_version(
-            data, STORE_FORMAT_VERSION, "store",
-            ("B", "seed", "rows_file", "rows_sha256", "entries"),
+            data, STORE_FORMAT_VERSION, "store", keys,
             "; re-run `epimon tune` to rebuild it",
+            known=("format_version", *keys),  # the keys save writes
         )
         B = json_int(data["B"], "store B")
         seed = json_int(data["seed"], "store seed")

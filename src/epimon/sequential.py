@@ -6,8 +6,8 @@ value of its store row and fires exactly where
 are tested equal to the monitor's at every test-point of generated streams;
 both read the store rows of :meth:`epimon.bfar.MonitorPlan.store_rows`. The
 replay takes mixed values from :func:`epimon.stats.mixed_values`; the
-monitor reads a mixed test's p-value off a count table of its row instead
-(below), bit for bit the same.
+monitor reads a mixed test's p-value off a table of its row's p-values
+instead (below), bit for bit the same.
 A stream that repeats reference episodes verbatim, as the BFAR replay's
 resampled runs do, can have windows that tie a stored value exactly; there
 a live p-value can differ from the replay's by a few ranks, because a value
@@ -40,45 +40,31 @@ with h*T nor with a numpy call per horizon; the sorted store rows of every
 test are looked up once, at construction (p-values below). ``udt``, set apart
 once at construction, keeps a running sum of its episode pieces instead,
 which is udt's finish in Python floats: O(1) per horizon, where a numpy
-batch would cost more than the whole test; it keeps the last h_max + 1 sums
-only, so memory does not grow with the stream. Routing ``udt`` through the
-rings was measured and rejected: at test_every 1 the extra whole-part sums
-at each episode completion took the benchmark's ``udt_c1`` per-test-point
-latency from 7.8 to 9.8 us at p50 and from 13.1 to 22.7 us at p99 (4
-alternating pairs against the running sum, 2-vCPU host).
+batch would cost more than the whole test and the rings would add a whole
+part per horizon at each episode's end; it keeps the last h_max + 1 sums
+only, so memory does not grow with the stream.
 
 The roll waits for the next episode's first sample, before that sample is
 stored, rather than following the test at tau = T, which still sees the
 finished episode as its tail. With test_every > 1 the roll's step tests
 nothing, so no test-point pays for it; with test_every = 1 it moves to the
-tau = 1 test-point, at the same cost. A mixed test makes no lookup in its
-own row: its value, the least of its components' p-values against
-rows of B values, is the grid value (1 + c) / (1 + B) of the least
-component count c. So at construction each mixed test's row becomes a count
-table, the B + 1 counts of the row at every grid value, and a test-point
-reads the p-value (1 + table[c]) / (1 + B) at c: one lookup per component
-row and none for the mixed one. On the benchmark's ``mdt_te4``
-workload (mdt, T 40, horizons 3 and 30, test_every 4) the two took the
-per-test-point latency from 94.2 to 65.8 us at p99 and from 44.2 to 38.2 us
-at p50, and the monitor from 74 500 to 83 600 samples/s (medians of 10
-alternating pairs, 2-vCPU host).
+tau = 1 test-point, at the same cost.
 
-A p-value is read with :func:`bisect.bisect_right` over a memoryview of
-the sorted store row, a zero-copy, read-only view that the constructor
-keeps for each base test and each mixed component: (1 + count) / (1 + B),
-the count a Python int. ``bisect_right`` gives the count
+Every p-value is a :func:`~epimon.stats.pvalue_grid` entry at a count. A
+base test's count is :func:`bisect.bisect_right` over a memoryview of its
+sorted store row, a zero-copy, read-only view that the constructor keeps
+for each base test and each mixed component, and its p-value the entry of
+the grid, kept as a list of Python floats. ``bisect_right`` gives the count
 ``searchsorted(side="right")`` gives for every float: ties, -0.0 and 0.0,
 infinities, and NaN (both count the whole row). So every p-value is bit
 for bit :func:`~epimon.stats.bootstrap_pvalues`, without a numpy call on a
-Python float, a numpy integer result or numpy integers compared by
-``min``. Each result is a :class:`TestEvaluation` ``NamedTuple``, several
-times cheaper to build than a frozen dataclass. Against ``searchsorted`` and
-a dataclass, the two took the per-test-point latency at p50 from 15.1 to
-10.4 us on ``sim_small`` and from 9.1 to 7.2 us on ``udt_c1``, at p99 from
-24.5 to 16.8 us and from 14.2 to 11.3 us, and the monitor from 57 500 to
-78 000 and from 95 300 to 117 300 samples/s; on ``mdt_te4``, whose
-test-points are bound by numpy calls in ``finish``, p50 went from 39.3 to
-36.4 us (medians of 10 alternating pairs, 2-vCPU host).
+Python float. A mixed test makes no lookup in its own row: its value, the
+least of its components' p-values against rows of B values, is the grid
+entry at the least component count c. So at construction each mixed test's
+row becomes the table of its p-values at every grid entry, B + 1 floats,
+and a test-point reads the table at c: one lookup per component row and
+none for the mixed one. Each result is a :class:`TestEvaluation`
+``NamedTuple``, several times cheaper to build than a frozen dataclass.
 
 Each ``cusum`` spec, set apart at construction too, is carried as a chain of
 h_max + 1 drift-prefix states (P_n, min P) in Python floats: entry c covers
@@ -96,11 +82,7 @@ order (cumsum adds one term at a time, and finish continues the whole part's
 prefix that way), and the conditional ``0.0 if 0.0 < low else low`` chooses
 as ``np.minimum(0.0, low)`` does. The price is h_max + 1 additions per
 sample and spec, where the ring path paid a numpy whole part per horizon at
-each episode end and about ten numpy calls per test-point. On the
-benchmark's ``sim_small`` workload (cusum:0.5 and udt, T 8, horizons 1 and
-4) it took the per-test-point latency from 28.9 to 14.0 us at p50 and from
-72.9 to 24.9 us at p99, and the monitor from 29 000 to 61 000 samples/s
-(medians of 10 alternating pairs, 2-vCPU host).
+each episode end and about ten numpy calls per test-point.
 """
 
 from __future__ import annotations
@@ -114,13 +96,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bfar import TunedMonitor, _pvalue_grid
+from .bfar import TunedMonitor
 from .errors import InvalidDataError, TerminalStateError
 from .stats import (
     StatisticKind,
     base_statistics,
+    bootstrap_pvalues,
     episode_piece,
     finish,
+    pvalue_grid,
     statistic_value,  # noqa: F401 -- perfbench's tracer patches this global
     whole_part,
 )
@@ -176,15 +160,17 @@ class Monitor:
         # same for every spec of the family (pdt fractions).
         self._families = {base.name: base for base in bases.values()}
         # Sorted store rows of each test per (horizon, offset) as read-only
-        # memoryviews for bisect, a mixed test's row as its count table;
-        # store_rows checks test_every | T.
+        # memoryviews for bisect, a mixed test's row as its p-values at
+        # every grid entry; store_rows checks test_every | T.
+        grid = pvalue_grid(tuned.store.B)
         self._tests = {
-            point: [(kind, spec, _count_table(rows) if components else memoryview(rows),
+            point: [(kind, spec,
+                     bootstrap_pvalues(rows, grid) if components else memoryview(rows),
                      [(s, memoryview(r)) for s, r in components])
                     for kind, spec, rows, components in tests]
             for point, tests in plan.store_rows(tuned.store, T).items()
         }
-        self._denominator = 1.0 + tuned.store.B
+        self._grid = grid.tolist()
         self._mu0 = self.params.mu0.tolist()
         self._step_std = self.params.step_std.tolist()
         self._partial = np.empty(T)
@@ -314,7 +300,7 @@ class Monitor:
             columns.append((spec, y.tolist()))
         if self._wants_udt:
             udt_tail = float(params.tail_weights(tau) @ partial)
-        denominator = self._denominator
+        grid = self._grid
         evaluations = []
         best = None
         for i, h in enumerate(self._horizons):
@@ -330,11 +316,11 @@ class Monitor:
                 values[spec] = -(last - (0.0 if 0.0 < low else low))
             for kind, spec, row, components in self._tests[h, tau]:
                 if components:
-                    # row is the count table, read at the least count
+                    # row holds the mixed row's p-values, read at the least count
                     c = min([bisect_right(r, values[s]) for s, r in components])
-                    p = (1.0 + row.item(c)) / denominator
+                    p = row.item(c)
                 else:
-                    p = (1.0 + bisect_right(row, values[spec])) / denominator
+                    p = grid[bisect_right(row, values[spec])]
                 evaluation = TestEvaluation(kind, h, p)
                 evaluations.append(evaluation)
                 if best is None or p < best.p:
@@ -353,13 +339,3 @@ class Monitor:
             )
         return None
 
-
-def _count_table(rows: np.ndarray) -> np.ndarray:
-    """Count table of a mixed test's sorted store row S of B values: entry c
-    is #{b : S_b <= (1 + c) / (1 + B)}, c = 0..B. A mixed value, the least
-    of its components' p-values against rows of B values, is the grid value
-    (1 + c) / (1 + B) of the least component count c, so its p-value is
-    (1 + table[c]) / (1 + B), bitwise :func:`~epimon.stats.mixed_values`
-    and :func:`bootstrap_pvalues`. A numpy integer array, 8 bytes a count:
-    a list of Python ints would cost several times the memory."""
-    return rows.searchsorted(_pvalue_grid(rows.size), side="right")

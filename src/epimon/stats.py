@@ -34,17 +34,22 @@ carries ``udt`` as a running sum and ``cusum`` as a chain of drift prefixes
 instead, the same additions in the same order, so a cusum value is bitwise
 the whole part and finish below.
 
-The mixed rule, the minimum of the components' p-values, is written once:
-:func:`mixed_values`, taken only where store rows are resolved (the store
+A p-value is written once too: :func:`pvalue_grid` holds (1 + c) / (1 + B)
+for every count c = 0..B of a row of B bootstrap values, and every p-value
+(:func:`bootstrap_pvalues`, the live monitor's, BFAR's critical counts) is
+its entry at a count. The mixed rule, the minimum of the components'
+p-values, is written once: :func:`mixed_values`, the grid entry at the least
+component count, taken only where store rows are resolved (the store
 build, the BFAR replay and :func:`statistic_value`), each reading a mixed
-kind's rows from ``BootstrapStore.component_rows``. The live monitor reads a
-mixed p-value off a count table of its row at the least component count
-instead, which gives the same number bit for bit (see
-:mod:`epimon.sequential`).
+kind's rows from ``BootstrapStore.component_rows``. The live monitor reads
+a mixed p-value off a table of its row's p-values at every grid entry,
+indexed by the least component count, which gives the same number bit for
+bit (see :mod:`epimon.sequential`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -254,7 +259,7 @@ def statistic_value(kind: StatisticKind, window: SignalWindow, store=None) -> fl
     values = {b.spec: float(evaluator.values(b, whole_idx, tail_idx, dec.tau)[0])
               for b in kind.components or (kind,)}
     if kind.components:
-        return mixed_values(store.component_rows(kind, window.n), values)
+        return float(mixed_values(store.component_rows(kind, window.n), values))
     return values[kind.spec]
 
 
@@ -325,11 +330,11 @@ def finish(
     ``pdt`` takes its m smallest per-offset sums by partitioning its own
     copy in place: the sum of ``whole`` and ``tail`` is a new array, and the
     tail alone, which may be a caller's cached piece, is copied first. This
-    saves the second copy ``np.partition`` made; with the partition
-    unchanged the values are bitwise the same. Timeit on a loaded 2-vCPU
-    host could not tell the saving from noise (best of 5: 6.3 against 6.4 us
-    for the monitor's two-row finish at T 40, 98 against 99 us for a 400-row
-    batch)."""
+    saves the second copy ``np.partition`` makes; with the partition
+    unchanged the values are bitwise the same. In a short-run probe on the
+    benchmark's ``mdt_te4`` workload (4 and 6 alternating pairs of 8 s runs,
+    2-vCPU host), ``np.partition``'s copy in its place read -3.9% and -4.1%
+    on simulated blocks per second and +1.9% and +5.0% on tune time."""
     T = params.T
     name = kind.name
     if name == "mean":
@@ -384,23 +389,30 @@ def finish(
 def mixed_values(components, values):
     """The mixed rule: the minimum over a mixed kind's components of their
     bootstrap p-values. ``components`` holds the (spec, sorted store row)
-    pair of each component at one window length, and ``values[spec]`` its
-    value (a float) or values (an array) on the windows. Floats give a
-    Python float through ``min``, arrays ``np.minimum.reduce``, the same
-    split :func:`bootstrap_pvalues` makes."""
-    pvalues = [bootstrap_pvalues(rows, values[spec]) for spec, rows in components]
-    if isinstance(pvalues[0], float):
-        return min(pvalues)
-    return np.minimum.reduce(pvalues)
+    pair of each component at one window length, every row of B values,
+    and ``values[spec]`` its value or values on the windows. The grid is
+    increasing, so the least p-value is the grid value of the least count."""
+    counts = [rows.searchsorted(values[spec], side="right")
+              for spec, rows in components]
+    return pvalue_grid(components[0][1].size)[np.minimum.reduce(counts)]
 
 
 def bootstrap_pvalues(sorted_values: np.ndarray, values):
     """p = (1 + #{b : S_b <= y}) / (1 + B) of each y in ``values`` (or of
-    the single value y) against the sorted bootstrap distribution S."""
+    the single value y) against the sorted bootstrap distribution S: the
+    :func:`pvalue_grid` entry at each count."""
     counts = sorted_values.searchsorted(values, side="right")
-    if isinstance(values, float):
-        counts = int(counts)  # Python arithmetic: numpy scalar math is slower
-    return (1.0 + counts) / (1.0 + sorted_values.size)
+    return pvalue_grid(sorted_values.size)[counts]
+
+
+@functools.lru_cache(maxsize=None)
+def pvalue_grid(B: int) -> np.ndarray:
+    """Every p-value a row of B bootstrap values gives, read-only: entry c
+    is (1 + c) / (1 + B), the p-value of a value that c of them do not
+    exceed, c = 0..B. The one place the rule is computed."""
+    grid = (1.0 + np.arange(B + 1)) / (1.0 + B)
+    grid.setflags(write=False)
+    return grid
 
 
 # ---------------------------------------------------------------------------

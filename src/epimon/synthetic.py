@@ -200,8 +200,8 @@ def asymptotic_power(
 
     and power_udt >= power_mean for every SPD covariance.
     """
-    if epsilon < 0:
-        raise ValueError("epsilon must be non-negative")
+    if not 0.0 <= epsilon < math.inf:  # also false for NaN
+        raise ValueError(f"epsilon must be finite and non-negative, got {epsilon!r}")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     # Imported here: only ``epimon power`` needs it.

