@@ -13,12 +13,12 @@ Every replay shares two steps. The evaluation (:func:`_base_values`)
 takes each base statistic (a plan statistic or a mixed one's component,
 each once) at every window of a chunk of runs, as one
 :meth:`BatchEvaluator.offset_values` call over all H horizons and F test
-offsets, shaped (H, F, runs, E). That call gathers each run's episode
-pieces once and sums every horizon's windows from a sliding view of that
-one gather, bitwise as a gather per window would. The reduction
-(:func:`_min_pvalues`) takes values of any trailing shape to the minimal
-p-value over statistics and horizons, against the store rows of one
-table, :meth:`MonitorPlan.store_rows`, resolved once per call before any
+offsets, shaped (H, F, runs, E). That call gathers the runs' episode
+pieces a block of runs at a time and sums every horizon's windows from a
+sliding view of each gather, bitwise as a gather per window would. The
+reduction (:func:`_min_pvalues`) takes values of any trailing shape to the
+minimal p-value over statistics and horizons, against the store rows of
+one table, :meth:`MonitorPlan.store_rows`, resolved once per call before any
 evaluation, so a store that lacks a row fails first. Mixed kinds go
 through :func:`~epimon.stats.mixed_values`, the one copy of their rule.
 
@@ -46,7 +46,8 @@ them, exactly as the p-values would have decided, ties included.
 :func:`bfar_min_p` and :func:`detection_steps` replay
 :func:`~epimon.stats.runs_per_chunk` runs of E tested episodes at a
 time, the chunk of :meth:`BatchEvaluator.offset_values`, so memory stays
-flat in the number of runs. The live
+flat in the number of runs; the gather of whole pieces within a chunk is
+bounded too, by blocks of runs. The live
 :class:`~epimon.sequential.Monitor` computes the same p-values from the
 same table, which :func:`load_bundle` also resolves to check the store.
 """
@@ -406,12 +407,11 @@ def critical_count(B: int, threshold: float) -> int:
     return int(np.count_nonzero(pvalue_grid(B) < threshold)) - 1
 
 
-def _critical_value(rows: np.ndarray, threshold: float) -> float:
-    """Critical value of the sorted ``rows`` at ``threshold``: a value's
-    p-value against them is below ``threshold`` exactly when the value is
-    below S[c], c = :func:`critical_count`; -inf when no value's is
-    (c = -1), +inf when every value's is (c = B)."""
-    c = critical_count(rows.size, threshold)
+def _critical_value(rows: np.ndarray, c: int) -> float:
+    """Critical value of the sorted ``rows`` at the threshold whose
+    :func:`critical_count` is ``c``: a value's p-value against them is
+    below the threshold exactly when the value is below S[c]; -inf when no
+    value's is (c = -1), +inf when every value's is (c = B)."""
     if c < 0:
         return -np.inf
     return np.inf if c == rows.size else float(rows[c])
@@ -430,19 +430,28 @@ def _critical_values(
     component's p-value is below q: each component takes its critical
     value at threshold q. A base statistic tested more than once (a plan
     statistic and a mixed one's component) fires when its value is below
-    any of its critical values, so below their maximum.
+    any of its critical values, so below their maximum. Every row holds
+    B values, so :func:`critical_count` is taken once per distinct
+    threshold.
     """
     shape = (len(plan.horizons), len(plan.test_offsets(T)))
     critical = {
         spec: np.full(shape, -np.inf) for spec in base_statistics(plan.statistics)
     }
+    counts: dict[float, int] = {}
+
+    def value(rows, t):
+        if t not in counts:
+            counts[t] = critical_count(store.B, t)
+        return _critical_value(rows, counts[t])
+
     tests = plan.store_rows(store, T).values()  # horizon-major, as offset_values
     for at, point in zip(np.ndindex(shape), tests):
         for _, spec, rows, components in point:
-            q = _critical_value(rows, threshold)
-            pairs = [(c, _critical_value(c_rows, q)) for c, c_rows in components]
-            for name, value in pairs or [(spec, q)]:
-                critical[name][at] = max(critical[name][at], value)
+            q = value(rows, threshold)
+            pairs = [(c, value(c_rows, q)) for c, c_rows in components]
+            for name, v in pairs or [(spec, q)]:
+                critical[name][at] = max(critical[name][at], v)
     return {spec: c.reshape(shape + (1, 1)) for spec, c in critical.items()}
 
 

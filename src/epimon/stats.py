@@ -27,7 +27,8 @@ m = tau), of which a window sums its K whole episodes' (:func:`whole_part`,
 episode axis last; ``cusum`` keeps the last value and the minimum of its
 drift prefix), and a *finish* (:func:`finish`) that combines it with the
 tail's piece. Every caller runs these parts: :class:`BatchEvaluator` caches
-the pieces of the reference rows for the bootstrap store and the BFAR replay,
+the pieces of the reference rows for the bootstrap store and the BFAR replay
+and sums whole parts over gathers of at most ``_GATHER_ITEMS`` pieces,
 :func:`statistic_value` is a batch of one window, and the live monitor keeps
 a ring of the pieces of its last episodes and their whole parts. The monitor
 carries ``udt`` as a running sum and ``cusum`` as a chain of drift prefixes
@@ -60,12 +61,19 @@ from .errors import InvalidDataError, NotTunedError
 
 _VALID_NAMES = ("mean", "udt", "pdt", "hotelling", "cusum", "mixed")
 
-# Chunk size (rows) for batch paths that must materialize gathered episodes.
+# Tested windows per chunk of a batch path: a chunk holds its windows'
+# values, tails and whole parts at once.
 _BATCH_CHUNK = 4096
+# Floats of gathered whole pieces (and of cusum's drift) per block of runs
+# within a chunk: 4 MiB.
+_GATHER_ITEMS = 1 << 19
 
 
 def runs_per_chunk(episodes_per_run: int) -> int:
-    """Runs of E tested episodes per chunk of a batch path: max(1, _BATCH_CHUNK // E)."""
+    """Runs of E tested episodes per chunk of a batch path, max(1,
+    _BATCH_CHUNK // E): it bounds the chunk's tested windows, not the whole
+    pieces it gathers, which :meth:`BatchEvaluator.offset_values` gathers
+    a block of at most ``_GATHER_ITEMS`` floats at a time."""
     return max(1, _BATCH_CHUNK // episodes_per_run)
 
 
@@ -430,9 +438,9 @@ class BatchEvaluator:
     holds the whole episodes of columns c-K .. c-1 and the tail of column c,
     cropped to its first tau samples. The :func:`episode_piece` of every
     row is computed once per (family, m) and cached; :meth:`offset_values`
-    gathers each chunk of runs' whole-episode pieces once, sums every
-    window's from a sliding view of that one gather (:func:`whole_part`) and
-    :func:`finish` turns them into values with each offset's tail. The
+    gathers the whole-episode pieces of a block of runs at a time, sums
+    every window's from a sliding view of that gather (:func:`whole_part`)
+    and :func:`finish` turns them into values with each offset's tail. The
     bootstrap store, the BFAR replay and :func:`statistic_value` all
     evaluate through it; the live monitor keeps the same pieces in rings
     and runs the same :func:`whole_part` and :func:`finish`, but for ``udt``
@@ -492,11 +500,17 @@ class BatchEvaluator:
         cropped to taus[j] samples: the last E columns are tested, the first
         P only looked back into. A horizon may be 0 (the tail alone).
 
-        Each chunk of :func:`runs_per_chunk` runs gathers the whole
-        pieces of its columns once, and each horizon's whole parts are the
-        sums of a sliding view of that gather; its windows are then finished
-        with each offset's tail, the whole parts left unchanged, so every
-        entry is bitwise a one-window, one-offset call. A mixed kind raises
+        The runs are evaluated a chunk of :func:`runs_per_chunk` runs at a
+        time. A chunk gathers the whole pieces of its columns a block of
+        runs at a time, each gather, a (runs, P + E - 1, ...) array, at
+        most ``_GATHER_ITEMS`` floats (for ``cusum``, its drift array too),
+        and each horizon's whole parts are the sums of a sliding view of
+        each block's gather. The chunk's windows are then finished with
+        each offset's tail, once per (horizon, offset), the whole parts
+        left unchanged, so every entry is bitwise a one-window, one-offset
+        call. The pieces are computed once over the evaluator's rows, never
+        over a subset, as a matrix product's rows can depend on how many
+        rows it is given. A mixed kind raises
         :class:`ValueError`: evaluate its components and take
         :func:`mixed_values` against their store rows.
         """
@@ -523,21 +537,56 @@ class BatchEvaluator:
             runs = slice(lo, min(lo + chunk, R))
             n = runs.stop - lo
             tail_idx = streams[runs, P:].reshape(-1)
+            wholes = [None] * len(horizons)
             if P:
-                # windows[r, e, ..., :] are the P whole pieces before column
-                # P + e of run r, oldest first; horizon h takes the last h.
-                gathered = piece[streams[runs, :-1]]
-                windows = np.lib.stride_tricks.sliding_window_view(gathered, P, axis=1)
-            wholes = []
-            for h in horizons:
-                whole = None
-                if h:
-                    whole = whole_part(kind, windows[..., P - h :])
-                    whole = whole.reshape(n * E, *whole.shape[2:])
-                wholes.append(whole)
+                wholes = _whole_parts(kind, piece, streams[runs], horizons)
             for j, tau in enumerate(taus):
                 tail = tails[j][tail_idx]
                 for i, (h, whole) in enumerate(zip(horizons, wholes)):
                     y = finish(kind, self.params, whole, tail, (h,), tau)
                     out[i, j, runs] = y.reshape(n, E)
         return out
+
+
+def _whole_parts(kind: StatisticKind, piece: np.ndarray, streams: np.ndarray,
+                 horizons: list[int]) -> list:
+    """The :func:`whole_part` of every window of ``streams``, (R, P + E)
+    episode-row indices, at each horizon: (R * E, ...) arrays, None for
+    horizon 0, from ``piece``, the whole episodes' pieces.
+
+    The runs are gathered a block at a time, at most ``_GATHER_ITEMS``
+    floats of pieces per block (and, for ``cusum``, of drift), and each
+    block's whole parts are copied into the chunk's; a chunk of one block
+    keeps them as :func:`whole_part` returns them. A window's part reduces
+    its own pieces only, so the blocking leaves every value bitwise the
+    same."""
+    R, P = streams.shape[0], max(horizons)
+    E = streams.shape[1] - P
+    # A run's gather holds P + E - 1 pieces of piece[0].size floats (1 or
+    # T); cusum's drift at horizon P holds E * P, which is no fewer.
+    per_run = (E * P if kind.name == "cusum" else P + E - 1) * piece[0].size
+    block = max(1, _GATHER_ITEMS // per_run)
+    if block >= R:
+        wholes = _block_whole_parts(kind, piece, streams, horizons)
+    else:
+        wholes = [None] * len(horizons)
+        for lo in range(0, R, block):
+            parts = _block_whole_parts(kind, piece, streams[lo : lo + block], horizons)
+            for i, part in enumerate(parts):
+                if part is not None:
+                    if wholes[i] is None:
+                        wholes[i] = np.empty((R,) + part.shape[1:])
+                    wholes[i][lo : lo + block] = part
+    return [w if w is None else w.reshape(R * E, *w.shape[2:]) for w in wholes]
+
+
+def _block_whole_parts(kind: StatisticKind, piece: np.ndarray, streams: np.ndarray,
+                       horizons: list[int]) -> list:
+    """Whole parts of a block of runs at each horizon, (runs, E, ...), from
+    one gather of their pieces, which is freed on return."""
+    P = max(horizons)
+    # windows[r, e, ..., :] are the P whole pieces before column P + e of
+    # run r, oldest first; horizon h takes the last h.
+    gathered = piece[streams[:, :-1]]
+    windows = np.lib.stride_tricks.sliding_window_view(gathered, P, axis=1)
+    return [whole_part(kind, windows[..., P - h :]) if h else None for h in horizons]

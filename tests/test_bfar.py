@@ -396,6 +396,31 @@ def test_detection_steps_compare_with_critical_values_resolved_once(monkeypatch)
     assert len(resolved) == 1
 
 
+@pytest.mark.parametrize("specs", [("udt",), ("udt", "mdt", "mixed:mean+udt")])
+def test_critical_counts_are_taken_once_per_threshold(monkeypatch, specs):
+    # Every store row holds B values, so each distinct threshold, the
+    # plan's and each mixed row's critical p-value, has one critical count
+    # per call, however many rows share it.
+    params = make_params(T=4, seed=43)
+    ref = make_reference(params, 40, seed=44)
+    plan = make_plan(statistics=tuple(em.parse_statistic(s) for s in specs),
+                     horizons=(1, 2), h_tilde=2, B_inner=200, B_outer=20,
+                     alpha0=0.1)
+    store = _store(ref, params, plan)
+    calls = []
+    real = bfar.critical_count
+
+    def counting(B, threshold):
+        calls.append(threshold)
+        return real(B, threshold)
+
+    monkeypatch.setattr(bfar, "critical_count", counting)
+    bfar._critical_values(plan, store, params.T, 0.05)
+    assert len(calls) == len(set(calls))
+    if len(specs) == 1:
+        assert calls == [0.05]  # 8 store rows, one threshold
+
+
 @pytest.mark.parametrize("B", [1, 2, 3, 10, 199, 200, 1000])
 def test_critical_count_is_the_largest_count_whose_p_value_is_below(B):
     grid = [(1.0 + c) / (1.0 + B) for c in range(B + 1)]
@@ -586,6 +611,30 @@ def test_bfar_min_p_allocates_less_than_one_gather_per_window():
     finally:
         tracemalloc.stop()
     assert peak < gather_bytes, (peak, gather_bytes)
+
+
+def test_cusum_replay_bounds_its_drift_by_the_gather_budget():
+    # cusum's whole part builds the drift of every window's whole steps,
+    # (runs, E, h_max, T) floats, here five times the gather budget and
+    # six times the gather of the chunk's pieces; blocks of runs keep it
+    # within the budget.
+    params = make_params(T=20, seed=94, condition=40)
+    ref = make_reference(params, 60, seed=95)
+    plan = make_plan(statistics=(em.StatisticKind.cusum(0.5),), horizons=(1, 32),
+                     h_tilde=8, B_inner=100, B_outer=512, alpha0=0.1,
+                     test_every=20)
+    store = _store(ref, params, plan)
+    runs = plan.B_outer
+    assert stats.runs_per_chunk(plan.h_tilde) >= runs  # one chunk
+    drift_bytes = runs * plan.h_tilde * plan.h_max * params.T * 8
+    assert drift_bytes >= 4 * 8 * stats._GATHER_ITEMS
+    tracemalloc.start()
+    try:
+        em.bfar_min_p(ref, params, plan, store)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < drift_bytes / 2, (peak, drift_bytes)
 
 
 def test_replay_rejects_a_missing_component_row_before_evaluating(

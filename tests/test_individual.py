@@ -1,13 +1,14 @@
 """Bootstrap distribution and threshold-test behavior."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import epimon as em
-from epimon import individual
+from epimon import individual, stats
 from epimon.errors import NotTunedError
 from epimon.stats import mixed_values
 
@@ -386,3 +387,22 @@ def test_store_evaluates_each_component_once_per_whole_episode_count(monkeypatch
         assert sorted(store.entries) == sorted(
             (spec, n) for spec in (*bases, *mixed) for n in (6, 8, 14, 16)
         )
+
+
+def test_store_build_gathers_a_row_family_a_block_at_a_time():
+    # hotelling at K = 30, T = 40, B = 2000: the whole pieces of the B
+    # windows, (B, 30, T) floats, are over four times the gather budget,
+    # and the build gathers them a block of runs at a time.
+    params = make_params(T=40, seed=91, condition=40)
+    ref = make_reference(params, 50, seed=92)
+    K, B = 30, 2000
+    gather_bytes = B * K * params.T * 8
+    assert gather_bytes >= 4 * 8 * stats._GATHER_ITEMS
+    store = em.BootstrapStore(params, B, 93)
+    tracemalloc.start()
+    try:
+        store.ensure(ref, (em.StatisticKind.hotelling(),), (K * params.T + params.T,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < gather_bytes / 2, (peak, gather_bytes)

@@ -1,7 +1,8 @@
 """``tools/pairs.py`` fails a run whose outputs move where none should.
 
 The decision is a plain function of the recorded ``moved_digests``, tested
-here without running the benchmark.
+here without running the benchmark, as are the verdict lines and the
+choice of workloads.
 """
 
 import importlib.util
@@ -74,3 +75,26 @@ def test_verdict_lines_give_medians_iqr_change_and_wins(pairs):
         "udt_c1 setup_s: parent 0 (IQR 0) s, change 0 s (n/a), "
         "lower is better, change won 0/10 pairs",
     ]
+
+
+BENCH_WORKLOADS = [{"name": "udt_c1"}, {"name": "mdt_te4"}, {"name": "sim_small"}]
+
+
+def test_every_workload_runs_by_default(pairs):
+    assert pairs.selected_workloads(BENCH_WORKLOADS, []) == BENCH_WORKLOADS
+
+
+def test_named_workloads_run_in_benchmark_order(pairs):
+    chosen = pairs.selected_workloads(BENCH_WORKLOADS, ["sim_small", "udt_c1"])
+    assert [w["name"] for w in chosen] == ["udt_c1", "sim_small"]
+    chosen = pairs.selected_workloads(BENCH_WORKLOADS, ["mdt_te4", "mdt_te4"])
+    assert [w["name"] for w in chosen] == ["mdt_te4"]
+
+
+def test_an_unknown_workload_is_an_error_before_any_run(pairs, capsys):
+    with pytest.raises(ValueError, match="unknown workload.*mdt_te5"):
+        pairs.selected_workloads(BENCH_WORKLOADS, ["mdt_te4", "mdt_te5"])
+    with pytest.raises(SystemExit) as exc:
+        pairs.main(["--label", "x", "--seed", "1", "--workload", "nope"])
+    assert exc.value.code == 2
+    assert "unknown workload(s) nope" in capsys.readouterr().err

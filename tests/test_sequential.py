@@ -835,9 +835,9 @@ PROPERTY_BASES = st.one_of(
 
 
 @functools.lru_cache(maxsize=None)
-def _property_params(T):
+def _property_params(T, N=12):
     params = make_params(T=T, seed=140 + T, condition=20)
-    return params, make_reference(params, 12, seed=150 + T)
+    return params, make_reference(params, N, seed=150 + T)
 
 
 @st.composite
@@ -858,12 +858,16 @@ def _plan_shapes(draw):
     return T, test_every, tuple(horizons), tuple(specs), cuts, draw(st.integers(0, 99))
 
 
-def _property_case(shape):
-    """The plan of a drawn shape (B 40, N 12), its tuned store, one
-    generated run per cut (h_max + 3 episodes, a small drift) and the
-    replay's p-value columns of those runs."""
+def _property_case(shape, repeat=False):
+    """The plan of a drawn shape (B 40), its tuned store, one run per cut
+    (h_max + 3 episodes) and the replay's p-value columns of those runs.
+    The runs are generated with a small drift from the model of a
+    12-episode reference, or with ``repeat`` drawn verbatim from the
+    episodes of a 3-episode reference, so that their windows tie stored
+    values."""
     T, test_every, horizons, specs, cuts, seed = shape
-    params, ref = _property_params(T)
+    N = 3 if repeat else 12
+    params, ref = _property_params(T, N)
     plan = em.MonitorPlan(
         statistics=tuple(em.parse_statistic(spec) for spec in specs),
         horizons=horizons, h_tilde=3, alpha0=0.5, B_inner=40, B_outer=2,
@@ -872,14 +876,24 @@ def _property_case(shape):
     store = em.BootstrapStore(params, plan.B_inner, plan.seed)
     store.ensure(ref, plan.statistics, plan.window_lengths(T))
     runs, length = len(cuts), plan.h_max + plan.h_tilde
-    episodes = em.generate_episodes(
-        em.Scenario(params=params, kind="uniform", seed=seed,
-                    epsilon=0.2 * params.mean_step_std),
-        runs * length,
-    )
+    if repeat:
+        rows = np.random.default_rng(seed).integers(0, N, size=runs * length)
+        episodes = ref.episodes[rows]
+    else:
+        episodes = em.generate_episodes(
+            em.Scenario(params=params, kind="uniform", seed=seed,
+                        epsilon=0.2 * params.mean_step_std),
+            runs * length,
+        )
     streams = np.arange(runs * length).reshape(runs, length)
     replay = em.replay_pvalues(em.BatchEvaluator(episodes, params), streams, plan, store)
     return plan, store, episodes, replay
+
+
+def _first_below(replay, threshold, test_every):
+    """Step of each run's first replay column below ``threshold``, 0 if none."""
+    below = replay < threshold
+    return np.where(below.any(axis=1), (below.argmax(axis=1) + 1) * test_every, 0)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -928,9 +942,7 @@ def test_replays_and_store_agree_over_plan_shapes(shape):
     for t in taken[:: max(1, taken.size // 3)]:
         for threshold in (t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf)):
             tuned = em.TunedMonitor(plan, float(threshold), store, np.zeros(1))
-            below = replay < threshold
-            want = np.where(below.any(axis=1),
-                            (below.argmax(axis=1) + 1) * test_every, 0)
+            want = _first_below(replay, threshold, test_every)
             assert np.array_equal(detection_steps(tuned, runs, plan.h_tilde),
                                   want), threshold
     for (spec, n), entry in store.entries.items():
@@ -938,6 +950,22 @@ def test_replays_and_store_agree_over_plan_shapes(shape):
             oracle = em.bootstrap_distribution(ref, params, em.parse_statistic(spec),
                                                n, store.B, store.seed)
             assert entry.tobytes() == oracle.tobytes(), (spec, n)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_plan_shapes())
+def test_detection_steps_tie_the_replay_over_plan_shapes(shape):
+    # Over the same drawn plan shapes, on runs that repeat the episodes of
+    # a three-episode reference verbatim, so that windows tie stored
+    # values: at every p-value the runs realise, detection_steps fires at
+    # the replay's first column below it. A tied window's p-value is the
+    # threshold itself, so a comparison that fires on ties fails here.
+    plan, store, episodes, replay = _property_case(shape, repeat=True)
+    runs = episodes.reshape(len(replay), -1)
+    for t in np.unique(replay):
+        tuned = em.TunedMonitor(plan, float(t), store, np.zeros(1))
+        assert np.array_equal(detection_steps(tuned, runs, plan.h_tilde),
+                              _first_below(replay, t, plan.test_every)), t
 
 
 def test_monitor_rejects_a_store_missing_an_entry(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import epimon as em
+from epimon import stats
 from epimon.errors import InvalidDataError, NotTunedError
 from epimon.stats import (
     BatchEvaluator,
@@ -684,6 +685,39 @@ def test_offset_values_keep_offsets_independent(kind, K):
                 for r in picks
             ]
             np.testing.assert_allclose(multi[0, i, picks, e], oracle, rtol=1e-12)
+
+
+@pytest.mark.parametrize("E", [1, 3])
+@pytest.mark.parametrize("kind", OFFSET_KINDS, ids=lambda k: k.spec)
+def test_offset_values_are_bitwise_the_same_gathered_in_blocks(monkeypatch, kind, E):
+    # 11 runs in chunks of 9 and 2. With a budget of one run's pieces
+    # (cusum: its drift) the chunks gather 1-run blocks; with four runs'
+    # budget the chunk of 9 gathers blocks of 4, 4 and 1 and the chunk of
+    # 2 one block. Every value is that of the whole chunk in one block.
+    params = make_params(T=6, seed=86, condition=40)
+    fresh = em.generate_episodes(em.Scenario(params=params, kind="h0", seed=87), 30)
+    ev = BatchEvaluator(fresh, params)
+    horizons, P, runs = (0, 1, 3), 3, 11
+    streams = np.random.default_rng(88).integers(0, 30, size=(runs, P + E))
+    taus = range(1, params.T + 1)
+    one_block = ev.offset_values(kind, streams, horizons, taus)
+    width = 1 if kind.name in ("mean", "udt") else params.T
+    per_run = (E * P if kind.name == "cusum" else P + E - 1) * width
+    monkeypatch.setattr(stats, "_BATCH_CHUNK", 9 * E)
+    calls = []
+    real = stats.whole_part
+
+    def counting(kind, pieces):
+        calls.append(pieces.shape[0])
+        return real(kind, pieces)
+
+    monkeypatch.setattr(stats, "whole_part", counting)
+    for block, sizes in ((1, [1] * runs), (4, [4, 4, 1, 2])):
+        monkeypatch.setattr(stats, "_GATHER_ITEMS", block * per_run)
+        calls.clear()
+        blocked = ev.offset_values(kind, streams, horizons, taus)
+        assert calls == [n for n in sizes for _ in (1, 3)], block
+        assert blocked.tobytes() == one_block.tobytes(), block
 
 
 def _concatenated_cusum(kind, params, episodes, whole_idx, tail_idx, tau):

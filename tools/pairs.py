@@ -27,6 +27,10 @@ and metric: the parent's median and interquartile range, the change's
 median, the change in percent of the parent's median, and the pairs the
 change won.
 
+``--workload NAME`` (repeatable) runs only the named workloads, in the
+order of ``BENCHMARK.json``, while a change is being iterated on; by
+default every workload runs, as a recorded file should.
+
 A digest may move only if ``--moved NAME`` names it (repeatable; by
 default none may). A workload's ``moved_digests`` holding any other
 digest is printed to standard error and the tool exits 1, after writing
@@ -107,6 +111,18 @@ def unexpected_moves(workloads: dict, expected) -> list[tuple[str, str]]:
     ]
 
 
+def selected_workloads(workloads: list, names) -> list:
+    """The workloads of ``BENCHMARK.json`` that ``names`` name, in its
+    order; all of them when ``names`` is empty. An unknown name raises
+    :class:`ValueError`."""
+    known = [w["name"] for w in workloads]
+    unknown = sorted(set(names) - set(known))
+    if unknown:
+        raise ValueError(f"unknown workload(s) {', '.join(unknown)}; "
+                         f"known: {', '.join(known)}")
+    return [w for w in workloads if not names or w["name"] in names]
+
+
 def verdict_lines(out: dict) -> list[str]:
     """One line per workload and metric of a result ``out``: the parent's
     median and IQR, the change's median, its change in percent of the
@@ -137,11 +153,17 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", default="HEAD", help="parent revision")
     parser.add_argument("--moved", action="append", default=[], metavar="NAME",
                         help="a digest the change is expected to move (repeatable)")
+    parser.add_argument("--workload", action="append", default=[], metavar="NAME",
+                        help="run only this workload (repeatable; default all)")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, to give quartiles")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    try:
+        workloads = selected_workloads(bench["workloads"], args.workload)
+    except ValueError as exc:
+        parser.error(str(exc))
     metrics = {m["name"]: m for m in bench["end_to_end"]}
     parent = _git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
     out = {
@@ -157,7 +179,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="epimon-pairs-") as tmp:
         _extract(parent, Path(tmp))
         sides = {"parent": Path(tmp), "change": ROOT}
-        for w in bench["workloads"]:
+        for w in workloads:
             name = w["name"]
             seeds = [args.seed + i for i in range(args.pairs)]
             values = {side: {m: [] for m in metrics} for side in sides}
