@@ -440,19 +440,24 @@ def params_to_dict(params: EpisodeParams) -> dict:
     }
 
 
-def write_atomic(path, data: str | bytes) -> None:
-    """Write ``data`` (text if a ``str``, else bytes) to ``path`` through a
-    temporary file in the same directory, renamed into place, so a reader
-    sees the old file or the whole new one; on failure the temporary file
-    is removed and ``path`` is untouched. The file gets the mode
-    ``open(path, "w")`` gives a new file: 0666 less the process umask."""
+def write_atomic(path, data) -> None:
+    """Write ``data`` to ``path`` through a temporary file in the same
+    directory, renamed into place, so a reader sees the old file or the
+    whole new one; on failure the temporary file is removed and ``path``
+    is untouched. ``data`` is text if a ``str``, else bytes, or an iterable
+    of bytes-like chunks written in order, so a caller can stream a file
+    without joining it first. The file gets the mode ``open(path, "w")``
+    gives a new file: 0666 less the process umask."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     tmp = os.path.join(directory, f".epimon-tmp-{secrets.token_hex(8)}")
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
     fd = os.open(tmp, flags, 0o666)
     try:
         with os.fdopen(fd, "w" if isinstance(data, str) else "wb") as fh:
-            fh.write(data)
+            if isinstance(data, (str, bytes)):
+                fh.write(data)
+            else:
+                fh.writelines(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

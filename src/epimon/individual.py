@@ -45,15 +45,23 @@ named by ``rows_file`` (``<out>.store.npy``), is one ``.npy`` array of
 little-endian float64 (``'<f8'``), shape (entries, B), whose row ``row``
 holds the entry's B sorted values; ``rows_sha256`` is the sha256 of its
 bytes. Storing the bytes keeps every value bit-exact, and loading them
-decodes nothing: the rows are parsed once, checked by one vectorised pass
-and shared read-only by every entry. A reader accepts only this version.
+decodes nothing. The rows file passes through sha256 once each way:
+:meth:`BootstrapStore.save` writes numpy's own version 1.0 header and then
+each row, hashing each as it goes, so the file holds ``np.save``'s bytes;
+:meth:`BootstrapStore.load` checks the header and size of the file before
+it makes any array, reads the data straight into the rows while hashing
+them, and hands any other file to ``np.load``, after its hash. The rows
+are checked by one vectorised pass and shared read-only by every entry. A
+reader accepts only this version.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import json
+import math
 import os
 from types import MappingProxyType
 
@@ -84,6 +92,8 @@ from .stats import (
 )
 
 STORE_FORMAT_VERSION = 3
+# Bytes of the rows file read and hashed at a time by BootstrapStore.load.
+_READ_CHUNK = 1 << 18
 
 
 def empirical_quantile_index(alpha: float, B: int) -> int:
@@ -259,22 +269,25 @@ class BootstrapStore:
         if rows_file == os.path.basename(path):
             raise ValueError(f"store index {path!r} would overwrite its rows file")
         keys = sorted(self._entries)
-        rows = np.array([self._entries[key] for key in keys], dtype="<f8")
-        with io.BytesIO() as buf:
-            np.save(buf, rows.reshape(len(keys), self.B), allow_pickle=False)
-            raw = buf.getvalue()
+        # np.save's bytes, streamed: its header, then each row in key order
+        header = _npy_header((len(keys), self.B))
+        rows = (np.ascontiguousarray(self._entries[key], "<f8") for key in keys)
+        digest = hashlib.sha256()
+        write_atomic(
+            sibling_path(path, rows_file, "rows_file"),
+            _hashing(itertools.chain([header], rows), digest),
+        )
         index = {
             "format_version": STORE_FORMAT_VERSION,
             "B": self.B,
             "seed": self.seed,
             "rows_file": rows_file,
-            "rows_sha256": hashlib.sha256(raw).hexdigest(),
+            "rows_sha256": digest.hexdigest(),
             "entries": [
                 {"kind": spec, "n": n, "row": row}
                 for row, (spec, n) in enumerate(keys)
             ],
         }
-        write_atomic(sibling_path(path, rows_file, "rows_file"), raw)
         write_atomic(path, json.dumps(index, indent=2) + "\n")
 
     @classmethod
@@ -297,22 +310,25 @@ class BootstrapStore:
                 f"store entries must be a list, got {type(items).__name__}"
             )
         rows_path = sibling_path(path, data["rows_file"], "rows_file")
+        shape = (len(items), B)
         with open(rows_path, "rb") as fh:
-            raw = fh.read()
-        if hashlib.sha256(raw).hexdigest() != data["rows_sha256"]:
+            rows, sha256 = _read_rows(fh, shape)
+        if sha256 != data["rows_sha256"]:
             raise InvalidDataError(
                 f"store rows file {rows_path!r} does not match the index's "
                 "rows_sha256"
             )
-        rows = np.load(io.BytesIO(raw), allow_pickle=False)
-        del raw
-        if not isinstance(rows, np.ndarray):
-            raise InvalidDataError(f"store rows file {rows_path!r} is not one array")
-        if rows.dtype != np.dtype("<f8") or rows.shape != (len(items), B):
-            raise InvalidDataError(
-                f"store rows are {rows.dtype.str!r} of shape {rows.shape}, "
-                f"expected '<f8' of shape {(len(items), B)}"
-            )
+        if isinstance(rows, bytes):  # not the file save writes
+            rows = np.load(io.BytesIO(rows), allow_pickle=False)
+            if not isinstance(rows, np.ndarray):
+                raise InvalidDataError(
+                    f"store rows file {rows_path!r} is not one array"
+                )
+            if rows.dtype != np.dtype("<f8") or rows.shape != shape:
+                raise InvalidDataError(
+                    f"store rows are {rows.dtype.str!r} of shape {rows.shape}, "
+                    f"expected '<f8' of shape {shape}"
+                )
         if not np.isfinite(rows).all():
             raise InvalidDataError("store rows have non-finite values")
         unsorted = np.flatnonzero((rows[:, 1:] < rows[:, :-1]).any(axis=1))
@@ -338,6 +354,52 @@ class BootstrapStore:
             used.add(row)
             entries[key] = rows[row]
         return store
+
+
+def _npy_header(shape: tuple[int, int]) -> bytes:
+    """The ``.npy`` version 1.0 header that ``np.save`` writes before the
+    data of a C-order ``'<f8'`` array of ``shape``."""
+    with io.BytesIO() as buf:
+        np.lib.format.write_array_header_1_0(
+            buf, {"descr": "<f8", "fortran_order": False, "shape": shape}
+        )
+        return buf.getvalue()
+
+
+def _read_rows(fh, shape: tuple[int, int]):
+    """The contents of the rows file ``fh`` and the sha256 (hex) of its
+    bytes, read and hashed in one pass.
+
+    A file of exactly the bytes :meth:`BootstrapStore.save` writes for
+    ``shape`` (its header, then the data) is read straight into a new
+    ``'<f8'`` array of that shape, a chunk at a time, each chunk hashed as
+    it arrives; its header and size are checked before the array is made.
+    Any other file is returned whole as bytes, for ``np.load`` to parse
+    once the hash is checked."""
+    header = _npy_header(shape)
+    head = fh.read(len(header))
+    digest = hashlib.sha256(head)
+    size = os.fstat(fh.fileno()).st_size
+    # (a negative B is np.load's to reject, with its message)
+    if head != header or shape[1] < 0 or size != len(header) + 8 * math.prod(shape):
+        rest = fh.read()
+        digest.update(rest)
+        return head + rest, digest.hexdigest()
+    rows = np.empty(shape, dtype="<f8")
+    view = rows.reshape(-1).view(np.uint8)
+    for lo in range(0, len(view), _READ_CHUNK):
+        chunk = view[lo : lo + _READ_CHUNK]
+        if fh.readinto(chunk) != len(chunk):
+            raise InvalidDataError(f"store rows file {fh.name!r} changed while read")
+        digest.update(chunk)
+    return rows, digest.hexdigest()
+
+
+def _hashing(chunks, digest):
+    """Yield each of ``chunks`` after adding it to ``digest``."""
+    for chunk in chunks:
+        digest.update(chunk)
+        yield chunk
 
 
 def individual_test(

@@ -169,9 +169,18 @@ def parse_statistic(text: str) -> StatisticKind:
     ``cusum:0.5``, ``mixed:mean+hotelling+pdt:0.9``, plus the presets
     ``mdt`` (= mixed:mean+hotelling+pdt:0.9) and bare ``mixed``
     (= mixed:mean+pdt:0.9). A non-string raises :class:`ValueError`.
+    Kinds are immutable, so each spelling is parsed once and its kind
+    shared (a store load names one spec in every entry).
     """
     if not isinstance(text, str):
         raise ValueError(f"statistic must be a string, got {text!r}")
+    return _parse_spelling(text)
+
+
+@functools.lru_cache(maxsize=256)
+def _parse_spelling(text: str) -> StatisticKind:
+    """:func:`parse_statistic` of a string, memoized per spelling; a bad
+    spelling raises each time, as errors are not cached."""
     text = text.strip().lower()
     if text == "mdt":
         return MDT_PRESET
@@ -298,24 +307,27 @@ def episode_piece(name: str, rows: np.ndarray, params: EpisodeParams) -> np.ndar
     return rows
 
 
-def whole_part(kind: StatisticKind, pieces: np.ndarray) -> np.ndarray:
+def whole_part(
+    kind: StatisticKind, pieces: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Whole-episode part of windows from the pieces of their K whole
     episodes, oldest first along the last axis: (..., K) for ``mean`` and
     ``udt``, (..., T, K) for a row piece, as a batch's sliding view lays
     them out. The part is the sum over the episodes, except for ``cusum``,
     whose part is the last value and the minimum of the drift prefix
     P_j = sum_{i<=j} (piece_i - k_ref) over the K*T steps, on a new last
-    axis of length 2 in place of the (T, K) axes."""
+    axis of length 2 in place of the (T, K) axes. It is written to ``out``,
+    a C-contiguous array of the part's shape, when one is given."""
     if kind.name == "cusum":
         steps = pieces.swapaxes(-1, -2)  # (..., K, T)
         drift = np.subtract(steps, kind.k_ref, out=np.empty(steps.shape))
         prefix = drift.reshape(steps.shape[:-2] + (-1,))
         np.cumsum(prefix, axis=-1, out=prefix)
-        part = np.empty(steps.shape[:-2] + (2,))
+        part = np.empty(steps.shape[:-2] + (2,)) if out is None else out
         part[..., 0] = prefix[..., -1]
         prefix.min(axis=-1, out=part[..., 1])
         return part
-    return pieces.sum(axis=-1)
+    return pieces.sum(axis=-1, out=out)
 
 
 def finish(
@@ -458,10 +470,15 @@ class BatchEvaluator:
 
     def _piece(self, name: str, m: int) -> np.ndarray:
         """Cached pieces of every row cropped to its first ``m`` samples;
-        the whole episodes' are the m = T entry, which a tau = T tail shares."""
+        the whole episodes' are the m = T entry, which a tau = T tail shares.
+        ``cusum``'s piece is elementwise, so its crops are views of the
+        first m columns of the m = T entry, bitwise the same values."""
         cached = self._pieces.get((name, m))
         if cached is None:
-            cached = episode_piece(name, self.episodes[:, :m], self.params)
+            if name == "cusum" and m < self.params.T:
+                cached = self._piece(name, self.params.T)[:, :m]
+            else:
+                cached = episode_piece(name, self.episodes[:, :m], self.params)
             self._pieces[(name, m)] = cached
         return cached
 
@@ -556,37 +573,34 @@ def _whole_parts(kind: StatisticKind, piece: np.ndarray, streams: np.ndarray,
 
     The runs are gathered a block at a time, at most ``_GATHER_ITEMS``
     floats of pieces per block (and, for ``cusum``, of drift), and each
-    block's whole parts are copied into the chunk's; a chunk of one block
-    keeps them as :func:`whole_part` returns them. A window's part reduces
-    its own pieces only, so the blocking leaves every value bitwise the
-    same."""
+    block's whole parts are written straight into its rows of the chunk's
+    arrays. A window's part reduces its own pieces only, so the blocking
+    leaves every value bitwise the same."""
     R, P = streams.shape[0], max(horizons)
     E = streams.shape[1] - P
     # A run's gather holds P + E - 1 pieces of piece[0].size floats (1 or
     # T); cusum's drift at horizon P holds E * P, which is no fewer.
     per_run = (E * P if kind.name == "cusum" else P + E - 1) * piece[0].size
     block = max(1, _GATHER_ITEMS // per_run)
-    if block >= R:
-        wholes = _block_whole_parts(kind, piece, streams, horizons)
-    else:
-        wholes = [None] * len(horizons)
-        for lo in range(0, R, block):
-            parts = _block_whole_parts(kind, piece, streams[lo : lo + block], horizons)
-            for i, part in enumerate(parts):
-                if part is not None:
-                    if wholes[i] is None:
-                        wholes[i] = np.empty((R,) + part.shape[1:])
-                    wholes[i][lo : lo + block] = part
-    return [w if w is None else w.reshape(R * E, *w.shape[2:]) for w in wholes]
+    shape = (R, E) + ((2,) if kind.name == "cusum" else piece.shape[1:])
+    wholes = [np.empty(shape) if h else None for h in horizons]
+    for lo in range(0, R, block):
+        rows = slice(lo, lo + block)
+        _block_whole_parts(kind, piece, streams[rows], horizons,
+                           [w if w is None else w[rows] for w in wholes])
+    return [w if w is None else w.reshape(R * E, *shape[2:]) for w in wholes]
 
 
 def _block_whole_parts(kind: StatisticKind, piece: np.ndarray, streams: np.ndarray,
-                       horizons: list[int]) -> list:
-    """Whole parts of a block of runs at each horizon, (runs, E, ...), from
-    one gather of their pieces, which is freed on return."""
+                       horizons: list[int], outs: list) -> None:
+    """Write the whole parts of a block of runs at each horizon into
+    ``outs``, (runs, E, ...) arrays, from one gather of their pieces, which
+    is freed on return."""
     P = max(horizons)
     # windows[r, e, ..., :] are the P whole pieces before column P + e of
     # run r, oldest first; horizon h takes the last h.
     gathered = piece[streams[:, :-1]]
     windows = np.lib.stride_tricks.sliding_window_view(gathered, P, axis=1)
-    return [whole_part(kind, windows[..., P - h :]) if h else None for h in horizons]
+    for h, out in zip(horizons, outs):
+        if h:
+            whole_part(kind, windows[..., P - h :], out=out)

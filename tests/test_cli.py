@@ -411,6 +411,39 @@ def test_tune_rejects_unknown_plan_key(workspace, tmp_path, capsys):
     assert not (tmp_path / "bundle.json").exists()
 
 
+def test_repeated_in_process_calls_parse_each_argv_afresh(
+    workspace, tmp_path, capsys
+):
+    # main builds its parser once per process; every call still gets its
+    # own arguments, defaults, usage errors and --version.
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"kind": "h0"}))
+
+    def simulate(out, *extra):
+        return main(["simulate", "--bundle", str(workspace / "bundle.json"),
+                     "--scenario", str(scenario), "--blocks", "2", "--seed", "1",
+                     "--out", str(tmp_path / out), *extra])
+
+    assert simulate("five.json", "--episodes", "5") == 0
+    assert simulate("default.json") == 0
+    episodes = [json.loads((tmp_path / out).read_text())["episodes_per_block"]
+                for out in ("five.json", "default.json")]
+    h_tilde = json.loads((workspace / "plan.json").read_text())["h_tilde"]
+    assert episodes == [5, h_tilde]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--bundle", str(workspace / "bundle.json")])
+    assert exc.value.code == 2
+    assert "required: --scenario" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == em.__version__ + "\n"
+    assert simulate("again.json") == 0
+    assert (tmp_path / "again.json").read_bytes() == (
+        tmp_path / "default.json").read_bytes()
+
+
 def test_tune_rejects_a_store_out_flag(workspace, tmp_path):
     # The store is always <out>.store.json, the name the bundle records.
     with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,6 @@
 """Model-layer tests: index decomposition, estimation, weights, downsampling."""
 
+import os
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import epimon as em
-from epimon.episodic import json_numbers
+from epimon.episodic import json_numbers, write_atomic
 from epimon.errors import InsufficientDataError, InvalidDataError
 
 from conftest import make_params, make_reference
@@ -408,3 +409,23 @@ def test_reference_csv_errors_name_the_line(tmp_path, text, skip_header, message
         with pytest.raises(InvalidDataError) as info:
             em.load_reference_csv(path, skip_header=skip_header)
     assert str(info.value) == f"{path}: {message}"
+
+
+def test_write_atomic_writes_text_bytes_or_chunks_in_order(tmp_path):
+    path = tmp_path / "out"
+    write_atomic(path, "text\n")
+    assert path.read_text() == "text\n"
+    write_atomic(path, b"\x00bytes")
+    assert path.read_bytes() == b"\x00bytes"
+    chunks = [b"ab", memoryview(b"cd"), np.arange(2.0)]
+    write_atomic(path, iter(chunks))
+    assert path.read_bytes() == b"abcd" + np.arange(2.0).tobytes()
+
+    def failing():
+        yield b"new"
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        write_atomic(path, failing())
+    assert path.read_bytes() == b"abcd" + np.arange(2.0).tobytes()
+    assert os.listdir(tmp_path) == ["out"]

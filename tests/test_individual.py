@@ -1,6 +1,10 @@
 """Bootstrap distribution and threshold-test behavior."""
 
+import hashlib
+import io
 import json
+import os
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -9,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import epimon as em
 from epimon import individual, stats
-from epimon.errors import NotTunedError
+from epimon.errors import InvalidDataError, NotTunedError
 from epimon.stats import mixed_values
 
 from conftest import make_params, make_reference
@@ -406,3 +410,149 @@ def test_store_build_gathers_a_row_family_a_block_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < gather_bytes / 2, (peak, gather_bytes)
+
+
+def _npy(rows, allow_pickle=False):
+    """``np.save``'s bytes of ``rows``."""
+    buf = io.BytesIO()
+    np.save(buf, rows, allow_pickle=allow_pickle)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("B, kinds, lengths", [
+    (1, [MEAN, UDT], [3, 6]),
+    (50, [MEAN], [5]),
+    (50, [MEAN, UDT, em.MIXED_MEAN_PDT_PRESET], [1, 4, 6, 9]),
+    (50, [], []),
+], ids=["B-1", "one-entry", "many-entries", "no-entries"])
+def test_saved_rows_file_is_np_save_of_the_stacked_rows(tmp_path, B, kinds, lengths):
+    params = make_params(T=4, seed=8)
+    store = em.BootstrapStore(params, B=B, seed=6)
+    store.ensure(make_reference(params, 25, seed=11), kinds, lengths)
+    store.save(tmp_path / "store.json")
+    index = json.loads((tmp_path / "store.json").read_text())
+    keys = sorted(store.entries)
+    stacked = np.array([store.entries[key] for key in keys]).reshape(len(keys), B)
+    raw = (tmp_path / "store.npy").read_bytes()
+    assert raw == _npy(stacked)
+    assert index["rows_sha256"] == hashlib.sha256(raw).hexdigest()
+    assert [(e["kind"], e["n"], e["row"]) for e in index["entries"]] == [
+        (spec, n, row) for row, (spec, n) in enumerate(keys)]
+    loaded = em.BootstrapStore.load(tmp_path / "store.json", params)
+    assert {k: v.tobytes() for k, v in loaded.entries.items()} == {
+        k: v.tobytes() for k, v in store.entries.items()}
+
+
+def _rows_before_streaming(raw, sha256, rows_path, shape):
+    """What a store load made of the rows file's bytes ``raw`` before it
+    read the file in one streamed pass: the sha256 of the whole file, then
+    ``np.load`` and the checks of the array, in that order."""
+    if hashlib.sha256(raw).hexdigest() != sha256:
+        raise InvalidDataError(
+            f"store rows file {rows_path!r} does not match the index's rows_sha256")
+    rows = np.load(io.BytesIO(raw), allow_pickle=False)
+    if not isinstance(rows, np.ndarray):
+        raise InvalidDataError(f"store rows file {rows_path!r} is not one array")
+    if rows.dtype != np.dtype("<f8") or rows.shape != shape:
+        raise InvalidDataError(
+            f"store rows are {rows.dtype.str!r} of shape {rows.shape}, "
+            f"expected '<f8' of shape {shape}")
+    if not np.isfinite(rows).all():
+        raise InvalidDataError("store rows have non-finite values")
+    unsorted = np.flatnonzero((rows[:, 1:] < rows[:, :-1]).any(axis=1))
+    if unsorted.size:
+        raise InvalidDataError(f"store row {unsorted[0]} is not sorted")
+    return rows
+
+
+def _outcome(load):
+    """(True, result) of ``load()``, or (its exception's type, message)."""
+    try:
+        return True, load()
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+def _unsorted(rows):
+    rows[2, [0, -1]] = rows[2, [-1, 0]]
+    return rows
+
+
+def _non_finite(rows):
+    rows[1, -1] = np.nan
+    return rows
+
+
+def _npz(rows):
+    buf = io.BytesIO()
+    np.savez(buf, rows=rows)
+    return buf.getvalue()
+
+
+def _header_for(shape):
+    """A ``.npy`` header declaring a C-order '<f8' array of ``shape``."""
+    return _npy(np.empty(shape))[:128]
+
+
+ROWS_FILES = {
+    "as-saved": lambda raw, rows: raw,
+    "unsorted": lambda raw, rows: _npy(_unsorted(rows)),
+    "non-finite": lambda raw, rows: _npy(_non_finite(rows)),
+    "object": lambda raw, rows: _npy(rows.astype(object), allow_pickle=True),
+    "big-endian": lambda raw, rows: _npy(rows.astype(">f8")),
+    "float32": lambda raw, rows: _npy(rows.astype("<f4")),
+    "fortran-order": lambda raw, rows: _npy(np.asfortranarray(rows)),
+    "missing-row": lambda raw, rows: _npy(rows[:-1]),
+    "extra-row": lambda raw, rows: _npy(np.vstack([rows, rows[:1]])),
+    "short-rows": lambda raw, rows: _npy(rows[:, :-1]),
+    "transposed": lambda raw, rows: _npy(rows.T),
+    "one-dimensional": lambda raw, rows: _npy(rows.reshape(-1)),
+    "header-declares-more-rows": lambda raw, rows: (
+        _header_for((rows.shape[0] + 1, rows.shape[1])) + raw[128:]),
+    "truncated-data": lambda raw, rows: raw[:-8],
+    "header-only": lambda raw, rows: raw[:128],
+    "truncated-header": lambda raw, rows: raw[:50],
+    "empty": lambda raw, rows: b"",
+    "trailing-bytes": lambda raw, rows: raw + bytes(8),
+    "pickled": lambda raw, rows: pickle.dumps(rows),
+    "npz": lambda raw, rows: _npz(rows),
+}
+
+
+# The rows files above that a load accepts once the hash matches, as it
+# did before: np.load reads a Fortran-order array and ignores trailing bytes.
+LOADABLE_ROWS_FILES = ("as-saved", "fortran-order", "trailing-bytes")
+
+
+@pytest.mark.parametrize("sealed", [True, False], ids=["resealed", "saved-sha256"])
+@pytest.mark.parametrize("name", ROWS_FILES)
+def test_load_reads_any_rows_file_as_np_load_after_the_whole_hash(
+    tmp_path, name, sealed
+):
+    # The load streams the file save writes into the rows; any other file
+    # gets the exception and message of the whole-file hash followed by
+    # np.load, so a file that fails the hash gets the hash's message
+    # whatever it holds.
+    params = make_params(T=4, seed=8)
+    store = em.BootstrapStore(params, B=40, seed=6)
+    store.ensure(make_reference(params, 25, seed=11), [MEAN, UDT], [3, 6, 9])
+    path = tmp_path / "store.json"
+    store.save(path)
+    rows_path = tmp_path / "store.npy"
+    raw = ROWS_FILES[name](rows_path.read_bytes(), np.load(rows_path))
+    rows_path.write_bytes(raw)
+    index = json.loads(path.read_text())
+    if sealed:
+        index["rows_sha256"] = hashlib.sha256(raw).hexdigest()
+    path.write_text(json.dumps(index))
+    shape = (len(index["entries"]), 40)
+    before = _outcome(lambda: _rows_before_streaming(
+        raw, index["rows_sha256"], os.fspath(rows_path), shape))
+    now = _outcome(lambda: em.BootstrapStore.load(path, params))
+    if name == "as-saved" or sealed and name in LOADABLE_ROWS_FILES:
+        assert now[0] is True and before[0] is True, (now, before)
+        for entry in index["entries"]:
+            key = (entry["kind"], entry["n"])
+            assert now[1].entries[key].tobytes() == before[1][entry["row"]].tobytes()
+    else:
+        assert now == before

@@ -340,6 +340,19 @@ def test_spec_parses_back_to_its_kind(x):
         assert em.parse_statistic(kind.spec) == kind, kind.spec
 
 
+def test_parse_statistic_parses_each_spelling_once():
+    # A store load parses the spec of every entry; kinds are immutable, so
+    # one spelling gives one shared kind. Errors are raised on every call.
+    assert em.parse_statistic(" PDT:0.25") is em.parse_statistic(" PDT:0.25")
+    assert em.parse_statistic("pdt:0.25") == em.parse_statistic(" PDT:0.25")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="unknown statistic 'udt2'"):
+            em.parse_statistic("udt2")
+        for value in (None, 1.0, b"udt", ["udt"]):
+            with pytest.raises(ValueError, match="statistic must be a string"):
+                em.parse_statistic(value)
+
+
 def test_spec_keeps_short_spellings_and_distinct_keys():
     # Values that :g spells exactly keep that spelling (golden store keys);
     # values it would round get a store key of their own.
@@ -707,9 +720,9 @@ def test_offset_values_are_bitwise_the_same_gathered_in_blocks(monkeypatch, kind
     calls = []
     real = stats.whole_part
 
-    def counting(kind, pieces):
+    def counting(kind, pieces, out=None):
         calls.append(pieces.shape[0])
-        return real(kind, pieces)
+        return real(kind, pieces, out=out)
 
     monkeypatch.setattr(stats, "whole_part", counting)
     for block, sizes in ((1, [1] * runs), (4, [4, 4, 1, 2])):
@@ -778,6 +791,19 @@ def test_mean_piece_of_cropped_rows_is_their_row_sum():
     whole = BatchEvaluator(rows, params)
     whole.values(MEAN, np.arange(R)[:, np.newaxis], np.arange(R), T)
     assert list(whole._pieces) == [("mean", T)]
+
+
+def test_cusum_tail_pieces_are_the_first_columns_of_the_whole_piece():
+    # cusum's piece is elementwise, so a tail's piece is a view of the
+    # whole piece's first m columns, bitwise that of the cropped rows.
+    T, R = 12, 50
+    params = make_params(T=T, seed=86)
+    rows = np.random.default_rng(87).normal(3.0, 10.0, size=(R, T))
+    ev = BatchEvaluator(rows, params)
+    for m in range(1, T + 1):
+        piece = ev._piece("cusum", m)
+        assert np.array_equal(piece, episode_piece("cusum", rows[:, :m], params)), m
+        assert np.shares_memory(piece, ev._piece("cusum", T)), m
 
 
 def test_step_std_is_cached_and_read_only(small_params):
