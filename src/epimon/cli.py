@@ -17,7 +17,6 @@ Exit codes: 0 ok, 2 usage or data error, 3 detection fired.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -275,17 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    """The parser of :func:`main`, built on its first call and reused:
-    parsing leaves a parser unchanged, each call gets a fresh namespace with
-    the defaults, and ``func`` binds the ``cmd_*`` functions when the parser
-    is built."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     for flag in ("blocks", "episodes"):
         value = getattr(args, flag, None)
         if value is not None and value < 1:

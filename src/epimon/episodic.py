@@ -444,9 +444,10 @@ def write_atomic(path, data) -> None:
     """Write ``data`` to ``path`` through a temporary file in the same
     directory, renamed into place, so a reader sees the old file or the
     whole new one; on failure the temporary file is removed and ``path``
-    is untouched. ``data`` is text if a ``str``, else bytes, or an iterable
-    of bytes-like chunks written in order, so a caller can stream a file
-    without joining it first. The file gets the mode ``open(path, "w")``
+    is untouched. ``data`` is text if a ``str``, bytes if a ``bytes``,
+    ``bytearray`` or ``memoryview``, and otherwise an iterable of bytes-like
+    chunks written in order, so a caller can stream a file without joining
+    it first. The file gets the mode ``open(path, "w")``
     gives a new file: 0666 less the process umask."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     tmp = os.path.join(directory, f".epimon-tmp-{secrets.token_hex(8)}")
@@ -454,7 +455,7 @@ def write_atomic(path, data) -> None:
     fd = os.open(tmp, flags, 0o666)
     try:
         with os.fdopen(fd, "w" if isinstance(data, str) else "wb") as fh:
-            if isinstance(data, (str, bytes)):
+            if isinstance(data, (str, bytes, bytearray, memoryview)):
                 fh.write(data)
             else:
                 fh.writelines(data)

@@ -45,14 +45,13 @@ named by ``rows_file`` (``<out>.store.npy``), is one ``.npy`` array of
 little-endian float64 (``'<f8'``), shape (entries, B), whose row ``row``
 holds the entry's B sorted values; ``rows_sha256`` is the sha256 of its
 bytes. Storing the bytes keeps every value bit-exact, and loading them
-decodes nothing. The rows file passes through sha256 once each way:
-:meth:`BootstrapStore.save` writes numpy's own version 1.0 header and then
-each row, hashing each as it goes, so the file holds ``np.save``'s bytes;
-:meth:`BootstrapStore.load` checks the header and size of the file before
-it makes any array, reads the data straight into the rows while hashing
-them, and hands any other file to ``np.load``, after its hash. The rows
-are checked by one vectorised pass and shared read-only by every entry. A
-reader accepts only this version.
+decodes nothing: :meth:`BootstrapStore.save` writes numpy's own version
+1.0 header and then each row, hashing each as it goes, so the file holds
+``np.save``'s bytes, and :meth:`BootstrapStore.load` reads the file once,
+hashes it and, when its header and size are those ``save`` writes for the
+index, views the data in place, with no copy; any other file goes to
+``np.load``. The rows are checked by one vectorised pass and shared
+read-only by every entry. A reader accepts only this version.
 """
 
 from __future__ import annotations
@@ -61,7 +60,6 @@ import hashlib
 import io
 import itertools
 import json
-import math
 import os
 from types import MappingProxyType
 
@@ -92,8 +90,6 @@ from .stats import (
 )
 
 STORE_FORMAT_VERSION = 3
-# Bytes of the rows file read and hashed at a time by BootstrapStore.load.
-_READ_CHUNK = 1 << 18
 
 
 def empirical_quantile_index(alpha: float, B: int) -> int:
@@ -312,14 +308,21 @@ class BootstrapStore:
         rows_path = sibling_path(path, data["rows_file"], "rows_file")
         shape = (len(items), B)
         with open(rows_path, "rb") as fh:
-            rows, sha256 = _read_rows(fh, shape)
-        if sha256 != data["rows_sha256"]:
+            raw = fh.read()
+        if hashlib.sha256(raw).hexdigest() != data["rows_sha256"]:
             raise InvalidDataError(
                 f"store rows file {rows_path!r} does not match the index's "
                 "rows_sha256"
             )
-        if isinstance(rows, bytes):  # not the file save writes
-            rows = np.load(io.BytesIO(rows), allow_pickle=False)
+        header = _npy_header(shape)
+        # The file save writes is viewed in place, already read-only; any
+        # other file (a negative B too) is np.load's to parse or reject.
+        size = len(header) + 8 * len(items) * B
+        if B >= 0 and len(raw) == size and raw.startswith(header):
+            rows = np.frombuffer(raw, "<f8", offset=len(header)).reshape(shape)
+        else:
+            rows = np.load(io.BytesIO(raw), allow_pickle=False)
+            del raw
             if not isinstance(rows, np.ndarray):
                 raise InvalidDataError(
                     f"store rows file {rows_path!r} is not one array"
@@ -364,35 +367,6 @@ def _npy_header(shape: tuple[int, int]) -> bytes:
             buf, {"descr": "<f8", "fortran_order": False, "shape": shape}
         )
         return buf.getvalue()
-
-
-def _read_rows(fh, shape: tuple[int, int]):
-    """The contents of the rows file ``fh`` and the sha256 (hex) of its
-    bytes, read and hashed in one pass.
-
-    A file of exactly the bytes :meth:`BootstrapStore.save` writes for
-    ``shape`` (its header, then the data) is read straight into a new
-    ``'<f8'`` array of that shape, a chunk at a time, each chunk hashed as
-    it arrives; its header and size are checked before the array is made.
-    Any other file is returned whole as bytes, for ``np.load`` to parse
-    once the hash is checked."""
-    header = _npy_header(shape)
-    head = fh.read(len(header))
-    digest = hashlib.sha256(head)
-    size = os.fstat(fh.fileno()).st_size
-    # (a negative B is np.load's to reject, with its message)
-    if head != header or shape[1] < 0 or size != len(header) + 8 * math.prod(shape):
-        rest = fh.read()
-        digest.update(rest)
-        return head + rest, digest.hexdigest()
-    rows = np.empty(shape, dtype="<f8")
-    view = rows.reshape(-1).view(np.uint8)
-    for lo in range(0, len(view), _READ_CHUNK):
-        chunk = view[lo : lo + _READ_CHUNK]
-        if fh.readinto(chunk) != len(chunk):
-            raise InvalidDataError(f"store rows file {fh.name!r} changed while read")
-        digest.update(chunk)
-    return rows, digest.hexdigest()
 
 
 def _hashing(chunks, digest):

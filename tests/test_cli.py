@@ -414,8 +414,8 @@ def test_tune_rejects_unknown_plan_key(workspace, tmp_path, capsys):
 def test_repeated_in_process_calls_parse_each_argv_afresh(
     workspace, tmp_path, capsys
 ):
-    # main builds its parser once per process; every call still gets its
-    # own arguments, defaults, usage errors and --version.
+    # Every call gets its own arguments, defaults, usage errors and
+    # --version, whatever an earlier call in the process parsed.
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps({"kind": "h0"}))
 

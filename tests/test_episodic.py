@@ -415,8 +415,9 @@ def test_write_atomic_writes_text_bytes_or_chunks_in_order(tmp_path):
     path = tmp_path / "out"
     write_atomic(path, "text\n")
     assert path.read_text() == "text\n"
-    write_atomic(path, b"\x00bytes")
-    assert path.read_bytes() == b"\x00bytes"
+    for data in (b"\x00bytes", bytearray(b"\x00bytes"), memoryview(b"\x00bytes")):
+        write_atomic(path, data)
+        assert path.read_bytes() == b"\x00bytes"
     chunks = [b"ab", memoryview(b"cd"), np.arange(2.0)]
     write_atomic(path, iter(chunks))
     assert path.read_bytes() == b"abcd" + np.arange(2.0).tobytes()

@@ -443,10 +443,10 @@ def test_saved_rows_file_is_np_save_of_the_stacked_rows(tmp_path, B, kinds, leng
         k: v.tobytes() for k, v in store.entries.items()}
 
 
-def _rows_before_streaming(raw, sha256, rows_path, shape):
+def _rows_through_np_load(raw, sha256, rows_path, shape):
     """What a store load made of the rows file's bytes ``raw`` before it
-    read the file in one streamed pass: the sha256 of the whole file, then
-    ``np.load`` and the checks of the array, in that order."""
+    viewed the file save writes in place: the sha256 of the whole file,
+    then ``np.load`` and the checks of the array, in that order."""
     if hashlib.sha256(raw).hexdigest() != sha256:
         raise InvalidDataError(
             f"store rows file {rows_path!r} does not match the index's rows_sha256")
@@ -529,7 +529,7 @@ LOADABLE_ROWS_FILES = ("as-saved", "fortran-order", "trailing-bytes")
 def test_load_reads_any_rows_file_as_np_load_after_the_whole_hash(
     tmp_path, name, sealed
 ):
-    # The load streams the file save writes into the rows; any other file
+    # The load views the file save writes in place; any other file
     # gets the exception and message of the whole-file hash followed by
     # np.load, so a file that fails the hash gets the hash's message
     # whatever it holds.
@@ -546,7 +546,7 @@ def test_load_reads_any_rows_file_as_np_load_after_the_whole_hash(
         index["rows_sha256"] = hashlib.sha256(raw).hexdigest()
     path.write_text(json.dumps(index))
     shape = (len(index["entries"]), 40)
-    before = _outcome(lambda: _rows_before_streaming(
+    before = _outcome(lambda: _rows_through_np_load(
         raw, index["rows_sha256"], os.fspath(rows_path), shape))
     now = _outcome(lambda: em.BootstrapStore.load(path, params))
     if name == "as-saved" or sealed and name in LOADABLE_ROWS_FILES:
